@@ -4,14 +4,14 @@
 // 7 reader ranks fetch a 64-key x 1 KiB hot set from rank 0 while the
 // fault plan injects transient failures (swept probability) and degrades
 // rank 0's service time (swept latency factor). The CLaMPI variant runs
-// kAlwaysCache with cache-fallback and a 6-retry policy; the uncached
-// variant issues raw rmasim gets with the same manual retry loop.
+// kAlwaysCache with a 6-retry policy (cached keys are full hits that never
+// touch the network, degraded target or not); the uncached variant issues
+// raw rmasim gets with the same manual retry loop.
 //
 // Output is a single JSON document:
 //   {"bench":"fault_sweep","results":[
 //     {"fail_prob":0.1,"degrade_factor":4,"cache":"clampi",
-//      "avg_get_us":...,"served":...,"retries":...,"fallback_hits":...,
-//      "giveups":...}, ...]}
+//      "avg_get_us":...,"served":...,"retries":...,"giveups":...}, ...]}
 //
 // Everything is virtual-time modelled, so the numbers are deterministic
 // across runs and machines.
@@ -42,7 +42,6 @@ struct SweepCell {
   double total_get_us = 0.0;
   long served = 0;
   long retries = 0;
-  long fallback_hits = 0;
   long giveups = 0;
 
   double avg_get_us() const {
@@ -66,7 +65,7 @@ rmasim::Engine::Config engine_cfg(double fail_prob, double degrade_factor) {
   return cfg;
 }
 
-/// CLaMPI readers: kAlwaysCache + fallback + retry policy in the window.
+/// CLaMPI readers: kAlwaysCache + retry policy in the window.
 SweepCell run_cached(double fail_prob, double degrade_factor) {
   Config ccfg;
   ccfg.mode = Mode::kAlwaysCache;
@@ -75,7 +74,6 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
   ccfg.max_retries = kMaxRetries;
   ccfg.retry_backoff_us = kBackoffUs;
   ccfg.retry_backoff_factor = kBackoffFactor;
-  ccfg.cache_fallback = true;
 
   rmasim::Engine e(engine_cfg(fail_prob, degrade_factor));
   auto cell = std::make_shared<SweepCell>();
@@ -99,9 +97,7 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
           }
         }
       }
-      const Stats st = win.stats();
-      cell->retries += static_cast<long>(st.retries);
-      cell->fallback_hits += static_cast<long>(st.fallback_hits);
+      cell->retries += static_cast<long>(win.stats().retries);
       win.unlock_all();
     }
     p.barrier();
@@ -155,10 +151,9 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
 void emit(bool first, double fail_prob, double degrade_factor, const char* cache,
           const SweepCell& c) {
   std::printf("%s\n    {\"fail_prob\":%g,\"degrade_factor\":%g,\"cache\":\"%s\","
-              "\"avg_get_us\":%.3f,\"served\":%ld,\"retries\":%ld,"
-              "\"fallback_hits\":%ld,\"giveups\":%ld}",
+              "\"avg_get_us\":%.3f,\"served\":%ld,\"retries\":%ld,\"giveups\":%ld}",
               first ? "" : ",", fail_prob, degrade_factor, cache, c.avg_get_us(),
-              c.served, c.retries, c.fallback_hits, c.giveups);
+              c.served, c.retries, c.giveups);
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ NodePayload DistributedBarnesHut::fetch_payload(std::int32_t node) {
   }
 
   if (cfg_.skip_dead_ranks && cfg_.backend == CacheBackend::kClampi &&
-      !cfg_.clampi_cfg.degraded_reads && !cfg_.clampi_cfg.cache_fallback) {
+      !cfg_.clampi_cfg.degraded_reads) {
     // Typed health query: with no degraded-read policy to fall back on, a
     // down owner is dropped up front instead of paying a fast-fail throw.
     if (!cached_->target_status(owner).usable) {

@@ -38,72 +38,6 @@ class PhaseTimer {
 // shard is seeded exactly like the pre-sharding cache.
 constexpr std::uint64_t kShardSeedSalt = 0x9e3779b97f4a7c15ull;
 
-// Every Stats counter a shard can accumulate locally. sync_hot_counters()
-// folds the per-shard sums into the core's stats_ block as deltas, so
-// fields written by both a shard (under its lock) and the CachedWindow
-// driver (through mutable_stats()) add up instead of clobbering each
-// other. Fields only ever written through mutable_stats() sum to zero
-// across shards and fold as a no-op, so the list is simply *all* of them
-// — a new Stats counter works here without registration.
-constexpr std::uint64_t Stats::* kShardSummedCounters[] = {
-    &Stats::total_gets,
-    &Stats::hits_full,
-    &Stats::hits_pending,
-    &Stats::hits_partial,
-    &Stats::direct,
-    &Stats::conflicting,
-    &Stats::capacity,
-    &Stats::failing,
-    &Stats::failed_index,
-    &Stats::failed_capacity,
-    &Stats::evictions,
-    &Stats::eviction_rounds,
-    &Stats::visited_slots,
-    &Stats::visited_nonempty,
-    &Stats::invalidations,
-    &Stats::adjustments,
-    &Stats::index_probes,
-    &Stats::index_tag_false_positives,
-    &Stats::index_kick_steps,
-    &Stats::storage_fastbin_allocs,
-    &Stats::storage_tree_allocs,
-    &Stats::storage_pool_reuses,
-    &Stats::checksum_verifications,
-    &Stats::corruption_detected,
-    &Stats::self_heals,
-    &Stats::scrub_entries_scanned,
-    &Stats::scrub_corruptions,
-    &Stats::shadow_verifications,
-    &Stats::shadow_mismatches,
-    &Stats::put_invalidations,
-    &Stats::stale_puts_injected,
-    &Stats::storage_bitflips,
-    &Stats::breaker_trips,
-    &Stats::breaker_recloses,
-    &Stats::breaker_passthrough_gets,
-    &Stats::bytes_from_cache,
-    &Stats::bytes_from_network,
-    &Stats::injected_faults,
-    &Stats::retries,
-    &Stats::retry_giveups,
-    &Stats::fallback_hits,
-    &Stats::health_suspects,
-    &Stats::health_quarantines,
-    &Stats::health_probes,
-    &Stats::health_recoveries,
-    &Stats::fast_fails,
-    &Stats::degraded_hits,
-    &Stats::degraded_expired,
-    &Stats::degraded_corrupt_drops,
-    &Stats::shard_lock_acquisitions,
-    &Stats::shard_lock_contended,
-    &Stats::cross_shard_ops,
-    &Stats::kv_bucket_reads,
-    &Stats::kv_chain_reads,
-    &Stats::kv_version_rereads,
-    &Stats::put_invalidation_ops,
-};
-
 }  // namespace
 
 double phase_clock_ns() {
@@ -954,7 +888,9 @@ void CacheCore::sync_hot_counters() const {
   // Fold the live index/storage counters into each shard's stats block
   // (overwrite: base + live, both monotone), then fold every per-shard
   // counter into stats_ as a delta against the previous fold — direct
-  // writes to stats_ through mutable_stats() survive untouched.
+  // writes to stats_ through mutable_stats() survive untouched. Counters
+  // only ever written that way sum to zero across shards and fold as
+  // no-ops, so the fold simply covers every counter.
   for (const auto& sp : shards_) {
     const Shard& s = *sp;
     const auto& ic = s.index.counters();
@@ -966,11 +902,11 @@ void CacheCore::sync_hot_counters() const {
     s.stats.storage_tree_allocs = sc.tree_allocs;
     s.stats.storage_pool_reuses = sc.pool_reuses;
   }
-  for (const auto field : kShardSummedCounters) {
+  for (const StatsField& f : kStatsFields) {
     std::uint64_t sum = 0;
-    for (const auto& sp : shards_) sum += sp->stats.*field;
-    stats_.*field += sum - shard_prev_.*field;
-    shard_prev_.*field = sum;
+    for (const auto& sp : shards_) sum += sp->stats.*f.member;
+    stats_.*f.member += sum - shard_prev_.*f.member;
+    shard_prev_.*f.member = sum;
   }
 }
 

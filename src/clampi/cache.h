@@ -23,9 +23,10 @@
 //     entry_data, drop_failed, revert_extension, ...) must be externally
 //     serialized by the caller, exactly as the epoch protocol already
 //     does — a PENDING entry belongs to the epoch that created it.
-//   - stats() / mutable_stats() aggregate per-shard counters without
-//     taking any lock; call them only from quiescent points (epoch
-//     boundaries, after joining worker threads).
+//   - stats() aggregates per-shard counters without taking any lock, and
+//     mutable_stats() hands out the unsynchronized core block; call them
+//     only from quiescent points (epoch boundaries, after joining worker
+//     threads).
 //   - entry_data() returns a raw pointer whose bytes are only stable
 //     while the entry lives; concurrent readers that cannot guarantee
 //     that use access_read(), which copies the cached prefix out while
@@ -127,7 +128,7 @@ class CacheCore {
 
   /// Pure lookup: the CACHED entry holding `key`, or kNoEntry if the key
   /// is absent or still PENDING. No statistics are touched — this backs
-  /// the resilience layer's cache-fallback probe, not a get_c.
+  /// the resilience layer's degraded-read probe, not a get_c.
   std::uint32_t find_cached(Key key) const;
 
   /// Remove an entry whose network fetch failed (injected fault). Unlike
@@ -209,12 +210,11 @@ class CacheCore {
     sync_hot_counters();
     return stats_;
   }
-  /// Writable counters for the resilience layer (retries, fallbacks):
-  /// those events happen outside access(), in the CachedWindow driver.
-  Stats& mutable_stats() {
-    sync_hot_counters();
-    return stats_;
-  }
+  /// Writable counters for the layers above the core (the CachedWindow
+  /// driver, kv::Store): their events happen outside access(). Callers
+  /// only increment, so no fold is needed — sync_hot_counters() adds the
+  /// shard deltas on top of whatever was written here.
+  Stats& mutable_stats() { return stats_; }
   const Config& config() const { return cfg_; }
   /// Total I_w slots / S_w bytes across all shards (each shard owns an
   /// equal 1/cache_shards partition; storage partitions are individually

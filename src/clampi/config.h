@@ -85,7 +85,7 @@ struct Config {
   std::size_t max_storage_bytes = std::size_t{1} << 30;
   std::uint64_t adapt_interval = 2048;  ///< gets between adaptation checks
 
-  // --- resilience (retry/backoff + cache-fallback under injected faults) ---
+  // --- resilience (retry/backoff under injected faults) ---
   /// Re-issues of a network get after a *transient* fault::OpFailedError.
   /// 0 (the default) disables retrying: the error propagates to the caller.
   int max_retries = 0;
@@ -100,12 +100,6 @@ struct Config {
   /// budgets are untouched, so a dead target cannot starve retries for
   /// healthy ones (docs/FAULTS.md §6).
   double epoch_retry_budget_us = 0.0;
-  /// Serve CACHED entries for targets that are degraded or dead instead of
-  /// touching the network, with no staleness bound. Only honoured in the
-  /// read-only modes (kAlwaysCache / kUserDefined), where cached data
-  /// cannot be stale; for kTransparent use `degraded_reads`, which bounds
-  /// staleness explicitly (the mode matrix is in docs/FAULTS.md §6).
-  bool cache_fallback = false;
 
   // --- tail-latency robustness (deadline budgets + adaptive load
   // shedding; docs/FAULTS.md §8) ---
@@ -154,9 +148,9 @@ struct Config {
   int health_probe_successes = 2;
   /// Bounded-staleness degraded reads: serve still-CACHED entries for
   /// dead/quarantined/degraded targets in *any* mode (including
-  /// kTransparent, unlike cache_fallback), as long as the entry's data
-  /// age is within `degraded_max_staleness_us`. Counted as
-  /// Stats::degraded_hits.
+  /// kTransparent, where they are the only cross-epoch serve), as long as
+  /// the entry's data age is within `degraded_max_staleness_us`. Counted
+  /// as Stats::degraded_hits (the mode matrix is in docs/FAULTS.md §6).
   bool degraded_reads = false;
   /// Staleness bound for degraded reads: maximum virtual-time age of the
   /// served entry's payload (time since its data was fetched from the

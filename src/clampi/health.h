@@ -1,7 +1,7 @@
 // Per-target health tracking for a caching-enabled window.
 //
-// The resilience layer (docs/FAULTS.md) gives a window retries, backoff
-// and cache-fallback, but PR 1 accounted for them *globally*: one
+// The resilience layer (docs/FAULTS.md) gives a window retries and
+// backoff, but the first version accounted for them *globally*: one
 // epoch-wide backoff pool and one circuit breaker for the whole window,
 // so a single dead target could starve retries for healthy ones. This
 // subsystem makes failure handling per-target:

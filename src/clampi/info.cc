@@ -106,8 +106,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.retry_jitter = parse_f64(key, value);
     } else if (key == "clampi_epoch_retry_budget_us") {
       cfg.epoch_retry_budget_us = parse_f64(key, value);
-    } else if (key == "clampi_cache_fallback") {
-      cfg.cache_fallback = parse_bool(key, value);
     } else if (key == "clampi_health_failure_threshold") {
       cfg.health_failure_threshold = static_cast<int>(parse_u64(key, value));
     } else if (key == "clampi_health_window_us") {
@@ -167,82 +165,9 @@ Config config_from_info(const Info& info, Config cfg) {
 
 Info stats_to_info(const Stats& s) {
   Info out;
-  const auto put = [&out](const char* key, std::uint64_t v) {
-    out.emplace(std::string("clampi_stat_") + key, std::to_string(v));
-  };
-  put("total_gets", s.total_gets);
-  put("hits_full", s.hits_full);
-  put("hits_pending", s.hits_pending);
-  put("hits_partial", s.hits_partial);
-  put("direct", s.direct);
-  put("conflicting", s.conflicting);
-  put("capacity", s.capacity);
-  put("failing", s.failing);
-  put("failed_index", s.failed_index);
-  put("failed_capacity", s.failed_capacity);
-  put("evictions", s.evictions);
-  put("eviction_rounds", s.eviction_rounds);
-  put("visited_slots", s.visited_slots);
-  put("visited_nonempty", s.visited_nonempty);
-  put("invalidations", s.invalidations);
-  put("adjustments", s.adjustments);
-  put("index_probes", s.index_probes);
-  put("index_tag_false_positives", s.index_tag_false_positives);
-  put("index_kick_steps", s.index_kick_steps);
-  put("storage_fastbin_allocs", s.storage_fastbin_allocs);
-  put("storage_tree_allocs", s.storage_tree_allocs);
-  put("storage_pool_reuses", s.storage_pool_reuses);
-  put("checksum_verifications", s.checksum_verifications);
-  put("corruption_detected", s.corruption_detected);
-  put("self_heals", s.self_heals);
-  put("scrub_entries_scanned", s.scrub_entries_scanned);
-  put("scrub_corruptions", s.scrub_corruptions);
-  put("shadow_verifications", s.shadow_verifications);
-  put("shadow_mismatches", s.shadow_mismatches);
-  put("put_invalidations", s.put_invalidations);
-  put("stale_puts_injected", s.stale_puts_injected);
-  put("storage_bitflips", s.storage_bitflips);
-  put("breaker_trips", s.breaker_trips);
-  put("breaker_recloses", s.breaker_recloses);
-  put("breaker_passthrough_gets", s.breaker_passthrough_gets);
-  put("bytes_from_cache", s.bytes_from_cache);
-  put("bytes_from_network", s.bytes_from_network);
-  put("injected_faults", s.injected_faults);
-  put("retries", s.retries);
-  put("retry_giveups", s.retry_giveups);
-  put("fallback_hits", s.fallback_hits);
-  put("health_suspects", s.health_suspects);
-  put("health_quarantines", s.health_quarantines);
-  put("health_probes", s.health_probes);
-  put("health_recoveries", s.health_recoveries);
-  put("fast_fails", s.fast_fails);
-  put("degraded_hits", s.degraded_hits);
-  put("degraded_expired", s.degraded_expired);
-  put("degraded_corrupt_drops", s.degraded_corrupt_drops);
-  put("shard_lock_acquisitions", s.shard_lock_acquisitions);
-  put("shard_lock_contended", s.shard_lock_contended);
-  put("cross_shard_ops", s.cross_shard_ops);
-  put("kv_bucket_reads", s.kv_bucket_reads);
-  put("kv_chain_reads", s.kv_chain_reads);
-  put("kv_version_rereads", s.kv_version_rereads);
-  put("put_invalidation_ops", s.put_invalidation_ops);
-  put("kv_hints_queued", s.kv_hints_queued);
-  put("kv_hints_drained", s.kv_hints_drained);
-  put("kv_hints_dropped", s.kv_hints_dropped);
-  put("kv_read_repairs", s.kv_read_repairs);
-  put("kv_antientropy_repairs", s.kv_antientropy_repairs);
-  put("deadline_misses", s.deadline_misses);
-  put("ops_shed", s.ops_shed);
-  put("slow_observations", s.slow_observations);
-  put("kv_hedged_gets", s.kv_hedged_gets);
-  put("kv_hedge_wins", s.kv_hedge_wins);
-  put("kv_hedge_wasted", s.kv_hedge_wasted);
-  put("crash_invalidations", s.crash_invalidations);
-  put("kv_journal_appends", s.kv_journal_appends);
-  put("kv_journal_replayed", s.kv_journal_replayed);
-  put("kv_torn_records_dropped", s.kv_torn_records_dropped);
-  put("kv_snapshot_loads", s.kv_snapshot_loads);
-  put("kv_recovery_repairs", s.kv_recovery_repairs);
+  for (const StatsField& f : kStatsFields) {
+    out.emplace(std::string("clampi_stat_") + f.name, std::to_string(s.*f.member));
+  }
   return out;
 }
 

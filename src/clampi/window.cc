@@ -22,6 +22,16 @@ HealthMonitor::Config health_config(const Config& cfg) {
   return hc;
 }
 
+LoadShedder::Config shedder_config(const Config& cfg) {
+  LoadShedder::Config sc;
+  sc.window_us = cfg.shed_window_us;
+  sc.miss_ratio = cfg.shed_miss_ratio;
+  sc.decrease_factor = cfg.shed_decrease_factor;
+  sc.increase = cfg.shed_increase;
+  sc.min_admit = cfg.shed_min_admit;
+  return sc;
+}
+
 }  // namespace
 
 CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config& cfg)
@@ -42,15 +52,7 @@ CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config&
     bc.halfopen_successes = cfg_.breaker_halfopen_successes;
     breaker_ = std::make_unique<CircuitBreaker>(bc);
   }
-  if (cfg_.load_shedding) {
-    LoadShedder::Config sc;
-    sc.window_us = cfg_.shed_window_us;
-    sc.miss_ratio = cfg_.shed_miss_ratio;
-    sc.decrease_factor = cfg_.shed_decrease_factor;
-    sc.increase = cfg_.shed_increase;
-    sc.min_admit = cfg_.shed_min_admit;
-    shedder_ = std::make_unique<LoadShedder>(sc);
-  }
+  if (cfg_.load_shedding) shedder_ = std::make_unique<LoadShedder>(shedder_config(cfg_));
 }
 
 CachedWindow CachedWindow::allocate(rmasim::Process& p, std::size_t bytes, void** base,
@@ -97,14 +99,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   if (health_.enabled() && health_.state(target) == HealthState::kQuarantined) {
     ++core_->mutable_stats().fast_fails;
     health_.note_fast_fail(target);
-    fault::OpDesc desc;
-    desc.kind = fault::OpKind::kGet;
-    desc.origin = p_->rank();
-    desc.target = p_->comm_world_rank(comm_, target);
-    desc.disp = disp;
-    desc.bytes = bytes;
-    desc.time_us = p_->now_us();
-    throw fault::OpFailedError(fault::FailureKind::kQuarantined, desc);
+    throw_get_failure(fault::FailureKind::kQuarantined, target, disp, bytes);
   }
   // A walk-wide deadline (kv replica fall-through) may already be spent
   // before this target's first attempt: miss without touching the network.
@@ -112,14 +107,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
     ++core_->mutable_stats().deadline_misses;
     if (shedder_ != nullptr) shedder_->on_deadline_miss(p_->now_us());
     breaker_failure();
-    fault::OpDesc desc;
-    desc.kind = fault::OpKind::kGet;
-    desc.origin = p_->rank();
-    desc.target = p_->comm_world_rank(comm_, target);
-    desc.disp = disp;
-    desc.bytes = bytes;
-    desc.time_us = p_->now_us();
-    throw fault::OpFailedError(fault::FailureKind::kDeadline, desc);
+    throw_get_failure(fault::FailureKind::kDeadline, target, disp, bytes);
   }
   int attempt = 0;
   for (;;) {
@@ -163,14 +151,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
         ++st.deadline_misses;
         if (shedder_ != nullptr) shedder_->on_deadline_miss(p_->now_us());
         breaker_failure();
-        fault::OpDesc desc;
-        desc.kind = fault::OpKind::kGet;
-        desc.origin = p_->rank();
-        desc.target = p_->comm_world_rank(comm_, target);
-        desc.disp = disp;
-        desc.bytes = bytes;
-        desc.time_us = p_->now_us();
-        throw fault::OpFailedError(fault::FailureKind::kDeadline, desc);
+        throw_get_failure(fault::FailureKind::kDeadline, target, disp, bytes);
       }
       // The retry budget is per target per epoch: a dead target exhausting
       // its pool cannot starve retries for a healthy one.
@@ -193,6 +174,18 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   }
 }
 
+void CachedWindow::throw_get_failure(fault::FailureKind kind, int target,
+                                     std::size_t disp, std::size_t bytes) const {
+  fault::OpDesc desc;
+  desc.kind = fault::OpKind::kGet;
+  desc.origin = p_->rank();
+  desc.target = p_->comm_world_rank(comm_, target);
+  desc.disp = disp;
+  desc.bytes = bytes;
+  desc.time_us = p_->now_us();
+  throw fault::OpFailedError(kind, desc);
+}
+
 void CachedWindow::begin_op_deadline() {
   if (extern_deadline_us_ >= 0.0) {
     deadline_abs_ = extern_deadline_us_;
@@ -206,14 +199,7 @@ void CachedWindow::begin_op_deadline() {
 void CachedWindow::shed_admission(int target, std::size_t disp, std::size_t bytes) {
   if (shedder_ == nullptr || shedder_->admit(p_->now_us())) return;
   ++core_->mutable_stats().ops_shed;
-  fault::OpDesc desc;
-  desc.kind = fault::OpKind::kGet;
-  desc.origin = p_->rank();
-  desc.target = p_->comm_world_rank(comm_, target);
-  desc.disp = disp;
-  desc.bytes = bytes;
-  desc.time_us = p_->now_us();
-  throw fault::OpFailedError(fault::FailureKind::kShed, desc);
+  throw_get_failure(fault::FailureKind::kShed, target, disp, bytes);
 }
 
 void CachedWindow::abandon_target(int target) {
@@ -269,12 +255,10 @@ void CachedWindow::crash_epoch_check(int target) {
 bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target,
                                      std::size_t disp, std::uint64_t sig) {
   last_degraded_ = false;
-  const bool degraded_on = cfg_.degraded_reads;
-  // Legacy cache-fallback is unbounded, so it stays opt-in and excluded
-  // from transparent mode (whose contract is epoch freshness). Degraded
-  // reads are allowed in any mode because their staleness is bounded.
-  const bool legacy_on = cfg_.cache_fallback && cfg_.mode != Mode::kTransparent;
-  if (!degraded_on && !legacy_on) return false;
+  // Outside this path a CACHED entry of a down target still serves as an
+  // ordinary hit in the read-only modes (access() never touches the
+  // network for it); only this path can serve a transparent-mode survivor.
+  if (!cfg_.degraded_reads) return false;
   const std::uint32_t id =
       core_->find_cached(Key{target, static_cast<std::uint64_t>(disp)});
   if (id == kNoEntry) return false;
@@ -284,8 +268,8 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
   // recovered, or the payload outlived its staleness bound — it must be
   // dropped here, or the ordinary hit path in access() would serve it
   // without any bound at all.
-  const bool survivor = degraded_on && cfg_.mode == Mode::kTransparent &&
-                        core_->entry_stamp(id) < epoch_open_us_;
+  const bool survivor =
+      cfg_.mode == Mode::kTransparent && core_->entry_stamp(id) < epoch_open_us_;
   Stats& st = core_->mutable_stats();
   if (!target_down(target)) {
     if (survivor) {
@@ -310,33 +294,24 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
     breaker_failure();
     return false;
   }
-  if (degraded_on) {
-    const double age = p_->now_us() - core_->entry_stamp(id);
-    if (cfg_.degraded_max_staleness_us <= 0.0 ||
-        age <= cfg_.degraded_max_staleness_us) {
-      serve_cached(origin, id, bytes);
-      ++st.degraded_hits;
-      health_.note_degraded_hit(target);
-      // Deliberately not counted as a total_get: degraded serves happen
-      // outside access() and must not skew the adaptive tuner's ratios.
-      st.bytes_from_cache += bytes;
-      last_access_ = AccessType::kHit;
-      last_degraded_ = true;
-      last_degraded_age_us_ = age;
-      return true;
-    }
-    if (survivor) {
-      core_->quarantine(id);
-      ++st.degraded_expired;
-      return false;  // the miss path surfaces the target's failure honestly
-    }
-  }
-  if (legacy_on) {
+  const double age = p_->now_us() - core_->entry_stamp(id);
+  if (cfg_.degraded_max_staleness_us <= 0.0 || age <= cfg_.degraded_max_staleness_us) {
     serve_cached(origin, id, bytes);
-    ++st.fallback_hits;
+    ++st.degraded_hits;
+    health_.note_degraded_hit(target);
+    // Deliberately not counted as a total_get: degraded serves happen
+    // outside access() and must not skew the adaptive tuner's ratios.
     st.bytes_from_cache += bytes;
     last_access_ = AccessType::kHit;
+    last_degraded_ = true;
+    last_degraded_age_us_ = age;
     return true;
+  }
+  if (survivor) {
+    // Over its bound: drop it, so the miss path surfaces the target's
+    // failure honestly.
+    core_->quarantine(id);
+    ++st.degraded_expired;
   }
   return false;
 }
@@ -370,15 +345,7 @@ void CachedWindow::reset_after_crash(bool wipe_cache, bool wipe_health, bool wip
     health_ = HealthMonitor(health_config(cfg_));
   }
   if (wipe_tail) {
-    if (shedder_ != nullptr) {
-      LoadShedder::Config sc;
-      sc.window_us = cfg_.shed_window_us;
-      sc.miss_ratio = cfg_.shed_miss_ratio;
-      sc.decrease_factor = cfg_.shed_decrease_factor;
-      sc.increase = cfg_.shed_increase;
-      sc.min_admit = cfg_.shed_min_admit;
-      shedder_ = std::make_unique<LoadShedder>(sc);
-    }
+    if (shedder_ != nullptr) shedder_ = std::make_unique<LoadShedder>(shedder_config(cfg_));
     extern_deadline_us_ = -1.0;
     deadline_abs_ = -1.0;
   }

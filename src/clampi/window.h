@@ -175,31 +175,6 @@ class CachedWindow {
     health_record(target, success, fatal);
   }
 
-  // --- KV-layer accounting hooks (src/kv, docs/KV.md) ---
-  // The DHT layered on this window reports the shape of its lookups so
-  // cache counters and KV counters land in one Stats block (and flow out
-  // through stats_to_info / the cache explorer together).
-  void note_kv_bucket_read() { ++core_->mutable_stats().kv_bucket_reads; }
-  void note_kv_chain_read() { ++core_->mutable_stats().kv_chain_reads; }
-  void note_kv_version_reread() { ++core_->mutable_stats().kv_version_rereads; }
-  // Convergence-layer accounting (docs/KV.md "Repair & convergence").
-  void note_kv_hint_queued() { ++core_->mutable_stats().kv_hints_queued; }
-  void note_kv_hint_drained() { ++core_->mutable_stats().kv_hints_drained; }
-  void note_kv_hint_dropped() { ++core_->mutable_stats().kv_hints_dropped; }
-  void note_kv_read_repair() { ++core_->mutable_stats().kv_read_repairs; }
-  void note_kv_antientropy_repair() { ++core_->mutable_stats().kv_antientropy_repairs; }
-  // Hedged-read accounting (docs/KV.md "Hedged reads").
-  void note_kv_hedged_get() { ++core_->mutable_stats().kv_hedged_gets; }
-  void note_kv_hedge_win() { ++core_->mutable_stats().kv_hedge_wins; }
-  void note_kv_hedge_wasted() { ++core_->mutable_stats().kv_hedge_wasted; }
-  // Durability accounting (docs/DURABILITY.md): write-ahead journal and
-  // crash-recovery activity of the kv::Store riding on this window.
-  void note_kv_journal_append() { ++core_->mutable_stats().kv_journal_appends; }
-  void note_kv_journal_replayed() { ++core_->mutable_stats().kv_journal_replayed; }
-  void note_kv_torn_record_dropped() { ++core_->mutable_stats().kv_torn_records_dropped; }
-  void note_kv_snapshot_load() { ++core_->mutable_stats().kv_snapshot_loads; }
-  void note_kv_recovery_repair() { ++core_->mutable_stats().kv_recovery_repairs; }
-
   /// Crash-restart wipe (docs/DURABILITY.md): drop the volatile
   /// client-side state a wiped-memory crash of *this* rank destroys. The
   /// engine has already zeroed the rank's exposed window segments and
@@ -280,11 +255,9 @@ class CachedWindow {
   void issue_resilient(int target, std::size_t disp, std::size_t bytes,
                        const std::function<void()>& issue_fn);
   /// Serve a get from a CACHED entry because the target is down
-  /// (quarantined, dead or degraded). Two policies, tried in order:
-  /// bounded-staleness degraded reads (cfg.degraded_reads; any mode) and
-  /// the legacy unbounded cache-fallback (cfg.cache_fallback; read-only
-  /// modes only). False: proceed normally. See docs/FAULTS.md §6 for the
-  /// mode/policy matrix.
+  /// (quarantined, dead or degraded) as a bounded-staleness degraded read
+  /// (cfg.degraded_reads; any mode). False: proceed normally. See
+  /// docs/FAULTS.md §6 for the mode/policy matrix.
   bool try_degraded_read(void* origin, std::size_t bytes, int target, std::size_t disp,
                          std::uint64_t sig);
   /// The target is currently unreachable: quarantined by the health
@@ -304,6 +277,10 @@ class CachedWindow {
   /// flight the restart stays unacknowledged, so the entries those ops
   /// commit are swept on the next access after the epoch closes.
   void crash_epoch_check(int target);
+  /// Raise the typed failure of a get refused before (or instead of)
+  /// reaching the network: quarantine fast-fail, spent deadline, shedding.
+  [[noreturn]] void throw_get_failure(fault::FailureKind kind, int target,
+                                      std::size_t disp, std::size_t bytes) const;
   /// Resolve the absolute deadline the op starting now runs under: the
   /// KV-installed override if one is set, else a fresh op_deadline_us
   /// budget, else none (-1).

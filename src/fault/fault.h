@@ -5,7 +5,7 @@
 // install a deterministic, seed-reproducible schedule of perturbations
 // (fault::Plan + fault::Injector, consulted by the engine's one-sided
 // operations) so that CLaMPI's behaviour under degraded conditions —
-// retries, backoff, cache-fallback — becomes testable and benchmarkable.
+// retries, backoff, degraded reads — becomes testable and benchmarkable.
 //
 // Failed operations surface as OpFailedError, a *recoverable* error type
 // deliberately distinct from the fatal paths (util::ContractError for API

@@ -43,8 +43,7 @@ const Vertex* DistributedLcc::fetch_adjacency(Vertex u, Vertex* dst) {
     ++current_.local_reads;
     return g_->neighbors(u);
   }
-  if (cfg_.skip_dead_ranks && cached_.has_value() && !cfg_.clampi_cfg.degraded_reads &&
-      !cfg_.clampi_cfg.cache_fallback) {
+  if (cfg_.skip_dead_ranks && cached_.has_value() && !cfg_.clampi_cfg.degraded_reads) {
     // Typed health query: with no degraded-read policy to fall back on, a
     // down owner is dropped up front instead of paying a fast-fail throw.
     if (!cached_->target_status(owner).usable) {

@@ -213,9 +213,9 @@ void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
   const std::size_t disp = static_cast<std::size_t>(b) * bb;
   ++m->bucket_reads;
   if (b < main_buckets_) {
-    win_->note_kv_bucket_read();
+    ++win_->core().mutable_stats().kv_bucket_reads;
   } else {
-    win_->note_kv_chain_read();
+    ++win_->core().mutable_stats().kv_chain_reads;
     ++m->chain_follows;
   }
   if (!cached) {
@@ -263,7 +263,7 @@ void Store::maybe_hedge(int server, GetMeta* m) {
   // race the next ring replica. A real hedging client only learns this by
   // waiting out the threshold, so charge it as compute before the backup
   // goes out.
-  win_->note_kv_hedged_get();
+  ++win_->core().mutable_stats().kv_hedged_gets;
   m->hedged = true;
   const double theta = est.quantile();
   if (theta > 0.0) p_->compute_us(theta);
@@ -288,7 +288,7 @@ void Store::maybe_hedge(int server, GetMeta* m) {
       // disarmed itself exactly when it is needed most.
       lat_est_[static_cast<std::size_t>(backup)].add(
           t_b > tb0 ? t_b - tb0 : 0.0, tb0);
-      win_->note_kv_hedge_win();
+      ++win_->core().mutable_stats().kv_hedge_wins;
       m->hedge_won = true;
       win_->flush(backup);
       win_->record_target_outcome(backup, /*success=*/true);
@@ -300,7 +300,7 @@ void Store::maybe_hedge(int server, GetMeta* m) {
     // pending completion — nobody will wait for it.
     win_->abandon_target(backup);
   }
-  win_->note_kv_hedge_wasted();
+  ++win_->core().mutable_stats().kv_hedge_wasted;
   est.add(wait, now);  // the primary's wait was experienced end to end
 }
 
@@ -311,9 +311,9 @@ bool Store::lookup_backup_nowait(int server, std::uint64_t key, GetMeta* m) {
   for (;;) {
     ++m->bucket_reads;
     if (b < main_buckets_) {
-      win_->note_kv_bucket_read();
+      ++win_->core().mutable_stats().kv_bucket_reads;
     } else {
-      win_->note_kv_chain_read();
+      ++win_->core().mutable_stats().kv_chain_reads;
       ++m->chain_follows;
     }
     // Uncached and unflushed: eager data movement makes the bytes readable
@@ -355,7 +355,7 @@ bool Store::lookup_on(int server, std::uint64_t key, bool cached,
     if (h.generation != generation_ && cached) {
       // Cached image predates the current owner-side write epoch (reload):
       // versioned re-read straight from the server.
-      win_->note_kv_version_reread();
+      ++win_->core().mutable_stats().kv_version_rereads;
       m->version_reread = true;
       read_bucket(server, b, /*cached=*/false, m);
       h = load_header(bucket_buf_.data());
@@ -600,7 +600,7 @@ bool Store::queue_hint(int server, std::uint64_t key, std::uint32_t seq,
   auto it = q.find(key);
   if (it == q.end()) {
     if (q.size() >= cfg_.hint_queue_cap) {
-      win_->note_kv_hint_dropped();
+      ++win_->core().mutable_stats().kv_hints_dropped;
       return false;
     }
     it = q.emplace(key, Hint{}).first;
@@ -610,7 +610,7 @@ bool Store::queue_hint(int server, std::uint64_t key, std::uint32_t seq,
   it->second.seq = seq;
   it->second.len = len;
   it->second.value.assign(value, value + len);
-  win_->note_kv_hint_queued();
+  ++win_->core().mutable_stats().kv_hints_queued;
   return true;
 }
 
@@ -663,7 +663,7 @@ void Store::drain_hints_for(int server) {
         write_slot_on(server, key, repair_slot_.data(),
                       Layout::kSlotHeaderBytes + h.len, /*cached_locate=*/false);
       }
-      win_->note_kv_hint_drained();
+      ++win_->core().mutable_stats().kv_hints_drained;
       it = q.erase(it);
     } catch (const fault::OpFailedError&) {
       // The target went unreachable again mid-drain: keep the remaining
@@ -724,7 +724,7 @@ void Store::read_repair(std::uint64_t key, int served_pos, const int* reps,
       continue;  // went unreachable mid-repair; the background scan retries
     }
     ++m->read_repairs;
-    win_->note_kv_read_repair();
+    ++win_->core().mutable_stats().kv_read_repairs;
     if (pos == served_pos) served_caught_up = true;
   }
   // Serve the freshest value only if the serving replica now carries it:
@@ -786,7 +786,7 @@ std::uint64_t Store::anti_entropy_step(std::uint64_t max_keys) {
         continue;
       }
       ++repairs;
-      win_->note_kv_antientropy_repair();
+      ++win_->core().mutable_stats().kv_antientropy_repairs;
     }
   }
   return repairs;
@@ -856,7 +856,7 @@ void Store::journal_write(int server, std::uint64_t key, std::uint32_t seq,
   Device* d = device(server);
   if (d == nullptr) return;
   const Journal::AppendResult r = d->journal.append(key, seq, value, len);
-  win_->note_kv_journal_append();
+  ++win_->core().mutable_stats().kv_journal_appends;
   // Group commit amortizes the sync: every group_commit_n-th append pays
   // the full sync latency, the rest the cheap buffered append. Charged on
   // the writing client's clock — the baton serializes device access, so
@@ -956,7 +956,7 @@ void Store::recover_server(int due) {
     const std::vector<std::byte>* img = dev->snapshots.latest_valid();
     if (img != nullptr && img->size() == shard_bytes_) {
       std::memcpy(base_, img->data(), shard_bytes_);
-      win_->note_kv_snapshot_load();
+      ++win_->core().mutable_stats().kv_snapshot_loads;
       from_snapshot = true;
     }
   }
@@ -986,11 +986,9 @@ void Store::recover_server(int due) {
       const SlotMeta cur = load_slot_meta(slot);
       if (rec.seq <= cur.seq) continue;  // snapshot already carries it
       compose_slot(rec.key, rec.seq, rec.len, rec.value, slot);
-      win_->note_kv_journal_replayed();
+      ++win_->core().mutable_stats().kv_journal_replayed;
     }
-    for (std::uint64_t i = 0; i < rep.dropped; ++i) {
-      win_->note_kv_torn_record_dropped();
-    }
+    win_->core().mutable_stats().kv_torn_records_dropped += rep.dropped;
     suspects = rep.suspect_keys;
     const double replay_cost =
         cfg_.journal_append_us *
@@ -1029,7 +1027,7 @@ void Store::recover_server(int due) {
       if (found) {
         const SlotMeta fm = load_slot_meta(repair_slot_.data());
         std::memcpy(slot, repair_slot_.data(), Layout::kSlotHeaderBytes + fm.len);
-        win_->note_kv_recovery_repair();
+        ++win_->core().mutable_stats().kv_recovery_repairs;
       }
     }
   }

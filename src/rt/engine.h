@@ -236,7 +236,7 @@ class Process {
   Engine& engine() { return *engine_; }
   const net::Model& model() const;
   /// Installed fault injector, or nullptr (perfect network). Exposed so
-  /// resilience layers (CLaMPI cache-fallback) can ask about rank health.
+  /// resilience layers (CLaMPI degraded reads) can ask about rank health.
   const fault::Injector* fault_injector() const;
 
  private:

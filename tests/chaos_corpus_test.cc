@@ -72,9 +72,7 @@ TEST(ChaosCorpus, ScenariosExerciseTheirMachinery) {
   EXPECT_GT(by_name.at("quarantine_flap").stats.health_quarantines, 0u);
 
   // Degraded reads around a death: cache served bounded-staleness data.
-  EXPECT_GT(by_name.at("revive_cycle").degraded_serves +
-                by_name.at("revive_cycle").stats.fallback_hits,
-            0u);
+  EXPECT_GT(by_name.at("revive_cycle").degraded_serves, 0u);
 
   // Adaptive resizing mid-run: at least one adjustment happened.
   EXPECT_GT(by_name.at("resize_mid_epoch").stats.adjustments, 0u);

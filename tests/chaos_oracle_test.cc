@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "chaos/generator.h"
+#include "chaos/oracle.h"
 #include "chaos/runner.h"
 #include "chaos/schedule.h"
 
@@ -66,6 +68,23 @@ TEST(ChaosOracle, ReplayIsDeterministic) {
     EXPECT_EQ(a.faults, b.faults);
     EXPECT_EQ(a.net_ops, b.net_ops);
     EXPECT_EQ(a.violations, b.violations);
+  }
+}
+
+TEST(ChaosOracle, EveryCounterIsCheckedForMonotonicity) {
+  // visited_slots and kv_hints_queued sit outside the classification
+  // identities; a step that lowers either must still be reported.
+  for (const auto member : {&Stats::visited_slots, &Stats::kv_hints_queued}) {
+    Oracle oracle(generate(1));
+    Stats st{};
+    st.*member = 5;
+    oracle.check_stats(st);
+    ASSERT_TRUE(oracle.ok());
+    st.*member = 4;
+    oracle.check_stats(st);
+    ASSERT_FALSE(oracle.ok());
+    EXPECT_NE(oracle.violations().front().find("went backwards"), std::string::npos)
+        << oracle.violations().front();
   }
 }
 

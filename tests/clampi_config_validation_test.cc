@@ -334,8 +334,7 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
                   {"clampi_retry_backoff_us", "2.5"},
                   {"clampi_retry_backoff_factor", "1.5"},
                   {"clampi_retry_jitter", "0.1"},
-                  {"clampi_epoch_retry_budget_us", "500"},
-                  {"clampi_cache_fallback", "true"}};
+                  {"clampi_epoch_retry_budget_us", "500"}};
   const Config cfg = config_from_info(info);
   EXPECT_EQ(cfg.mode, Mode::kAlwaysCache);
   EXPECT_EQ(cfg.max_retries, 8);
@@ -343,8 +342,9 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
   EXPECT_DOUBLE_EQ(cfg.retry_backoff_factor, 1.5);
   EXPECT_DOUBLE_EQ(cfg.retry_jitter, 0.1);
   EXPECT_DOUBLE_EQ(cfg.epoch_retry_budget_us, 500.0);
-  EXPECT_TRUE(cfg.cache_fallback);
   EXPECT_NO_THROW(validate_config(cfg));
+  // The unbounded cache-fallback knob is gone: degraded_reads covers it.
+  EXPECT_THROW(config_from_info({{"clampi_cache_fallback", "true"}}), util::ContractError);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "clampi/cache.h"
@@ -208,6 +209,27 @@ TEST(HotPathCounters, SurfacedThroughStatsAndInfo) {
   EXPECT_EQ(field("storage_fastbin_allocs"), std::to_string(s.storage_fastbin_allocs));
   EXPECT_EQ(field("storage_tree_allocs"), std::to_string(s.storage_tree_allocs));
   EXPECT_EQ(field("storage_pool_reuses"), std::to_string(s.storage_pool_reuses));
+
+  // The whole counter list: every field, given a distinct value, comes back
+  // under its own key, no key is missing or extra, and delta_since
+  // subtracts every field.
+  clampi::Stats all{};
+  clampi::Stats base{};
+  std::uint64_t i = 0;
+  for (const clampi::StatsField& f : clampi::kStatsFields) {
+    all.*f.member = 1000 + 3 * i;
+    base.*f.member = i++;
+  }
+  const clampi::Info all_info = clampi::stats_to_info(all);
+  EXPECT_EQ(all_info.size(), clampi::kStatsCounters);
+  const clampi::Stats d = all.delta_since(base);
+  for (const clampi::StatsField& f : clampi::kStatsFields) {
+    SCOPED_TRACE(f.name);
+    const auto it = all_info.find(std::string("clampi_stat_") + f.name);
+    ASSERT_NE(it, all_info.end());
+    EXPECT_EQ(it->second, std::to_string(all.*f.member));
+    EXPECT_EQ(d.*f.member, all.*f.member - base.*f.member);
+  }
 }
 
 // resize() replaces the index object; the counters it accumulated must

@@ -1,5 +1,5 @@
 // CLaMPI resilience under injected faults: retry/backoff on transient
-// failures, cache-fallback for degraded/dead targets, rollback of failed
+// failures, cached keys serving degraded/dead targets, rollback of failed
 // cache insertions and seed-reproducible statistics.
 #include <gtest/gtest.h>
 
@@ -155,13 +155,13 @@ TEST(FaultResilience, EpochRetryBudgetCapsBackoff) {
 
 TEST(FaultResilience, CacheFallbackServesDeadTarget) {
   // Rank 1 dies at t = 1000us. Rank 0 warms the cache before the death,
-  // then keeps reading: cached keys are served from the cache, uncached
-  // keys surface the (unrecoverable) failure.
+  // then keeps reading: cached keys are full hits that never touch the
+  // network, so they keep serving; uncached keys surface the
+  // (unrecoverable) failure.
   fault::Plan plan;
   plan.kill_rank(1, 1000.0);
 
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
-  ccfg.cache_fallback = true;
   ccfg.max_retries = 2;
 
   Engine e(engine_cfg(2, std::make_shared<fault::Injector>(plan)));
@@ -180,7 +180,7 @@ TEST(FaultResilience, CacheFallbackServesDeadTarget) {
         win.get(buf.data(), 64, 1, static_cast<std::size_t>(i) * 64);
         win.flush_all();
       }
-      EXPECT_EQ(win.stats().fallback_hits, 0u);
+      const std::uint64_t warm_hits = win.stats().hits_full;
 
       p.compute_us(2000.0);  // cross the death instant
 
@@ -188,12 +188,13 @@ TEST(FaultResilience, CacheFallbackServesDeadTarget) {
       for (int i = 0; i < 8; ++i) {
         const std::size_t disp = static_cast<std::size_t>(i) * 64;
         win.get(buf.data(), 64, 1, disp);
+        EXPECT_EQ(win.last_access(), AccessType::kHit);
         for (int j = 0; j < 64; ++j) {
           ASSERT_EQ(buf[static_cast<std::size_t>(j)],
                     pattern_at(disp + static_cast<std::size_t>(j), 1));
         }
       }
-      EXPECT_EQ(win.stats().fallback_hits, 8u);
+      EXPECT_EQ(win.stats().hits_full, warm_hits + 8);
 
       // An uncached key must fail (kRankDead is not retryable) and leave
       // the cache structurally sound.
@@ -210,9 +211,9 @@ TEST(FaultResilience, CacheFallbackServesDeadTarget) {
       // The bypass path is not shielded either.
       EXPECT_THROW(win.get_nocache(buf.data(), 64, 1, 0), fault::OpFailedError);
 
-      // Fallback still works after the failed insert.
+      // Cached keys still serve after the failed insert.
       win.get(buf.data(), 64, 1, 0);
-      EXPECT_EQ(win.stats().fallback_hits, 9u);
+      EXPECT_EQ(win.stats().hits_full, warm_hits + 9);
       win.unlock_all();
     }
     p.barrier();
@@ -221,11 +222,12 @@ TEST(FaultResilience, CacheFallbackServesDeadTarget) {
 }
 
 TEST(FaultResilience, FallbackRequiresOptIn) {
-  // Without cache_fallback, a dead target fails even for cached keys.
+  // With no fault policy configured at all, a dead target still serves
+  // its cached keys and fails only the misses.
   fault::Plan plan;
   plan.kill_rank(1, 1000.0);
 
-  Config ccfg = cache_cfg(Mode::kAlwaysCache);  // cache_fallback = false
+  Config ccfg = cache_cfg(Mode::kAlwaysCache);  // no retries, no degraded reads
 
   Engine e(engine_cfg(2, std::make_shared<fault::Injector>(plan)));
   e.run([ccfg](Process& p) {
@@ -240,12 +242,11 @@ TEST(FaultResilience, FallbackRequiresOptIn) {
       win.flush_all();
       p.compute_us(2000.0);
       // The key is cached, so the get is a pure hit and never touches the
-      // network — it still succeeds. (Fallback only matters for misses.)
+      // network — it still succeeds.
       win.get(buf.data(), 64, 1, 0);
       EXPECT_EQ(win.last_access(), AccessType::kHit);
       // A miss against the dead rank fails.
       EXPECT_THROW(win.get(buf.data(), 64, 1, 1024), fault::OpFailedError);
-      EXPECT_EQ(win.stats().fallback_hits, 0u);
       win.unlock_all();
     }
     p.barrier();
@@ -300,7 +301,6 @@ TEST(FaultResilience, IdenticalSeedsIdenticalStats) {
   EXPECT_EQ(a.stats.injected_faults, b.stats.injected_faults);
   EXPECT_EQ(a.stats.retries, b.stats.retries);
   EXPECT_EQ(a.stats.retry_giveups, b.stats.retry_giveups);
-  EXPECT_EQ(a.stats.fallback_hits, b.stats.fallback_hits);
   EXPECT_EQ(a.stats.hits_full, b.stats.hits_full);
   EXPECT_EQ(a.elapsed_us, b.elapsed_us);  // exact: the schedule is counter-based
   EXPECT_GT(a.stats.injected_faults, 0u);
