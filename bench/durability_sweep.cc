@@ -97,8 +97,9 @@ kv::StoreConfig store_cfg(std::uint64_t nkeys, const CellSpec& spec) {
   cfg.cache.index_entries = std::size_t{1} << 16;
   cfg.cache.storage_bytes = std::size_t{32} << 20;
   cfg.snapshot_every_us = spec.snapshot_every_us;
-  // Hold the live record set of one server with headroom (the full-scale
-  // key count would otherwise hit the self-compaction floor check).
+  // Hold every record one server journals (at most ~2.9 MB at full
+  // scale) without a self-compaction: each compaction charges snapshot_us,
+  // so a smaller initial capacity would change the cells' virtual times.
   cfg.journal_cap_bytes = std::size_t{8} << 20;
   return cfg;
 }

@@ -1,6 +1,7 @@
 #include "clampi/cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <ctime>
@@ -37,6 +38,10 @@ class PhaseTimer {
 // shard 0 keeps the unsalted seeds — with cache_shards == 1 the single
 // shard is seeded exactly like the pre-sharding cache.
 constexpr std::uint64_t kShardSeedSalt = 0x9e3779b97f4a7c15ull;
+
+// Address-index granularity: an entry is chained under the 256-byte block
+// its displacement falls in.
+constexpr unsigned kAddrBlockBits = 8;
 
 }  // namespace
 
@@ -102,13 +107,63 @@ struct alignas(64) CacheCore::Shard {
   CuckooIndex<EntryOps>::Counters counter_base;  ///< banked across resize()
   mutable Stats stats;  ///< per-shard counters, folded by sync_hot_counters()
 
+  // Address index for put invalidation: a chained hash over (target,
+  // disp >> kAddrBlockBits). Each live entry is linked (through
+  // Entry::addr_next, local ids) into the chain of the block its key
+  // starts in from creation until release_entry(), so chains hold only
+  // live entries (audit() checks it). With no live entry
+  // longer than addr_max_size, every entry overlapping a put starts in
+  // one of the blocks covering (disp - addr_max_size, disp + bytes).
+  std::vector<std::uint32_t> addr_heads;  ///< chain heads; power-of-two size
+  unsigned addr_shift = 63;               ///< 64 - log2(addr_heads.size())
+  std::size_t addr_max_size = 0;  ///< entry-size high-water mark since reset
+  std::vector<std::uint32_t> addr_hits;  ///< scratch: invalidate_overlap matches
+
   Shard(std::size_t index_slots, std::size_t storage_capacity, const Config& cfg,
         std::uint64_t index_seed, std::uint64_t rng_seed, std::uint32_t shard_bits)
       : locking(cfg.cache_shards > 1),
         ops{this, shard_bits},
         index(index_slots, cfg.cuckoo_arity, cfg.max_insert_iters, index_seed, &ops),
         storage(storage_capacity),
-        rng(rng_seed) {}
+        rng(rng_seed) {
+    addr_reset();
+  }
+
+  std::size_t addr_bucket(std::int32_t target, std::uint64_t block) const {
+    // Fibonacci hashing: consecutive blocks of one target spread evenly
+    // over the top bits; the target term permutes them per target.
+    const std::uint64_t h =
+        (block * 0x9e3779b97f4a7c15ull) ^
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(target)) *
+         0xbf58476d1ce4e5b9ull);
+    return static_cast<std::size_t>(h >> addr_shift);
+  }
+  std::size_t addr_bucket(Key k) const {
+    return addr_bucket(k.target, k.disp >> kAddrBlockBits);
+  }
+  /// Empty every chain and size the heads to the current index (at least
+  /// one chain per index slot, so chains stay about one entry long).
+  void addr_reset() {
+    const std::size_t n = std::bit_ceil(std::max<std::size_t>(index.nslots(), 2));
+    addr_heads.assign(n, kNoEntry);
+    addr_shift = 64 - static_cast<unsigned>(std::countr_zero(n));
+    addr_max_size = 0;
+  }
+  void addr_link(std::uint32_t local) {
+    Entry& e = entries[local];
+    std::uint32_t& head = addr_heads[addr_bucket(e.key)];
+    e.addr_next = head;
+    head = local;
+    addr_max_size = std::max(addr_max_size, e.size);
+  }
+  void addr_unlink(std::uint32_t local) {
+    std::uint32_t* link = &addr_heads[addr_bucket(entries[local].key)];
+    while (*link != local) {
+      CLAMPI_ASSERT(*link != kNoEntry, "entry missing from its address chain");
+      link = &entries[*link].addr_next;
+    }
+    *link = entries[local].addr_next;
+  }
 
   /// Counting guard for the access/entry paths: a failed try_lock is the
   /// contention signal, and both counters are bumped under the lock so
@@ -237,6 +292,7 @@ std::uint32_t CacheCore::alloc_entry(Shard& s, std::size_t shard_idx) {
 void CacheCore::release_entry(Shard& s, std::uint32_t id) {
   Entry& e = s.entries[local_of(id)];
   CLAMPI_ASSERT(!e.pending, "releasing a PENDING entry");
+  s.addr_unlink(local_of(id));
   e.live = false;
   e.region = nullptr;
   s.free_ids.push_back(local_of(id));
@@ -463,6 +519,7 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
       res.prev_sig = e.sig;
       res.prev_pending = e.pending;
       e.size = bytes;
+      s.addr_max_size = std::max(s.addr_max_size, bytes);
       if (!e.pending) {
         e.pending = true;  // tail arrives at flush
         ++s.pending;
@@ -487,6 +544,7 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
   s.entries[local_of(id)] = Entry{key,     hkey, dtype_sig,        bytes,        nullptr,
                                   s.g,     /*csum=*/0, /*stamp=*/0.0,
                                   /*pending=*/true, /*live=*/true};
+  s.addr_link(local_of(id));
   ++s.pending;
   const auto discard_new_entry = [&] {
     Entry& ne = s.entries[local_of(id)];
@@ -653,6 +711,8 @@ void CacheCore::quarantine(std::uint32_t id) {
 
 std::size_t CacheCore::invalidate_overlap(int target, std::uint64_t disp,
                                           std::size_t bytes) {
+  if (bytes == 0) return 0;  // nothing was written, so nothing is stale
+  const std::uint64_t end = disp + bytes;
   std::size_t total = 0;
   bool counted = false;
   // One shard at a time: overlapping keys can hash anywhere, but no two
@@ -664,16 +724,38 @@ std::size_t CacheCore::invalidate_overlap(int target, std::uint64_t disp,
       ++s.stats.cross_shard_ops;
       counted = true;
     }
-    std::size_t dropped = 0;
-    for (std::uint32_t local = 0; local < s.entries.size(); ++local) {
-      const Entry& e = s.entries[local];
-      if (!e.live || e.pending || e.key.target != target) continue;
-      if (e.key.disp >= disp + bytes || e.key.disp + e.size <= disp) continue;
-      evict_entry(s, encode_id(si, local));
-      ++dropped;
+    // An entry overlaps iff it starts before `end` and ends after `disp`;
+    // being at most addr_max_size long, it starts after disp - max_size.
+    const std::uint64_t lo = disp > s.addr_max_size ? disp - s.addr_max_size : 0;
+    const std::uint64_t b_lo = lo >> kAddrBlockBits;
+    const std::uint64_t b_hi = (end - 1) >> kAddrBlockBits;
+    s.addr_hits.clear();
+    // `block` filters a chain down to the entries starting in that block
+    // (distinct blocks can share a chain); `any_block` takes them all.
+    const auto collect = [&](std::size_t chain, std::uint64_t block, bool any_block) {
+      for (std::uint32_t local = s.addr_heads[chain]; local != kNoEntry;
+           local = s.entries[local].addr_next) {
+        const Entry& e = s.entries[local];
+        if (e.pending || e.key.target != target) continue;
+        if (!any_block && (e.key.disp >> kAddrBlockBits) != block) continue;
+        if (e.key.disp >= end || e.key.disp + e.size <= disp) continue;
+        s.addr_hits.push_back(local);
+      }
+    };
+    if (b_hi - b_lo >= s.addr_heads.size()) {
+      // More blocks than chains: visiting every chain once is cheaper.
+      for (std::size_t chain = 0; chain < s.addr_heads.size(); ++chain) {
+        collect(chain, 0, true);
+      }
+    } else {
+      for (std::uint64_t b = b_lo; b <= b_hi; ++b) collect(s.addr_bucket(target, b), b, false);
     }
-    s.stats.put_invalidations += dropped;
-    total += dropped;
+    // Evict in ascending slot order, as a walk of the entry table would:
+    // the free list, and so every entry id handed out later, depends on it.
+    std::sort(s.addr_hits.begin(), s.addr_hits.end());
+    for (const std::uint32_t local : s.addr_hits) evict_entry(s, encode_id(si, local));
+    s.stats.put_invalidations += s.addr_hits.size();
+    total += s.addr_hits.size();
   }
   return total;
 }
@@ -840,6 +922,7 @@ void CacheCore::invalidate() {
     s.storage.reset();
     s.entries.clear();
     s.free_ids.clear();
+    s.addr_reset();
     s.live = 0;
     // s.g and s.ags deliberately persist: C_w.G counts gets over the
     // window's lifetime (Sec. III-A/III-D1).
@@ -936,6 +1019,7 @@ void CacheCore::resize(std::size_t index_entries, std::size_t storage_bytes) {
     s.storage.rebuild(per_storage);
     s.entries.clear();
     s.free_ids.clear();
+    s.addr_reset();  // after the new index: the heads are sized to it
     s.live = 0;
   }
   ++shards_[0]->stats.invalidations;
@@ -1054,6 +1138,25 @@ CacheCore::AuditReport CacheCore::audit() const {
       fail("storage partition size != storage_bytes / cache_shards");
     }
     if (s.index.occupied() != s.live) fail("index occupancy != live entries");
+    // Address index: walk every chain, counting each entry's appearances.
+    // More links in total than entry slots means a cycle or a duplicate.
+    std::vector<std::uint32_t> chained(s.entries.size(), 0);
+    std::size_t links = 0;
+    bool chains_sound = true;
+    for (std::size_t chain = 0; chains_sound && chain < s.addr_heads.size(); ++chain) {
+      for (std::uint32_t local = s.addr_heads[chain]; local != kNoEntry;
+           local = s.entries[local].addr_next) {
+        if (local >= s.entries.size() || ++links > s.entries.size()) {
+          fail("address chain out of range or cyclic");
+          chains_sound = false;
+          break;
+        }
+        const Entry& e = s.entries[local];
+        if (!e.live) fail("dead entry on an address chain");
+        if (s.addr_bucket(e.key) != chain) fail("entry on the wrong address chain");
+        ++chained[local];
+      }
+    }
     std::size_t live_here = 0;
     std::size_t pending_here = 0;
     for (std::uint32_t local = 0; local < s.entries.size(); ++local) {
@@ -1061,6 +1164,8 @@ CacheCore::AuditReport CacheCore::audit() const {
       if (!e.live) continue;
       ++live_here;
       if (e.pending) ++pending_here;
+      if (chained[local] != 1) fail("live entry not on its address chain exactly once");
+      if (e.size > s.addr_max_size) fail("entry larger than the address max-size mark");
       if (e.region == nullptr || e.region->free) {
         fail("live entry with no (or freed) storage region");
         continue;

@@ -158,10 +158,15 @@ class CacheCore {
   /// Drop every CACHED entry overlapping [disp, disp+bytes) at `target`
   /// (a put landed there: the cached bytes are now stale). PENDING
   /// entries are skipped — a get and a conflicting put in one epoch is
-  /// already a data race under the MPI-3 epoch model. Returns the number
-  /// dropped (also accumulated in Stats::put_invalidations). O(entries);
-  /// walks the shards one at a time (overlapping keys can live anywhere:
-  /// the shard is picked by the key fingerprint, not the address range).
+  /// already a data race under the MPI-3 epoch model. A zero-byte put
+  /// drops nothing. Returns the number dropped (also accumulated in
+  /// Stats::put_invalidations). Per shard the cost is O(blocks covered +
+  /// chain length + matches): the shard's address index is probed for
+  /// the 256-byte blocks an overlapping entry can start in (the put's
+  /// range widened by the shard's largest entry size), never more blocks
+  /// than it has chains. Walks the shards one at a time (overlapping keys
+  /// can live anywhere: the shard is picked by the key fingerprint, not
+  /// the address range).
   std::size_t invalidate_overlap(int target, std::uint64_t disp, std::size_t bytes);
 
   /// One incremental scrub slice (docs/INTEGRITY.md): re-verifies the
@@ -245,6 +250,9 @@ class CacheCore {
 
   /// Full cross-structure audit: everything validate() checks, plus the
   /// free-list (every free id dead and unique, live + free == slots),
+  /// the address index (every live entry on exactly the chain its
+  /// (target, disp) hashes to, no dead id on any chain, no live entry
+  /// larger than the shard's max-size mark),
   /// counter consistency, and the per-shard partition invariants (each
   /// shard holds exactly 1/cache_shards of I_w and S_w; every live entry
   /// routes to the shard that holds it). O(N); acquires every shard lock
@@ -277,7 +285,12 @@ class CacheCore {
     double stamp = 0.0;      ///< virtual time the payload was fetched (0 = never)
     bool pending = false;
     bool live = false;
+    /// Next local id on this entry's address chain (kNoEntry = end);
+    /// see Shard's address index in cache.cc.
+    std::uint32_t addr_next = kNoEntry;
   };
+  // addr_next lives in what was tail padding: the table stays as dense.
+  static_assert(sizeof(Entry) <= 80, "Entry outgrew its 80-byte footprint");
 
   // One lock-striped partition of the cache; defined in cache.cc. Each
   // owns an index over 1/N of the slots, a 1/N storage arena, its own

@@ -28,6 +28,9 @@
 // When an append would overflow the capacity the journal self-compacts:
 // it keeps the newest record per key (older records are superseded — slot
 // writes are whole-value) and charges the caller a snapshot-tier latency.
+// If the survivors plus the new record then fill more than half of the
+// capacity, the capacity doubles: a live key set larger than the device
+// grows it instead of failing the write.
 #pragma once
 
 #include <cstddef>
@@ -95,7 +98,7 @@ class Journal {
   /// Raw device bytes: the injected journal_corrupt sweep flips bits here.
   std::byte* data() { return buf_.data(); }
   std::size_t bytes() const { return buf_.size(); }
-  std::size_t capacity() const { return cap_; }
+  std::size_t capacity() const { return cap_; }  ///< current (possibly grown)
   std::uint64_t appends() const { return appends_; }
 
   static std::size_t record_bytes(std::uint32_t len) {

@@ -105,8 +105,10 @@ struct StoreConfig {
   /// deterministic initial population and loses every acknowledged write
   /// since (the durability sweep's control cell).
   std::shared_ptr<DeviceSet> devices;
-  /// Journal device capacity; appends past it self-compact (newest record
-  /// per key survives). Must hold at least one max-size record.
+  /// Initial journal device capacity; appends past it self-compact
+  /// (newest record per key survives), and when the survivors still fill
+  /// more than half of it the capacity doubles (journal.h). Must hold at
+  /// least one max-size record.
   std::size_t journal_cap_bytes = std::size_t{1} << 20;
   /// Group-commit batch: every Nth append pays journal_sync_us, the rest
   /// pay journal_append_us. Batches only the modelled latency — every

@@ -221,6 +221,24 @@ TEST(IntegrityCore, InvalidateOverlapDropsExactlyOverlappingEntries) {
   EXPECT_EQ(core.stats().put_invalidations, 2u);
 }
 
+TEST(IntegrityCore, ZeroBytePutInvalidatesNothing) {
+  Config cfg;
+  cfg.mode = Mode::kAlwaysCache;
+  CacheCore core(cfg);
+  insert_cached(core, Key{1, 0}, some_bytes(128, 0));     // [0, 128)
+  insert_cached(core, Key{1, 256}, some_bytes(128, 1));   // [256, 384)
+
+  // Zero bytes written: nothing is stale, not even entries that strictly
+  // contain `disp`, and disp == 0 must not wrap the range.
+  EXPECT_EQ(core.invalidate_overlap(1, 0, 0), 0u);
+  EXPECT_EQ(core.invalidate_overlap(1, 64, 0), 0u);
+  EXPECT_EQ(core.invalidate_overlap(1, 300, 0), 0u);
+  EXPECT_NE(core.find_cached(Key{1, 0}), kNoEntry);
+  EXPECT_NE(core.find_cached(Key{1, 256}), kNoEntry);
+  EXPECT_EQ(core.stats().put_invalidations, 0u);
+  EXPECT_TRUE(core.audit().ok);
+}
+
 TEST(IntegrityWindow, PutInvalidatesAndNextGetSeesFreshBytes) {
   Engine e(engine_cfg(2));
   e.run([](Process& p) {

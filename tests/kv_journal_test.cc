@@ -135,6 +135,54 @@ TEST(KvJournal, CapacityOverflowSelfCompacts) {
   EXPECT_EQ(s2.applied[0].seq, 20u);
 }
 
+// Writes `nkeys` distinct keys twice into a journal with room for 16
+// records; returns how many appends compacted.
+std::size_t write_keys_twice(kv::Journal& j, std::uint32_t nkeys) {
+  std::size_t compactions = 0;
+  for (std::uint32_t seq = 1; seq <= 2; ++seq) {
+    for (std::uint32_t key = 0; key < nkeys; ++key) {
+      const auto v = value_of(static_cast<std::uint8_t>(key * 2 + seq), 32);
+      if (j.append(key, seq, v.data(), 32).compacted) ++compactions;
+    }
+  }
+  return compactions;
+}
+
+TEST(KvJournal, LiveKeySetLargerThanCapacityGrowsTheJournal) {
+  // Far more distinct keys than the initial capacity holds: no append may
+  // be refused, every key's newest record must scan back, and the
+  // capacity doubles rather than compacting on every append — so the
+  // number of compactions grows with log2(keys), not with the appends.
+  const std::size_t initial = 16 * kv::Journal::record_bytes(32);
+  std::size_t prev_compactions = 0;
+  for (const std::uint32_t nkeys : {512u, 4096u}) {
+    kv::Journal j(initial, 1);
+    std::size_t compactions = 0;
+    ASSERT_NO_THROW(compactions = write_keys_twice(j, nkeys));
+    EXPECT_GE(j.capacity(), nkeys * kv::Journal::record_bytes(32));
+    const auto s = j.scan(128);
+    std::vector<std::uint32_t> newest(nkeys, 0);
+    for (const auto& rec : s.applied) {
+      ASSERT_LT(rec.key, nkeys);
+      if (rec.seq < newest[rec.key]) continue;
+      newest[rec.key] = rec.seq;
+      EXPECT_EQ(static_cast<std::uint8_t>(rec.value[0]),
+                static_cast<std::uint8_t>(rec.key * 2 + rec.seq));
+    }
+    for (std::uint32_t key = 0; key < nkeys; ++key) EXPECT_EQ(newest[key], 2u) << key;
+    // The first pass compacts once per doubling, log2(nkeys / 16) times;
+    // the rewrite pass adds at most as many again.
+    const std::size_t doublings = nkeys == 512u ? 5 : 8;
+    EXPECT_GE(compactions, doublings);
+    EXPECT_LE(compactions, 2 * doublings);
+    if (prev_compactions != 0) {
+      // 8x the keys (and 8x the appends) cost only a few more compactions.
+      EXPECT_LE(compactions, prev_compactions + 6);
+    }
+    prev_compactions = compactions;
+  }
+}
+
 TEST(KvJournal, ExplicitCompactKeepsNewestPerKey) {
   kv::Journal j(1 << 16, 1);
   for (std::uint32_t seq = 1; seq <= 3; ++seq) {
