@@ -2,7 +2,8 @@
 //
 // Guards the per-operation costs the paper's crossover analysis lives on
 // (Sec. III, Fig. 7): index lookup hit/miss, the cuckoo insertion walk,
-// storage alloc/dealloc/extend, and the end-to-end cached-get hit. Unlike
+// storage alloc/dealloc/extend, the end-to-end cached-get hit, and the
+// capacity and conflicting misses. Unlike
 // micro_structures.cc (broad data-structure coverage), every benchmark
 // here keeps harness overhead off the measured path: key selection uses
 // power-of-two masks (no integer divide), sizes come from precomputed
@@ -282,6 +283,45 @@ void BM_CachedGetMissEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedGetMissEvict);
+
+// Steady-state conflicting miss (Secs. III-C1, III-D2): the index is kept
+// full, so a fresh key walks the cuckoo path to its bound, rolls it back,
+// scores the entries on it and evicts the lowest-scoring one before the
+// retry lands. Storage is ample (2^17 x 256 B regions fill half of it),
+// so no access turns into a capacity one. The counters report the kick
+// steps per access and the share of accesses that were conflicting
+// (~0.9: a conflict that needs a second eviction frees a slot that a
+// later access fills directly).
+void BM_CachedGetMissConflict(benchmark::State& state) {
+  Config cfg;
+  cfg.index_entries = 1 << 17;
+  cfg.storage_bytes = std::size_t{64} << 20;
+  CacheCore c(cfg);
+  constexpr std::size_t kBytes = 208;
+  std::vector<std::byte> payload(kBytes);
+  std::uint64_t disp = 0;
+  const auto miss = [&] {
+    const auto r = c.access({1, disp}, kBytes);
+    if (r.inserted) {
+      std::memcpy(c.entry_data(r.entry), payload.data(), kBytes);
+      c.mark_cached(r.entry);
+    }
+    disp += 256;
+    return r.type;
+  };
+  // Fill to the first conflict, then settle: the few slots still free
+  // fill up through direct inserts until nearly every walk fails.
+  while (miss() != AccessType::kConflicting) {
+  }
+  for (int i = 0; i < (1 << 13); ++i) miss();
+  const Stats before = c.stats();
+  for (auto _ : state) benchmark::DoNotOptimize(miss());
+  const Stats d = c.stats().delta_since(before);
+  const auto iters = static_cast<double>(state.iterations() ? state.iterations() : 1);
+  state.counters["kick_steps_per_insert"] = static_cast<double>(d.index_kick_steps) / iters;
+  state.counters["conflicting_frac"] = static_cast<double>(d.conflicting) / iters;
+}
+BENCHMARK(BM_CachedGetMissConflict);
 
 // --- concurrent throughput mode --------------------------------------------
 

@@ -228,9 +228,9 @@ struct alignas(64) CacheCore::Shard {
 };
 
 std::uint64_t CacheCore::EntryOps::hash_key(std::uint32_t id) const {
-  // Per-shard ops: the shard is implicit, so decoding the (global) id is
-  // one shift — the probe loop never chases through the shard table.
-  return shard->entries[id >> shard_bits].hkey;
+  // Cold path only (index erase / validate): the insertion walk reads the
+  // occupant keys the index stores beside its slot words.
+  return make_hkey(shard->entries[id >> shard_bits].key);
 }
 
 namespace {
@@ -368,21 +368,49 @@ bool CacheCore::capacity_eviction_round(Shard& s) {
   return true;
 }
 
-bool CacheCore::insert_with_conflict_handling(Shard& s, std::uint32_t id,
-                                              bool& conflicted) {
+namespace {
+inline void prefetch_read(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 0, 3);
+#else
+  (void)p;
+#endif
+}
+}  // namespace
+
+bool CacheCore::insert_with_conflict_handling(Shard& s, std::uint64_t hkey,
+                                              std::uint32_t id, bool& conflicted) {
   conflicted = false;
-  Entry& e = s.entries[local_of(id)];
-  if (s.index.insert(e.hkey, id, &s.path)) return true;
+  if (s.index.insert(hkey, id, &s.path)) return true;
   conflicted = true;
   for (int attempt = 0; attempt < cfg_.max_conflict_evictions; ++attempt) {
-    // Victim: the lowest-scoring evictable entry on the insertion path.
+    // Scoring a path candidate chases entry -> region -> neighbours, three
+    // dependent misses. Issue each level for the whole path before the
+    // next, so the misses of one level overlap instead of queueing behind
+    // each other; the scoring loop below then runs on resident lines.
+    // Prefetches change no state: the same victim wins as without them.
+    for (const std::uint32_t cand : s.path) {
+      const Entry* e = &s.entries[local_of(cand)];
+      prefetch_read(e);
+      prefetch_read(reinterpret_cast<const char*>(e) + offsetof(Entry, live));
+    }
+    for (const std::uint32_t cand : s.path) {
+      const Entry& e = s.entries[local_of(cand)];
+      if (e.live && !e.pending) prefetch_read(e.region);
+    }
+    for (const std::uint32_t cand : s.path) {
+      const Entry& e = s.entries[local_of(cand)];
+      if (!e.live || e.pending) continue;
+      if (e.region->prev != nullptr) prefetch_read(e.region->prev);
+      if (e.region->next != nullptr) prefetch_read(e.region->next);
+    }
+    // Victim: the lowest-scoring evictable entry on the insertion path
+    // (first in path order on ties).
     std::uint32_t victim = kNoEntry;
     double victim_score = std::numeric_limits<double>::infinity();
     for (const std::uint32_t cand : s.path) {
-      if (cand == kNoEntry || !s.entries[local_of(cand)].live ||
-          s.entries[local_of(cand)].pending) {
-        continue;
-      }
+      const Entry& e = s.entries[local_of(cand)];
+      if (!e.live || e.pending) continue;
       const double sc = score_locked(s, cand);
       if (sc < victim_score) {
         victim_score = sc;
@@ -391,7 +419,7 @@ bool CacheCore::insert_with_conflict_handling(Shard& s, std::uint32_t id,
     }
     if (victim == kNoEntry) return false;
     evict_entry(s, victim);
-    if (s.index.insert(e.hkey, id, &s.path)) return true;
+    if (s.index.insert(hkey, id, &s.path)) return true;
   }
   return false;
 }
@@ -541,9 +569,9 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
   const std::uint32_t id = alloc_entry(s, shard_idx);
   // Born PENDING so the eviction rounds below never consider the entry a
   // victim while it has no region yet.
-  s.entries[local_of(id)] = Entry{key,     hkey, dtype_sig,        bytes,        nullptr,
-                                  s.g,     /*csum=*/0, /*stamp=*/0.0,
-                                  /*pending=*/true, /*live=*/true};
+  s.entries[local_of(id)] = Entry{key,      bytes,     nullptr,    s.g,
+                                  /*pending=*/true, /*live=*/true, kNoEntry, dtype_sig,
+                                  /*csum=*/0, /*stamp=*/0.0};
   s.addr_link(local_of(id));
   ++s.pending;
   const auto discard_new_entry = [&] {
@@ -555,7 +583,7 @@ CacheCore::Result CacheCore::access_impl(Key key, std::size_t bytes,
   };
 
   bool conflicted = false;
-  if (!insert_with_conflict_handling(s, id, conflicted)) {
+  if (!insert_with_conflict_handling(s, hkey, id, conflicted)) {
     discard_new_entry();
     ++s.stats.failing;
     ++s.stats.failed_index;
@@ -764,9 +792,9 @@ bool CacheCore::entry_invariants_ok(const Shard& s, std::uint32_t id) const {
   const Entry& e = s.entries[local_of(id)];
   if (e.region == nullptr || e.region->free) return false;
   if (e.region->size < e.size) return false;
-  if (e.hkey != make_hkey(e.key)) return false;
   const std::uint32_t found = s.index.lookup(
-      e.hkey, [&](std::uint32_t cand) { return s.entries[local_of(cand)].key == e.key; });
+      make_hkey(e.key),
+      [&](std::uint32_t cand) { return s.entries[local_of(cand)].key == e.key; });
   return found == id;
 }
 
@@ -1171,12 +1199,13 @@ CacheCore::AuditReport CacheCore::audit() const {
         continue;
       }
       if (e.region->size < e.size) fail("entry payload larger than its region");
-      if (e.hkey != make_hkey(e.key)) fail("stale cached hash key");
-      if (shard_of_hkey(e.hkey) != si) fail("entry routed to the wrong shard");
+      // (A stale slot key is caught by the index's own validate() above.)
+      const std::uint64_t hkey = make_hkey(e.key);
+      if (shard_of_hkey(hkey) != si) fail("entry routed to the wrong shard");
       // The entry must be findable through its shard's index.
       const std::uint32_t gid = encode_id(si, local);
       const std::uint32_t found = s.index.lookup(
-          e.hkey,
+          hkey,
           [&](std::uint32_t cand) { return s.entries[local_of(cand)].key == e.key; });
       if (found != gid) fail("live entry not findable through the index");
     }

@@ -274,23 +274,26 @@ class CacheCore {
   bool entry_checksum_ok(std::uint32_t id) const;
 
  private:
+  // The fields a hit or a victim score reads (key, size, region, last,
+  // pending, live) lead, so they share the entry's first 48 bytes. The
+  // key's hash is not stored here: the cuckoo index keeps it beside the
+  // slot word, where the insertion walk reads it without touching this
+  // table (cold paths recompute it with make_hkey).
   struct Entry {
     Key key;
-    std::uint64_t hkey = 0;
-    std::uint64_t sig = 0;
     std::size_t size = 0;  ///< payload bytes (region may be larger: alignment)
     Storage::Region* region = nullptr;
     std::uint64_t last = 0;  ///< index in C_w.G of the last matching get_c
-    std::uint64_t csum = 0;  ///< XXH64 of the payload, set at mark_cached
-    double stamp = 0.0;      ///< virtual time the payload was fetched (0 = never)
     bool pending = false;
     bool live = false;
     /// Next local id on this entry's address chain (kNoEntry = end);
     /// see Shard's address index in cache.cc.
     std::uint32_t addr_next = kNoEntry;
+    std::uint64_t sig = 0;
+    std::uint64_t csum = 0;  ///< XXH64 of the payload, set at mark_cached
+    double stamp = 0.0;      ///< virtual time the payload was fetched (0 = never)
   };
-  // addr_next lives in what was tail padding: the table stays as dense.
-  static_assert(sizeof(Entry) <= 80, "Entry outgrew its 80-byte footprint");
+  static_assert(sizeof(Entry) <= 72, "Entry outgrew its 72-byte footprint");
 
   // One lock-striped partition of the cache; defined in cache.cc. Each
   // owns an index over 1/N of the slots, a 1/N storage arena, its own
@@ -298,8 +301,9 @@ class CacheCore {
   // sync_hot_counters() folds into stats_ on demand.
   struct Shard;
 
-  // Per-shard index callbacks: the owning shard is implicit, so the probe
-  // loop decodes a (global) entry id with a single shift.
+  // Per-shard index callbacks for the index's cold paths (erase and
+  // validate); the owning shard is implicit, so decoding a (global) entry
+  // id is a single shift.
   struct EntryOps {
     const Shard* shard = nullptr;
     std::uint32_t shard_bits = 0;
@@ -336,7 +340,8 @@ class CacheCore {
   bool capacity_eviction_round(Shard& s);
   /// Insert `id` into the shard's index, evicting from the insertion path
   /// on conflicts. Returns false if it still cannot be placed.
-  bool insert_with_conflict_handling(Shard& s, std::uint32_t id, bool& conflicted);
+  bool insert_with_conflict_handling(Shard& s, std::uint64_t hkey, std::uint32_t id,
+                                     bool& conflicted);
   double score_locked(const Shard& s, std::uint32_t id) const;
   /// Fold the per-shard Stats blocks and the live CuckooIndex/Storage
   /// counters into stats_ (lock-free: a delta fold against shard_prev_,

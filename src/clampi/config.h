@@ -190,7 +190,8 @@ struct Config {
 };
 
 /// Rejects nonsensical configurations with a descriptive ContractError:
-/// zero-sized index / sample, cuckoo_arity < 1, min > max bounds, adaptive
+/// zero-sized index / sample, cuckoo_arity outside [2, kMaxCuckooArity],
+/// max_insert_iters or max_conflict_evictions < 1, min > max bounds, adaptive
 /// starting values outside [min, max], malformed retry parameters. Called
 /// by CacheCore at window creation; exposed for direct testing.
 void validate_config(const Config& cfg);

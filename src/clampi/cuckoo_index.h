@@ -19,8 +19,17 @@
 // candidates, provably excluding the slot it was just displaced from
 // whenever the candidates are not all identical.
 //
-// The table stores entry ids; key material lives in the caller's entry
-// table, accessed through the EntryOps policy:
+// Beside the slot words the index keeps a parallel array holding the
+// hash key of each slot's occupant, written wherever a slot word is
+// written (fast-path insert, every kick, the rollback). The insertion
+// walk reads the displaced occupant's key from that array — it sits next
+// to the slot word the walk just loaded, so one kick step costs two
+// side-by-side loads instead of a slot load chained into a miss on the
+// caller's entry table, and the walk never touches the entry table.
+//
+// The caller's entry table is consulted through the EntryOps policy only
+// on the cold paths: erase() (locating an entry's slot) and validate()
+// (checking every stored key against its occupant):
 //
 //   struct EntryOps {
 //     std::uint64_t hash_key(std::uint32_t id) const;  // stable per entry
@@ -30,6 +39,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "util/align.h"
@@ -40,12 +50,14 @@
 namespace clampi {
 
 inline constexpr std::uint32_t kNoEntry = 0xffffffffu;
+/// Largest cuckoo arity p (validate_config enforces 2 <= p <= this).
+inline constexpr int kMaxCuckooArity = 8;
 
 template <class EntryOps>
 class CuckooIndex {
  public:
   /// Maximum arity supported by the fixed-size candidate-slot scratch.
-  static constexpr int kMaxArity = 8;
+  static constexpr int kMaxArity = kMaxCuckooArity;
   /// Entry ids occupy the low 24 bits of a slot word; id kIdMask (all
   /// ones) is the empty sentinel, so at most 2^24 - 1 entries.
   static constexpr std::uint32_t kIdMask = 0x00ffffffu;
@@ -68,6 +80,9 @@ class CuckooIndex {
     CLAMPI_REQUIRE(nslots >= static_cast<std::size_t>(arity), "index too small for arity");
     CLAMPI_REQUIRE(arity >= 2 && arity <= kMaxArity, "cuckoo arity out of range");
     table_.assign(nslots, kEmptySlot);
+    // Left uninitialized: a key is only read for an occupied slot, and
+    // untouched pages of an idle cache's array never become resident.
+    keys_ = std::make_unique_for_overwrite<std::uint64_t[]>(nslots);
     if (util::is_pow2(nslots)) {
       int log2n = 0;
       while ((std::size_t{1} << log2n) < nslots) ++log2n;
@@ -158,6 +173,7 @@ class CuckooIndex {
       const std::size_t s = cand[i];
       if (table_[s] == kEmptySlot) {
         table_[s] = pack(tag_of(hkey), id);
+        keys_[s] = hkey;
         ++occupied_;
         return true;
       }
@@ -169,6 +185,7 @@ class CuckooIndex {
     // bounce-back-prone retry cap.
     journal_.clear();
     std::uint32_t cur = pack(tag_of(hkey), id);
+    std::uint64_t cur_key = hkey;
     std::size_t from_slot = static_cast<std::size_t>(-1);
     for (int iter = 0; iter < max_iters_; ++iter) {
       const int pick = pick_kick_index(cand, arity_, from_slot, kick_rot_++);
@@ -176,23 +193,28 @@ class CuckooIndex {
       const std::uint32_t occupant = table_[s];
       if (occupant == kEmptySlot) {
         table_[s] = cur;
+        keys_[s] = cur_key;
         ++occupied_;
         return true;
       }
+      const std::uint64_t occupant_key = keys_[s];
       ++counters_.kick_steps;
       // The walk may displace the element being inserted; it is not a
       // valid eviction victim, so keep it off the reported path.
       const std::uint32_t occupant_id = occupant & kIdMask;
       if (path != nullptr && occupant_id != id) path->push_back(occupant_id);
-      journal_.push_back({s, occupant});
+      journal_.push_back({s, occupant, occupant_key});
       table_[s] = cur;
+      keys_[s] = cur_key;
       cur = occupant;
-      candidates(ops_->hash_key(occupant_id), cand);
+      cur_key = occupant_key;
+      candidates(cur_key, cand);
       from_slot = s;
     }
     // Roll back so the structure is unchanged on a conflicting access.
     for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
       table_[it->slot] = it->occupant;
+      keys_[it->slot] = it->key;
     }
     return false;
   }
@@ -219,7 +241,8 @@ class CuckooIndex {
     occupied_ = 0;
   }
 
-  /// Invariant check for tests: every stored id sits in one of its p
+  /// Invariant check for tests: every occupied slot's stored hash key is
+  /// its occupant's key hash, every stored id sits in one of its p
   /// candidate slots with the right tag, no id appears twice, occupancy
   /// count is exact.
   bool validate() const {
@@ -230,8 +253,9 @@ class CuckooIndex {
       if (id == kNoEntry) continue;
       ++count;
       seen.push_back(id);
+      const std::uint64_t hkey = keys_[s];
+      if (hkey != ops_->hash_key(id)) return false;  // stale slot key
       bool candidate = false;
-      const std::uint64_t hkey = ops_->hash_key(id);
       for (int i = 0; i < arity_; ++i) candidate |= slot_of(hkey, i) == s;
       if (!candidate) return false;
       if ((table_[s] >> 24) != tag_of(hkey)) return false;
@@ -301,9 +325,14 @@ class CuckooIndex {
     return kNoEntry;
   }
 
+  // Test-only access to the slot arrays (tests/clampi_cuckoo_test.cc).
+  template <class>
+  friend struct CuckooIndexTestPeer;
+
   struct JournalEntry {
     std::size_t slot;
     std::uint32_t occupant;  ///< full packed word
+    std::uint64_t key;       ///< the occupant's hash key
   };
 
   static std::uint32_t pack(std::uint32_t tag, std::uint32_t id) {
@@ -320,12 +349,16 @@ class CuckooIndex {
   }
 
   /// Compute all p candidate slots up front (independent multiplies
-  /// pipeline well) and prefetch them: the insertion walk writes the
-  /// slots it probes, so it wants the lines resident in exclusive state.
+  /// pipeline well) and prefetch their slot words and slot keys: the
+  /// insertion walk writes the slots it probes, so it wants the lines
+  /// resident in exclusive state.
   void candidates(std::uint64_t hkey, std::size_t* cand) const {
     for (int i = 0; i < arity_; ++i) cand[i] = slot_of(hkey, i);
 #if defined(__GNUC__) || defined(__clang__)
-    for (int i = 0; i < arity_; ++i) __builtin_prefetch(&table_[cand[i]], 1, 1);
+    for (int i = 0; i < arity_; ++i) {
+      __builtin_prefetch(&table_[cand[i]], 1, 1);
+      __builtin_prefetch(&keys_[cand[i]], 1, 1);
+    }
 #endif
   }
 
@@ -337,6 +370,7 @@ class CuckooIndex {
   std::uint32_t kick_rot_ = 0;  ///< deterministic kick-target rotation
   std::vector<util::UniversalHash> hashes_;
   std::vector<std::uint32_t> table_;  ///< packed (tag << 24 | id) words
+  std::unique_ptr<std::uint64_t[]> keys_;  ///< occupant hash key per slot (garbage if empty)
   std::vector<JournalEntry> journal_;
   std::size_t occupied_ = 0;
   mutable Counters counters_;  ///< kick_steps + false positives (exact)

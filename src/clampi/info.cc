@@ -1,7 +1,9 @@
 #include "clampi/info.h"
 
 #include <cstdlib>
+#include <limits>
 
+#include "clampi/cuckoo_index.h"
 #include "util/error.h"
 
 namespace clampi {
@@ -13,6 +15,15 @@ std::uint64_t parse_u64(const std::string& key, const std::string& s) {
   const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
   CLAMPI_REQUIRE(end != s.c_str() && *end == '\0', "info key " + key + ": bad integer '" + s + "'");
   return v;
+}
+
+/// An integer knob: parse_u64, then refuse what an `int` cannot hold
+/// instead of letting the narrowing cast wrap it into range.
+int parse_int(const std::string& key, const std::string& s) {
+  const std::uint64_t v = parse_u64(key, s);
+  CLAMPI_REQUIRE(v <= static_cast<std::uint64_t>(std::numeric_limits<int>::max()),
+                 "info key " + key + ": integer '" + s + "' out of range");
+  return static_cast<int>(v);
 }
 
 double parse_f64(const std::string& key, const std::string& s) {
@@ -81,9 +92,9 @@ Config config_from_info(const Info& info, Config cfg) {
         CLAMPI_REQUIRE(false, "unknown clampi_score '" + value + "'");
       }
     } else if (key == "clampi_sample_size") {
-      cfg.sample_size = static_cast<int>(parse_u64(key, value));
+      cfg.sample_size = parse_int(key, value);
     } else if (key == "clampi_arity") {
-      cfg.cuckoo_arity = static_cast<int>(parse_u64(key, value));
+      cfg.cuckoo_arity = parse_int(key, value);
     } else if (key == "clampi_conflict_threshold") {
       cfg.conflict_threshold = parse_f64(key, value);
     } else if (key == "clampi_capacity_threshold") {
@@ -97,7 +108,7 @@ Config config_from_info(const Info& info, Config cfg) {
     } else if (key == "clampi_adapt_interval") {
       cfg.adapt_interval = parse_u64(key, value);
     } else if (key == "clampi_max_retries") {
-      cfg.max_retries = static_cast<int>(parse_u64(key, value));
+      cfg.max_retries = parse_int(key, value);
     } else if (key == "clampi_retry_backoff_us") {
       cfg.retry_backoff_us = parse_f64(key, value);
     } else if (key == "clampi_retry_backoff_factor") {
@@ -107,7 +118,7 @@ Config config_from_info(const Info& info, Config cfg) {
     } else if (key == "clampi_epoch_retry_budget_us") {
       cfg.epoch_retry_budget_us = parse_f64(key, value);
     } else if (key == "clampi_health_failure_threshold") {
-      cfg.health_failure_threshold = static_cast<int>(parse_u64(key, value));
+      cfg.health_failure_threshold = parse_int(key, value);
     } else if (key == "clampi_health_window_us") {
       cfg.health_window_us = parse_f64(key, value);
     } else if (key == "clampi_health_ewma_alpha") {
@@ -119,7 +130,7 @@ Config config_from_info(const Info& info, Config cfg) {
     } else if (key == "clampi_health_quarantine_dwell_us") {
       cfg.health_quarantine_dwell_us = parse_f64(key, value);
     } else if (key == "clampi_health_probe_successes") {
-      cfg.health_probe_successes = static_cast<int>(parse_u64(key, value));
+      cfg.health_probe_successes = parse_int(key, value);
     } else if (key == "clampi_degraded_reads") {
       cfg.degraded_reads = parse_bool(key, value);
     } else if (key == "clampi_degraded_max_staleness_us") {
@@ -131,15 +142,15 @@ Config config_from_info(const Info& info, Config cfg) {
     } else if (key == "clampi_shadow_verify_every_n") {
       cfg.shadow_verify_every_n = parse_u64(key, value);
     } else if (key == "clampi_breaker_failure_threshold") {
-      cfg.breaker_failure_threshold = static_cast<int>(parse_u64(key, value));
+      cfg.breaker_failure_threshold = parse_int(key, value);
     } else if (key == "clampi_breaker_window_us") {
       cfg.breaker_window_us = parse_f64(key, value);
     } else if (key == "clampi_breaker_open_us") {
       cfg.breaker_open_us = parse_f64(key, value);
     } else if (key == "clampi_breaker_probe_every_n") {
-      cfg.breaker_probe_every_n = static_cast<int>(parse_u64(key, value));
+      cfg.breaker_probe_every_n = parse_int(key, value);
     } else if (key == "clampi_breaker_halfopen_successes") {
-      cfg.breaker_halfopen_successes = static_cast<int>(parse_u64(key, value));
+      cfg.breaker_halfopen_successes = parse_int(key, value);
     } else if (key == "clampi_op_deadline_us") {
       cfg.op_deadline_us = parse_f64(key, value);
     } else if (key == "clampi_load_shedding") {
@@ -173,7 +184,14 @@ Info stats_to_info(const Stats& s) {
 
 void validate_config(const Config& cfg) {
   CLAMPI_REQUIRE(cfg.index_entries >= 1, "config: index_entries must be >= 1");
-  CLAMPI_REQUIRE(cfg.cuckoo_arity >= 1, "config: cuckoo_arity must be >= 1");
+  CLAMPI_REQUIRE(cfg.cuckoo_arity >= 2 && cfg.cuckoo_arity <= kMaxCuckooArity,
+                 "config: cuckoo_arity must be in [2, " + std::to_string(kMaxCuckooArity) +
+                     "]");
+  // A walk bound or eviction budget below 1 would turn every conflicting
+  // access into a failing one.
+  CLAMPI_REQUIRE(cfg.max_insert_iters >= 1, "config: max_insert_iters must be >= 1");
+  CLAMPI_REQUIRE(cfg.max_conflict_evictions >= 1,
+                 "config: max_conflict_evictions must be >= 1");
   // Sharding: a power of two so the shard is a pure bit-field of the
   // fingerprint, capped at 256 so entry ids (shard in the low bits, local
   // id above) stay comfortably inside the index's 24-bit id space.

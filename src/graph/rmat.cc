@@ -78,6 +78,14 @@ Csr rmat_graph(const RmatParams& p) {
   return build_csr(std::size_t{1} << p.scale, std::move(edges));
 }
 
+// The merge loop's branches are data-dependent and it runs for most of an
+// LCC solve, so its speed swings with where the loop lands relative to
+// fetch and branch-predictor boundaries. Kept out of line and 64-byte
+// aligned, it sits at the same offset whatever code precedes it, so
+// unrelated code-size changes elsewhere cannot move LCC timings.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((noinline, aligned(64)))
+#endif
 std::size_t intersect_count(const Vertex* a, std::size_t na, const Vertex* b,
                             std::size_t nb) {
   std::size_t i = 0, j = 0, count = 0;

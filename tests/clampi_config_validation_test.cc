@@ -31,6 +31,51 @@ TEST(ConfigValidation, RejectsZeroSizedKnobs) {
   EXPECT_THROW(CacheCore{e}, util::ContractError);
 }
 
+TEST(ConfigValidation, RejectsOutOfRangeCuckooKnobs) {
+  // Arity outside [2, kMaxCuckooArity] and walk knobs below 1 are refused
+  // where the config is checked, not later inside index construction
+  // (arity) or never (a zero walk bound turned every conflicting access
+  // into a failing one).
+  for (const int arity : {-1, 0, 1, kMaxCuckooArity + 1, 64}) {
+    Config c;
+    c.cuckoo_arity = arity;
+    EXPECT_THROW(validate_config(c), util::ContractError) << arity;
+    EXPECT_THROW(CacheCore{c}, util::ContractError) << arity;
+  }
+  for (const int arity : {2, kMaxCuckooArity}) {
+    Config c;
+    c.cuckoo_arity = arity;
+    EXPECT_NO_THROW(validate_config(c)) << arity;
+    EXPECT_NO_THROW(CacheCore{c}) << arity;
+  }
+  for (const int bad : {0, -1}) {
+    Config c;
+    c.max_insert_iters = bad;
+    EXPECT_THROW(validate_config(c), util::ContractError) << bad;
+    EXPECT_THROW(CacheCore{c}, util::ContractError) << bad;
+    Config d;
+    d.max_conflict_evictions = bad;
+    EXPECT_THROW(validate_config(d), util::ContractError) << bad;
+    EXPECT_THROW(CacheCore{d}, util::ContractError) << bad;
+  }
+  Config one;
+  one.max_insert_iters = 1;
+  one.max_conflict_evictions = 1;
+  EXPECT_NO_THROW(CacheCore{one});
+
+  // The info key: out-of-range values fail at parse or at validation, and
+  // a value past INT_MAX no longer wraps into range (2^32 + 2 used to
+  // become arity 2).
+  for (const char* v : {"1", "9", "4294967298", "18446744073709551615"}) {
+    EXPECT_THROW(validate_config(config_from_info(Info{{"clampi_arity", v}})),
+                 util::ContractError)
+        << v;
+  }
+  EXPECT_THROW((void)config_from_info(Info{{"clampi_arity", "4294967298"}}),
+               util::ContractError);
+  EXPECT_EQ(config_from_info(Info{{"clampi_arity", "3"}}).cuckoo_arity, 3);
+}
+
 TEST(ConfigValidation, RejectsInvertedBounds) {
   Config c;
   c.min_index_entries = 1024;

@@ -8,6 +8,14 @@
 #include "clampi/cuckoo_index.h"
 #include "util/rng.h"
 
+namespace clampi {
+// Test-only access to the index's private slot-key array.
+template <class Ops>
+struct CuckooIndexTestPeer {
+  static void corrupt_key(CuckooIndex<Ops>& idx, std::size_t slot) { idx.keys_[slot] ^= 1; }
+};
+}  // namespace clampi
+
 namespace {
 
 using clampi::CuckooIndex;
@@ -115,13 +123,20 @@ TEST(Cuckoo, FailedInsertRollsBackExactly) {
   while (true) {
     const std::uint64_t key = rng();
     const auto id = f.add(key);
+    std::vector<std::uint32_t> before(f.index.nslots());
+    for (std::size_t s = 0; s < before.size(); ++s) before[s] = f.index.entry_at(s);
     std::vector<std::uint32_t> path;
     if (f.index.insert(key, id, &path)) {
       present.emplace_back(key, id);
       continue;
     }
-    // Failure: every previously inserted key must still be findable, the
-    // new one must not, and the path must name only present entries.
+    // Failure: every slot holds exactly its pre-walk occupant (validate()
+    // below also checks each slot's stored key against it), every
+    // previously inserted key is still findable, the new one is not, and
+    // the path names only present entries.
+    for (std::size_t s = 0; s < before.size(); ++s) {
+      EXPECT_EQ(f.index.entry_at(s), before[s]) << "slot " << s;
+    }
     EXPECT_FALSE(path.empty());
     for (const auto& [k, i] : present) EXPECT_EQ(f.find(k), i);
     EXPECT_EQ(f.find(key), kNoEntry);
@@ -131,6 +146,22 @@ TEST(Cuckoo, FailedInsertRollsBackExactly) {
     EXPECT_TRUE(f.index.validate());
     break;
   }
+}
+
+TEST(Cuckoo, ValidateCatchesACorruptSlotKey) {
+  // The walk trusts the hash keys stored beside the slot words; validate()
+  // must notice one that no longer matches its occupant.
+  Fixture f(64);
+  for (std::uint64_t k = 1; k <= 40; ++k) {
+    ASSERT_TRUE(f.index.insert(k * 7919, f.add(k * 7919), nullptr));
+  }
+  ASSERT_TRUE(f.index.validate());
+  std::size_t slot = 0;
+  while (f.index.entry_at(slot) == kNoEntry) ++slot;
+  clampi::CuckooIndexTestPeer<TestOps>::corrupt_key(f.index, slot);
+  EXPECT_FALSE(f.index.validate());
+  clampi::CuckooIndexTestPeer<TestOps>::corrupt_key(f.index, slot);  // undo
+  EXPECT_TRUE(f.index.validate());
 }
 
 TEST(Cuckoo, EvictingPathEntryEnablesInsert) {
