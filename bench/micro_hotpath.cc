@@ -14,28 +14,15 @@
 // directory so the perf trajectory of the repo is recorded run over run.
 // Pass your own --benchmark_out=... to override. See docs/PERF.md for the
 // methodology and how to compare runs.
-//
-// `--concurrent` switches to the multi-threaded throughput driver (no
-// google-benchmark): a 1..16-thread x hit-rate x load-factor grid over
-// the sharded cache core, written to BENCH_cache_concurrent.json. See
-// docs/PERF.md "Sharding" for the methodology and the scaling gate.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "clampi/cache.h"
 #include "clampi/cuckoo_index.h"
 #include "clampi/storage.h"
-#include "util/json.h"
 #include "util/rng.h"
 
 using namespace clampi;
@@ -323,219 +310,11 @@ void BM_CachedGetMissConflict(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedGetMissConflict);
 
-// --- concurrent throughput mode --------------------------------------------
-
-// One grid cell of the multi-threaded driver. Methodology (docs/PERF.md):
-// the cache is prefilled to the target index load factor with keys
-// round-robined across the worker threads; each thread then drives its
-// own disjoint key set (the CacheCore same-key contract), serving hits
-// through access_read() — the copy-out-under-the-shard-lock hit path —
-// and misses through a rotating never-resident key whose inserted entry
-// is dropped again, so the load factor stays pinned for the whole cell.
-struct ConcurrentCell {
-  int threads = 1;
-  int hit_pct = 90;
-  int load_pct = 90;
-  std::size_t shards = 16;
-  double seconds = 0.0;
-  std::uint64_t ops = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t lock_contended = 0;
-  double ops_per_sec = 0.0;
-  double hits_per_sec = 0.0;
-};
-
-ConcurrentCell run_concurrent_cell(int nthreads, int hit_pct, int load_pct,
-                                   std::size_t shards, std::size_t ops_per_thread) {
-  constexpr std::size_t kPayload = 256;
-  Config cfg;
-  cfg.cache_shards = shards;
-  cfg.index_entries = 1 << 14;
-  cfg.storage_bytes = std::size_t{64} << 20;
-  CacheCore c(cfg);
-
-  // Prefill: resident (CACHED) keys, one disjoint set per thread.
-  const std::size_t target =
-      cfg.index_entries * static_cast<std::size_t>(load_pct) / 100;
-  std::vector<std::vector<Key>> resident(static_cast<std::size_t>(nthreads));
-  std::uint64_t disp = 0;
-  for (std::size_t attempt = 0;
-       c.cached_entries() < target && attempt < cfg.index_entries * 4; ++attempt) {
-    const int t = static_cast<int>(attempt % static_cast<std::size_t>(nthreads));
-    const Key key{1 + t, disp};
-    disp += 4096;
-    const auto r = c.access(key, kPayload);
-    if (!r.inserted) continue;  // conflicting draw near full load
-    c.mark_cached(r.entry);
-    resident[static_cast<std::size_t>(t)].push_back(key);
-  }
-  // Power-of-two per-thread sets: the benchmark loop cycles with a mask.
-  for (auto& keys : resident) {
-    std::size_t pow2 = 1;
-    while (pow2 * 2 <= keys.size()) pow2 *= 2;
-    keys.resize(pow2);
-  }
-
-  std::atomic<bool> go{false};
-  std::vector<std::uint64_t> hit_counts(static_cast<std::size_t>(nthreads), 0);
-  std::vector<std::thread> workers;
-  workers.reserve(static_cast<std::size_t>(nthreads));
-  for (int t = 0; t < nthreads; ++t) {
-    workers.emplace_back([&, t] {
-      std::byte buf[kPayload];
-      const auto& keys = resident[static_cast<std::size_t>(t)];
-      const std::size_t mask = keys.size() - 1;
-      std::uint64_t rng = 0x243f6a8885a308d3ull * static_cast<std::uint64_t>(t + 1);
-      // Miss keys live in a per-thread displacement range no resident key
-      // ever touches, so a miss never turns into a surprise hit.
-      std::uint64_t miss_disp =
-          (std::uint64_t{1} << 40) + (static_cast<std::uint64_t>(t) << 30);
-      std::uint64_t hits = 0;
-      std::size_t ki = 0;
-      while (!go.load(std::memory_order_acquire)) {}
-      for (std::size_t op = 0; op < ops_per_thread; ++op) {
-        rng = rng * 6364136223846793005ull + 1442695040888963407ull;
-        if ((rng >> 33) % 100 < static_cast<std::uint64_t>(hit_pct)) {
-          const auto r = c.access_read(keys[ki++ & mask], kPayload, buf);
-          hits += r.serve_now ? 1 : 0;
-        } else {
-          const auto r = c.access({1 + t, miss_disp}, kPayload);
-          miss_disp += 4096;
-          // Drop the inserted entry again: the resident set (and with it
-          // the cell's load factor and hit rate) stays fixed.
-          if (r.inserted) c.drop_failed(r.entry);
-        }
-      }
-      hit_counts[static_cast<std::size_t>(t)] = hits;
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& w : workers) w.join();
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ConcurrentCell cell;
-  cell.threads = nthreads;
-  cell.hit_pct = hit_pct;
-  cell.load_pct = load_pct;
-  cell.shards = shards;
-  cell.seconds = std::chrono::duration<double>(t1 - t0).count();
-  cell.ops = static_cast<std::uint64_t>(nthreads) * ops_per_thread;
-  for (const std::uint64_t h : hit_counts) cell.hits += h;
-  const Stats& st = c.stats();  // quiescent: workers joined
-  cell.lock_acquisitions = st.shard_lock_acquisitions;
-  cell.lock_contended = st.shard_lock_contended;
-  cell.ops_per_sec = static_cast<double>(cell.ops) / cell.seconds;
-  cell.hits_per_sec = static_cast<double>(cell.hits) / cell.seconds;
-  return cell;
-}
-
-int run_concurrent(const char* out_path) {
-  namespace json = clampi::util::json;
-  // CLAMPI_BENCH_SCALE shrinks the per-thread op count for CI smoke runs,
-  // same knob as bench/kv_sweep.
-  double scale = 1.0;
-  if (const char* s = std::getenv("CLAMPI_BENCH_SCALE")) scale = std::atof(s);
-  const auto ops_per_thread = static_cast<std::size_t>(
-      std::max(1000.0, 200000.0 * (scale > 0.0 ? scale : 1.0)));
-
-  std::vector<ConcurrentCell> cells;
-  for (const int threads : {1, 2, 4, 8, 16}) {
-    for (const int hit_pct : {50, 90}) {
-      for (const int load_pct : {50, 90}) {
-        cells.push_back(
-            run_concurrent_cell(threads, hit_pct, load_pct, 16, ops_per_thread));
-        std::fprintf(stderr,
-                     "concurrent: threads=%2d hit=%d%% load=%d%% shards=16  "
-                     "%.2f Mops/s (%.2f Mhits/s, contended %.2f%%)\n",
-                     threads, hit_pct, load_pct, cells.back().ops_per_sec / 1e6,
-                     cells.back().hits_per_sec / 1e6,
-                     100.0 * static_cast<double>(cells.back().lock_contended) /
-                         static_cast<double>(cells.back().lock_acquisitions
-                                                 ? cells.back().lock_acquisitions
-                                                 : 1));
-      }
-    }
-  }
-  // Single-shard parity row: cache_shards = 1 must not regress the
-  // single-threaded hot path (cross-check against BENCH_cache_hotpath).
-  cells.push_back(run_concurrent_cell(1, 90, 90, 1, ops_per_thread));
-  std::fprintf(stderr, "concurrent: threads= 1 hit=90%% load=90%% shards= 1  %.2f Mops/s\n",
-               cells.back().ops_per_sec / 1e6);
-
-  // Scaling gate (docs/PERF.md): >= 4x aggregate hit throughput at 8
-  // threads vs 1 (90% hit, 90% load, 16 shards) — only meaningful on a
-  // machine with at least 8 hardware threads; elsewhere the numbers are
-  // recorded but the gate is skipped (honest measurement over fiction).
-  const unsigned hw = std::thread::hardware_concurrency();
-  double base = 0.0, at8 = 0.0;
-  for (const auto& cl : cells) {
-    if (cl.shards == 16 && cl.hit_pct == 90 && cl.load_pct == 90) {
-      if (cl.threads == 1) base = cl.hits_per_sec;
-      if (cl.threads == 8) at8 = cl.hits_per_sec;
-    }
-  }
-  const double speedup = base > 0.0 ? at8 / base : 0.0;
-  const bool enforce = hw >= 8;
-  const bool gate_ok = !enforce || speedup >= 4.0;
-
-  json::Value root = json::Value::object();
-  root.set("benchmark", json::Value::str("cache_concurrent"));
-  root.set("hardware_concurrency", json::Value::number(static_cast<std::uint64_t>(hw)));
-  root.set("index_entries", json::Value::number(std::uint64_t{1} << 14));
-  root.set("storage_bytes", json::Value::number(std::uint64_t{64} << 20));
-  root.set("payload_bytes", json::Value::number(std::uint64_t{256}));
-  root.set("ops_per_thread", json::Value::number(static_cast<std::uint64_t>(ops_per_thread)));
-  json::Value rows = json::Value::array();
-  for (const auto& cl : cells) {
-    json::Value o = json::Value::object();
-    o.set("threads", json::Value::number(cl.threads));
-    o.set("hit_pct", json::Value::number(cl.hit_pct));
-    o.set("load_pct", json::Value::number(cl.load_pct));
-    o.set("shards", json::Value::number(static_cast<std::uint64_t>(cl.shards)));
-    o.set("seconds", json::Value::number(cl.seconds));
-    o.set("ops", json::Value::number(cl.ops));
-    o.set("hits", json::Value::number(cl.hits));
-    o.set("ops_per_sec", json::Value::number(cl.ops_per_sec));
-    o.set("hits_per_sec", json::Value::number(cl.hits_per_sec));
-    o.set("shard_lock_acquisitions", json::Value::number(cl.lock_acquisitions));
-    o.set("shard_lock_contended", json::Value::number(cl.lock_contended));
-    rows.push(std::move(o));
-  }
-  root.set("rows", std::move(rows));
-  json::Value gate = json::Value::object();
-  gate.set("required_speedup_8v1", json::Value::number(4.0));
-  gate.set("measured_speedup_8v1", json::Value::number(speedup));
-  gate.set("enforced", json::Value::boolean(enforce));
-  if (!enforce) {
-    gate.set("skipped_reason",
-             json::Value::str("hardware_concurrency " + std::to_string(hw) +
-                              " < 8: scaling not measurable on this machine"));
-  }
-  gate.set("ok", json::Value::boolean(gate_ok));
-  root.set("gate", std::move(gate));
-
-  std::ofstream out(out_path);
-  out << root.dump(/*indent=*/2) << "\n";
-  out.close();
-  std::fprintf(stderr, "concurrent: 8v1 hit-throughput speedup %.2fx (gate %s) -> %s\n",
-               speedup, enforce ? (gate_ok ? "ok" : "FAILED") : "skipped", out_path);
-  return gate_ok ? 0 : 1;
-}
-
 }  // namespace
 
 // Custom main: default --benchmark_out so a bare run from the repo root
 // drops BENCH_cache_hotpath.json in place (explicit flags still win).
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--concurrent") == 0) {
-      const char* out = "BENCH_cache_concurrent.json";
-      if (i + 1 < argc && argv[i + 1][0] != '-') out = argv[i + 1];
-      return run_concurrent(out);
-    }
-  }
   std::vector<char*> args(argv, argv + argc);
   bool has_out = false;
   for (int i = 1; i < argc; ++i) {

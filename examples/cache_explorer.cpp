@@ -154,31 +154,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ist.self_heals),
       static_cast<unsigned long long>(ist.scrub_corruptions));
 
-  // Sharding preview: the same trace against a lock-striped core
-  // (docs/PERF.md "Sharding"). Replay is single-threaded, so contended
-  // must be zero — the interesting numbers are the per-get lock cost and
-  // how many maintenance ops had to cross shards.
-  Config ccfg;
-  ccfg.mode = Mode::kAlwaysCache;
-  ccfg.index_entries = std::strtoull(index_sweep.back().c_str(), nullptr, 10);
-  ccfg.storage_bytes = parse_size(storage_sweep.back());
-  ccfg.cache_shards = 8;
-  if (ccfg.index_entries % ccfg.cache_shards == 0 &&
-      ccfg.storage_bytes % ccfg.cache_shards == 0) {
-    CacheCore ccore(ccfg);
-    const Stats cst = trace::replay_core(t, ccore);
-    const double cgets = static_cast<double>(cst.total_gets ? cst.total_gets : 1);
-    std::printf(
-        "\nsharding (cache_shards=8 at %s/%s):\n"
-        "  shard_lock_acquisitions %llu (%.2f/get), shard_lock_contended %llu, "
-        "cross_shard_ops %llu\n",
-        index_sweep.back().c_str(), storage_sweep.back().c_str(),
-        static_cast<unsigned long long>(cst.shard_lock_acquisitions),
-        static_cast<double>(cst.shard_lock_acquisitions) / cgets,
-        static_cast<unsigned long long>(cst.shard_lock_contended),
-        static_cast<unsigned long long>(cst.cross_shard_ops));
-  }
-
   // KV preview: the bucket-read shape a kv::Store workload would push
   // through these counters (docs/KV.md). A small in-simulator run — one
   // server pair, a few thousand Zipf ops — is enough to show bucket hits

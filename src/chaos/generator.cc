@@ -185,10 +185,9 @@ Schedule generate(std::uint64_t seed) {
     }
     s.steps.push_back(st);
   }
-  // Drawn last so the step stream above is unchanged for a given seed.
-  // 1/2/4 shards: every index/storage size this generator emits (and the
-  // adaptive min bounds in Schedule::config()) divides evenly by 4.
-  s.audit_shards = std::uint64_t{1} << rng.bounded(3);
+  // Discarded draw (it once picked a shard count): keeping it leaves the
+  // straggler and crash draws below, and so every seed's schedule, unchanged.
+  (void)rng.bounded(3);
   // Straggler epochs, also drawn after the step stream: sustained slowness
   // multiplies latency and never fails an op, so only timing shifts — the
   // oracle's correctness checks apply unchanged.

@@ -80,7 +80,6 @@ Config Schedule::config() const {
   c.scrub_entries_per_epoch = scrub_entries_per_epoch;
   c.shadow_verify_every_n = shadow_verify_every_n;
   c.breaker_failure_threshold = breaker_failure_threshold;
-  c.cache_shards = audit_shards;
   c.seed = seed ^ 0xc4a05ca0c4a05ull;
   return c;
 }
@@ -99,7 +98,6 @@ bool operator==(const Schedule& a, const Schedule& b) {
          a.scrub_entries_per_epoch == b.scrub_entries_per_epoch &&
          a.shadow_verify_every_n == b.shadow_verify_every_n &&
          a.breaker_failure_threshold == b.breaker_failure_threshold &&
-         a.audit_shards == b.audit_shards &&
          a.plan == b.plan && a.steps == b.steps;
 }
 
@@ -123,9 +121,6 @@ std::string Schedule::to_json() const {
   root.set("shadow_verify_every_n", json::Value::number(shadow_verify_every_n));
   root.set("breaker_failure_threshold",
            json::Value::number(breaker_failure_threshold));
-  // Omitted at the default so pre-sharding corpus artifacts stay
-  // byte-identical (the corpus test diffs serialized bytes).
-  if (audit_shards != 1) root.set("audit_shards", json::Value::number(audit_shards));
   root.set("plan", json::Value::parse(plan.to_json()));
   json::Value arr = json::Value::array();
   for (const Step& st : steps) {
@@ -167,7 +162,6 @@ Schedule Schedule::from_json(const std::string& text) {
       root.get_u64("shadow_verify_every_n", s.shadow_verify_every_n);
   s.breaker_failure_threshold =
       root.get_int("breaker_failure_threshold", s.breaker_failure_threshold);
-  s.audit_shards = root.get_u64("audit_shards", s.audit_shards);
   if (const json::Value* p = root.find("plan")) {
     s.plan = fault::Plan::from_json(p->dump());
   }

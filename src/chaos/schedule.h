@@ -70,12 +70,6 @@ struct Schedule {
   std::uint64_t scrub_entries_per_epoch = 0;
   std::uint64_t shadow_verify_every_n = 0;
   int breaker_failure_threshold = 0;
-  /// Config::cache_shards under test. Schedules are single-threaded, so
-  /// semantics are unchanged; > 1 makes the runner's per-step audit()
-  /// (and every invalidate/scrub) exercise the multi-shard lock-ordering
-  /// path deterministically. Serialized only when != 1, keeping the
-  /// pre-sharding corpus artifacts byte-identical.
-  std::uint64_t audit_shards = 1;
 
   // --- perturbations ---
   fault::Plan plan;

@@ -83,7 +83,6 @@ ShrinkResult shrink(const Schedule& input, const FailFn& still_fails) {
         c.degraded_reads = false;
         c.degraded_max_staleness_us = 0.0;
       },
-      [](Schedule& c) { c.audit_shards = 1; },
   };
 
   bool changed = true;

@@ -8,41 +8,12 @@
 // communication: the CachedWindow wrapper drives it against the rmasim
 // runtime, and tests drive it directly.
 //
-// Concurrency (docs/PERF.md "Sharding"): the core is partitioned into
-// `Config::cache_shards` independent shards, each owning its own cuckoo
-// index, storage arena, entry table, eviction state and statistics block,
-// selected by the top bits of the key fingerprint. Every shard is guarded
-// by its own spin-then-park mutex; the access hot path takes exactly one
-// shard lock and cross-shard operations (invalidate / resize / audit)
-// acquire all locks in ascending shard order. (With a single shard no
-// locks exist at all — see below.) The concurrency contract:
-//
-//   - Accesses and entry operations on *distinct keys* are safe from any
-//     number of threads concurrently.
-//   - Operations on the *same key/entry* (access -> mark_cached ->
-//     entry_data, drop_failed, revert_extension, ...) must be externally
-//     serialized by the caller, exactly as the epoch protocol already
-//     does — a PENDING entry belongs to the epoch that created it.
-//   - stats() aggregates per-shard counters without taking any lock, and
-//     mutable_stats() hands out the unsynchronized core block; call them
-//     only from quiescent points (epoch boundaries, after joining worker
-//     threads).
-//   - entry_data() returns a raw pointer whose bytes are only stable
-//     while the entry lives; concurrent readers that cannot guarantee
-//     that use access_read(), which copies the cached prefix out while
-//     the shard lock is still held.
-//
-// With cache_shards == 1 (the default) all of this collapses to the
-// pre-sharding single-partition cache, bit-exactly: same hash seeds, same
-// eviction sampling sequence, same statistics — and no locks at all, so
-// the single-threaded hot path pays nothing for the sharding machinery.
-// The flip side: a single-shard cache is single-threaded only; any
-// concurrent use requires cache_shards >= 2.
+// The core is single-threaded: the caller serializes every call, as the
+// rank that owns a window does in the paper's per-process cache (Sec. III-A).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +21,7 @@
 #include "clampi/cuckoo_index.h"
 #include "clampi/stats.h"
 #include "clampi/storage.h"
+#include "util/rng.h"
 
 namespace clampi {
 
@@ -87,27 +59,15 @@ class CacheCore {
   };
 
   explicit CacheCore(const Config& cfg);
-  ~CacheCore();
   CacheCore(const CacheCore&) = delete;
   CacheCore& operator=(const CacheCore&) = delete;
 
   /// Process a get_c of `bytes` payload at `key`. `dtype_sig` is recorded
-  /// for layout-compatibility diagnostics. May evict entries. Takes
-  /// exactly one shard lock.
+  /// for layout-compatibility diagnostics. May evict entries.
   Result access(Key key, std::size_t bytes, std::uint64_t dtype_sig = 0,
                 PhaseBreakdown* phases = nullptr);
 
-  /// access() that additionally copies the servable cached prefix
-  /// (`Result::serve_now`, `Result::cached_bytes` bytes) into `dest`
-  /// *while the shard lock is still held* — the copy cannot race a
-  /// concurrent capacity eviction relocating or freeing the region. This
-  /// is the hit path for multi-threaded callers (bench/micro_hotpath
-  /// --concurrent, tests/clampi_concurrent_test).
-  Result access_read(Key key, std::size_t bytes, std::byte* dest,
-                     std::uint64_t dtype_sig = 0);
-
   // --- entry accessors (valid until eviction/invalidation) ---
-  // Each takes the owning shard's lock; see the same-key contract above.
   std::byte* entry_data(std::uint32_t id);
   const std::byte* entry_data(std::uint32_t id) const;
   std::size_t entry_bytes(std::uint32_t id) const;
@@ -139,7 +99,6 @@ class CacheCore {
   /// drop_failed() every live PENDING entry for `target` (< 0 = all).
   /// Returns the number dropped. Used when an epoch is abandoned because
   /// its flush failed: those entries will never receive their data.
-  /// Walks the shards one at a time (never holds two locks).
   std::size_t drop_pending(int target);
 
   /// Undo a partial-hit extension whose tail fetch failed: restore the
@@ -160,21 +119,18 @@ class CacheCore {
   /// entries are skipped — a get and a conflicting put in one epoch is
   /// already a data race under the MPI-3 epoch model. A zero-byte put
   /// drops nothing. Returns the number dropped (also accumulated in
-  /// Stats::put_invalidations). Per shard the cost is O(blocks covered +
-  /// chain length + matches): the shard's address index is probed for
-  /// the 256-byte blocks an overlapping entry can start in (the put's
-  /// range widened by the shard's largest entry size), never more blocks
-  /// than it has chains. Walks the shards one at a time (overlapping keys
-  /// can live anywhere: the shard is picked by the key fingerprint, not
-  /// the address range).
+  /// Stats::put_invalidations). The cost is O(blocks covered + chain
+  /// length + matches): the address index is probed for the 256-byte
+  /// blocks an overlapping entry can start in (the put's range widened by
+  /// the largest entry size), never more blocks than it has chains.
   std::size_t invalidate_overlap(int target, std::uint64_t disp, std::size_t bytes);
 
   /// One incremental scrub slice (docs/INTEGRITY.md): re-verifies the
   /// checksum and a per-entry slice of the validate() invariants for up
   /// to `max_entries` live CACHED entries, resuming where the previous
-  /// slice stopped (the cursor spans shards: shard k's table follows
-  /// shard k-1's). Corrupt entries are quarantined. Amortized: the cost
-  /// per epoch is bounded by the budget, never O(N) on the hot path.
+  /// slice stopped and wrapping at the end of the entry table. Corrupt
+  /// entries are quarantined. Amortized: the cost per epoch is bounded by
+  /// the budget, never O(N) on the hot path.
   struct ScrubReport {
     std::size_t scanned = 0;
     std::size_t corrupted = 0;   ///< checksum mismatches (quarantined)
@@ -183,14 +139,15 @@ class CacheCore {
   ScrubReport scrub(std::size_t max_entries);
 
   /// Entry-table iteration surface for integrity sweeps (fault-injected
-  /// storage corruption walks live entries from the window layer). Slot
-  /// ids are shard-encoded, so entry_live() must gate every probe: ids
-  /// in [0, entry_slots()) cover all entries but include dead encodings.
-  std::size_t entry_slots() const;
-  bool entry_live(std::uint32_t id) const;
+  /// storage corruption walks live entries from the window layer). Ids in
+  /// [0, entry_slots()) cover every entry; entry_live() skips free slots.
+  std::size_t entry_slots() const { return entries_.size(); }
+  bool entry_live(std::uint32_t id) const {
+    return id < entries_.size() && entries_[id].live;
+  }
 
   /// Drop every entry. Must not be called with PENDING entries
-  /// outstanding (callers flush first). Holds all shard locks.
+  /// outstanding (callers flush first).
   void invalidate();
 
   /// Transparent-mode survivor retention (docs/FAULTS.md §6): like
@@ -202,44 +159,32 @@ class CacheCore {
   std::size_t invalidate_retaining(const std::vector<int>& keep_targets);
 
   /// Replace I_w and S_w with new sizes; implies an invalidation and is
-  /// counted as an adjustment (adaptive strategy, Sec. III-E1). The sizes
-  /// are rounded down to a multiple of cache_shards (identity when
-  /// cache_shards == 1).
+  /// counted as an adjustment (adaptive strategy, Sec. III-E1). An index
+  /// size of 0 is clamped to 1.
   void resize(std::size_t index_entries, std::size_t storage_bytes);
 
-  /// Statistics with the per-shard counter blocks and the index/storage
-  /// hot-path counters folded in (those accumulate inside the shards and
-  /// their data structures; folding on read keeps the access hot path
-  /// free of extra stores and the aggregation path free of locks).
+  /// Statistics with the index/storage hot-path counters refreshed (those
+  /// accumulate inside the data structures; reading them on demand keeps
+  /// the access hot path free of extra stores).
   const Stats& stats() const {
     sync_hot_counters();
     return stats_;
   }
   /// Writable counters for the layers above the core (the CachedWindow
   /// driver, kv::Store): their events happen outside access(). Callers
-  /// only increment, so no fold is needed — sync_hot_counters() adds the
-  /// shard deltas on top of whatever was written here.
+  /// only increment.
   Stats& mutable_stats() { return stats_; }
   const Config& config() const { return cfg_; }
-  /// Total I_w slots / S_w bytes across all shards (each shard owns an
-  /// equal 1/cache_shards partition; storage partitions are individually
-  /// rounded up to the cache line, so the byte total can slightly exceed
-  /// the configured size, exactly as the single arena always did).
+  /// I_w slots / S_w bytes (the arena is rounded up to the cache line, so
+  /// the byte count can slightly exceed the configured size).
   std::size_t index_entries() const { return cfg_.index_entries; }
-  std::size_t storage_bytes() const;
-  std::size_t free_bytes() const;
-  std::size_t cached_entries() const;
-  std::size_t pending_entries() const;
-  std::uint64_t processed_gets() const;
-  /// Running average get size C_w.ags (Sec. III-C2); across shards, the
-  /// get-count-weighted mean of the per-shard averages.
-  double average_get_size() const;
-
-  /// Number of shards (== Config::cache_shards) and the shard a key's
-  /// fingerprint routes to — exposed for the shard-boundary tests and the
-  /// bench key-placement planner.
-  std::size_t shards() const { return shards_.size(); }
-  std::size_t shard_of(Key key) const;
+  std::size_t storage_bytes() const { return storage_.capacity(); }
+  std::size_t free_bytes() const { return storage_.free_bytes(); }
+  std::size_t cached_entries() const { return live_; }
+  std::size_t pending_entries() const { return pending_; }
+  std::uint64_t processed_gets() const { return g_; }
+  /// Running average get size C_w.ags (Sec. III-C2).
+  double average_get_size() const { return ags_; }
 
   /// Score R^i(x) of a live entry under the configured ScoreKind
   /// (exposed for the eviction-policy tests and the Fig. 10/11 benches).
@@ -252,17 +197,13 @@ class CacheCore {
   /// free-list (every free id dead and unique, live + free == slots),
   /// the address index (every live entry on exactly the chain its
   /// (target, disp) hashes to, no dead id on any chain, no live entry
-  /// larger than the shard's max-size mark),
-  /// counter consistency, and the per-shard partition invariants (each
-  /// shard holds exactly 1/cache_shards of I_w and S_w; every live entry
-  /// routes to the shard that holds it). O(N); acquires every shard lock
-  /// in ascending order. The chaos oracle runs this at every epoch
-  /// boundary (docs/CHAOS.md); `detail` names the shard and the first
-  /// violated invariant so a shrunk repro points straight at the
-  /// breakage.
+  /// larger than the max-size mark) and counter consistency. O(N). The
+  /// chaos oracle runs this at every epoch boundary (docs/CHAOS.md);
+  /// `detail` names the first violated invariant so a shrunk repro points
+  /// straight at the breakage.
   struct AuditReport {
     bool ok = true;
-    std::string detail;         ///< "shard K: <invariant>" ("" if ok)
+    std::string detail;         ///< first violated invariant ("" if ok)
     std::size_t live = 0;       ///< live entries counted by the walk
     std::size_t pending = 0;    ///< PENDING entries counted by the walk
   };
@@ -286,8 +227,8 @@ class CacheCore {
     std::uint64_t last = 0;  ///< index in C_w.G of the last matching get_c
     bool pending = false;
     bool live = false;
-    /// Next local id on this entry's address chain (kNoEntry = end);
-    /// see Shard's address index in cache.cc.
+    /// Next id on this entry's address chain (kNoEntry = end); see the
+    /// address index in cache.cc.
     std::uint32_t addr_next = kNoEntry;
     std::uint64_t sig = 0;
     std::uint64_t csum = 0;  ///< XXH64 of the payload, set at mark_cached
@@ -295,81 +236,69 @@ class CacheCore {
   };
   static_assert(sizeof(Entry) <= 72, "Entry outgrew its 72-byte footprint");
 
-  // One lock-striped partition of the cache; defined in cache.cc. Each
-  // owns an index over 1/N of the slots, a 1/N storage arena, its own
-  // entry table / free list / RNG / verify tick and a Stats block that
-  // sync_hot_counters() folds into stats_ on demand.
-  struct Shard;
-
-  // Per-shard index callbacks for the index's cold paths (erase and
-  // validate); the owning shard is implicit, so decoding a (global) entry
-  // id is a single shift.
+  // Index callbacks for the index's cold paths (erase and validate).
   struct EntryOps {
-    const Shard* shard = nullptr;
-    std::uint32_t shard_bits = 0;
-    std::uint64_t hash_key(std::uint32_t id) const;  // defined in cache.cc
+    const CacheCore* core = nullptr;
+    std::uint64_t hash_key(std::uint32_t id) const {
+      return make_hkey(core->entries_[id].key);
+    }
   };
 
   static std::uint64_t make_hkey(Key k);
-  /// Entry ids are shard-encoded: the low shard_bits_ carry the shard,
-  /// the bits above carry the slot in that shard's entry table. With one
-  /// shard the encoding is the identity, so ids (and everything derived
-  /// from them: index slot words, eviction order, replay traces) are
-  /// bit-exact with the pre-sharding cache.
-  std::uint32_t encode_id(std::size_t shard, std::uint32_t local) const {
-    return (local << shard_bits_) | static_cast<std::uint32_t>(shard);
-  }
-  Shard& shard_for(std::uint32_t id) const { return *shard_tab_[id & shard_mask_]; }
-  std::uint32_t local_of(std::uint32_t id) const { return id >> shard_bits_; }
-  std::size_t shard_of_hkey(std::uint64_t hkey) const {
-    // Top fingerprint bits: disjoint from whatever the index derives its
-    // slot/tag bits from, so the in-shard slot mapping is untouched.
-    return shard_bits_ == 0 ? 0 : static_cast<std::size_t>(hkey >> (64 - shard_bits_));
-  }
 
-  Result access_impl(Key key, std::size_t bytes, std::uint64_t dtype_sig,
-                     PhaseBreakdown* phases, std::byte* dest);
-
-  // Per-shard machinery; callers hold the shard's lock.
-  std::uint32_t alloc_entry(Shard& s, std::size_t shard_idx);
-  void release_entry(Shard& s, std::uint32_t id);
-  void evict_entry(Shard& s, std::uint32_t id);
-  void drop_failed_locked(Shard& s, std::uint32_t id);
+  std::uint32_t alloc_entry();
+  void release_entry(std::uint32_t id);
+  void evict_entry(std::uint32_t id);
   /// One sampled victim-selection round (Sec. III-D); false if no
   /// evictable entry was found.
-  bool capacity_eviction_round(Shard& s);
-  /// Insert `id` into the shard's index, evicting from the insertion path
-  /// on conflicts. Returns false if it still cannot be placed.
-  bool insert_with_conflict_handling(Shard& s, std::uint64_t hkey, std::uint32_t id,
+  bool capacity_eviction_round();
+  /// Insert `id` into the index, evicting from the insertion path on
+  /// conflicts. Returns false if it still cannot be placed.
+  bool insert_with_conflict_handling(std::uint64_t hkey, std::uint32_t id,
                                      bool& conflicted);
-  double score_locked(const Shard& s, std::uint32_t id) const;
-  /// Fold the per-shard Stats blocks and the live CuckooIndex/Storage
-  /// counters into stats_ (lock-free: a delta fold against shard_prev_,
-  /// so direct writes to stats_ via mutable_stats() are preserved).
-  /// resize() replaces the index objects, so counters accumulated before
-  /// a resize are banked per shard.
+  /// Refresh the index/storage hot-path counters in stats_ from the live
+  /// CuckooIndex/Storage counters. resize() replaces the index object, so
+  /// its counters accumulated before a resize are banked in counter_base_.
   void sync_hot_counters() const;
   /// Checksums are maintained only when something will read them.
   bool integrity_on() const {
     return cfg_.verify_every_n != 0 || cfg_.scrub_entries_per_epoch != 0;
   }
-  std::uint64_t entry_checksum(const Shard& s, const Entry& e) const;
+  std::uint64_t entry_checksum(const Entry& e) const;
   /// Per-entry slice of the validate() cross-structure invariants.
-  bool entry_invariants_ok(const Shard& s, std::uint32_t id) const;
+  bool entry_invariants_ok(std::uint32_t id) const;
+
+  // Address index for put invalidation; see cache.cc.
+  std::size_t addr_bucket(std::int32_t target, std::uint64_t block) const;
+  std::size_t addr_bucket(Key k) const;
+  void addr_reset();
+  void addr_link(std::uint32_t id);
+  void addr_unlink(std::uint32_t id);
 
   Config cfg_;
   mutable Stats stats_;
-  /// Last per-field shard sums folded into stats_ (delta bookkeeping of
-  /// sync_hot_counters).
-  mutable Stats shard_prev_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Raw mirror of shards_ — the hot path resolves a shard with one load
-  /// instead of chasing through the unique_ptr.
-  std::vector<Shard*> shard_tab_;
-  std::uint32_t shard_bits_ = 0;   ///< log2(cache_shards)
-  std::uint32_t shard_mask_ = 0;   ///< cache_shards - 1
-  std::uint32_t scrub_shard_ = 0;  ///< resume shard of the incremental scrubber
-  std::uint32_t scrub_cursor_ = 0; ///< resume slot within scrub_shard_
+  EntryOps ops_{this};  ///< index callbacks (stable address, see index_)
+  CuckooIndex<EntryOps> index_;
+  Storage storage_;
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> free_ids_;
+  std::vector<std::uint32_t> path_;  ///< scratch: cuckoo insertion path
+  std::size_t live_ = 0;
+  std::size_t pending_ = 0;
+  std::uint64_t g_ = 0;    ///< |C_w.G|: gets processed over the window's lifetime
+  double ags_ = 0.0;       ///< running average get size C_w.ags
+  std::uint64_t verify_tick_ = 0;  ///< hit counter for verify_every_n sampling
+  util::Xoshiro256 rng_;           ///< eviction sampling
+  CuckooIndex<EntryOps>::Counters counter_base_;  ///< banked across resize()
+
+  // Address index for put invalidation: a chained hash over (target,
+  // disp >> kAddrBlockBits), linked through Entry::addr_next.
+  std::vector<std::uint32_t> addr_heads_;  ///< chain heads; power-of-two size
+  unsigned addr_shift_ = 63;               ///< 64 - log2(addr_heads_.size())
+  std::size_t addr_max_size_ = 0;  ///< entry-size high-water mark since reset
+  std::vector<std::uint32_t> addr_hits_;  ///< scratch: invalidate_overlap matches
+
+  std::uint32_t scrub_cursor_ = 0;  ///< resume slot of the incremental scrubber
 };
 
 }  // namespace clampi

@@ -45,15 +45,6 @@ struct Config {
   std::size_t index_entries = 4096;
   std::size_t storage_bytes = std::size_t{4} << 20;
   bool adaptive = false;
-  /// Lock-striped shards the cache core is partitioned into (power of two,
-  /// 1..256). Each shard owns an independent index/storage/LRU partition
-  /// selected by the top fingerprint bits, guarded by its own
-  /// spin-then-park mutex, so application threads hit concurrently with
-  /// one shard lock per access and zero global serialization
-  /// (docs/PERF.md "Sharding"). 1 (the default) reproduces the
-  /// single-shard cache bit-exactly. `index_entries` and `storage_bytes`
-  /// must both divide evenly by this.
-  std::size_t cache_shards = 1;
 
   // --- cuckoo index (Sec. III-C1) ---
   int cuckoo_arity = 4;       ///< p hash functions (97% utilization at p=4)

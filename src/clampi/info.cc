@@ -77,8 +77,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.index_entries = parse_u64(key, value);
     } else if (key == "clampi_storage_bytes") {
       cfg.storage_bytes = parse_size(value);
-    } else if (key == "clampi_cache_shards") {
-      cfg.cache_shards = parse_u64(key, value);
     } else if (key == "clampi_adaptive") {
       cfg.adaptive = parse_bool(key, value);
     } else if (key == "clampi_score") {
@@ -192,16 +190,6 @@ void validate_config(const Config& cfg) {
   CLAMPI_REQUIRE(cfg.max_insert_iters >= 1, "config: max_insert_iters must be >= 1");
   CLAMPI_REQUIRE(cfg.max_conflict_evictions >= 1,
                  "config: max_conflict_evictions must be >= 1");
-  // Sharding: a power of two so the shard is a pure bit-field of the
-  // fingerprint, capped at 256 so entry ids (shard in the low bits, local
-  // id above) stay comfortably inside the index's 24-bit id space.
-  CLAMPI_REQUIRE(cfg.cache_shards >= 1 && cfg.cache_shards <= 256 &&
-                     (cfg.cache_shards & (cfg.cache_shards - 1)) == 0,
-                 "config: cache_shards must be a power of two in [1, 256]");
-  CLAMPI_REQUIRE(cfg.index_entries % cfg.cache_shards == 0,
-                 "config: index_entries must divide evenly by cache_shards");
-  CLAMPI_REQUIRE(cfg.storage_bytes % cfg.cache_shards == 0,
-                 "config: storage_bytes must divide evenly by cache_shards");
   CLAMPI_REQUIRE(cfg.sample_size >= 1, "config: eviction sample_size must be >= 1");
   CLAMPI_REQUIRE(cfg.min_index_entries <= cfg.max_index_entries,
                  "config: min_index_entries exceeds max_index_entries");

@@ -13,9 +13,9 @@ namespace clampi {
 
 // Every Stats counter, exactly once, in declaration order. X(name) is
 // expanded into the struct fields below and into kStatsFields, from which
-// delta_since, the per-shard fold (CacheCore::sync_hot_counters), the
-// `clampi_stat_<name>` keys of stats_to_info and the chaos oracle's
-// monotonicity check are all generated: adding a counter is one line here.
+// delta_since, the `clampi_stat_<name>` keys of stats_to_info and the chaos
+// oracle's monotonicity check are all generated: adding a counter is one
+// line here.
 // Every counter only ever grows.
 #define CLAMPI_STATS_COUNTERS(X)                                                \
   /* --- access classification --- */                                        \
@@ -94,14 +94,6 @@ namespace clampi {
                                bound or target recovered */                   \
   X(degraded_corrupt_drops) /* degraded serves refused because the entry     \
                                failed its checksum */                         \
-                                                                              \
-  /* --- shard contention (lock-striped concurrent core; docs/PERF.md) --- */ \
-  X(shard_lock_acquisitions) /* shard-lock acquisitions on the access/entry   \
-                                paths */                                      \
-  X(shard_lock_contended)    /* of which found the lock held (spun or         \
-                                parked) */                                    \
-  X(cross_shard_ops)         /* multi-shard operations (invalidate/resize/    \
-                                scrub/audit/overlap walks) with >1 shard */   \
                                                                               \
   /* Read/write shape of the KV subsystem layered on this window (src/kv):    \
      kv::Store increments these directly, zero for non-KV workloads. */       \

@@ -12,7 +12,8 @@ constexpr std::size_t kSlabRegions = 128;
 Storage::Storage(std::size_t capacity_bytes) {
   capacity_ = util::round_up(capacity_bytes, util::kCacheLineBytes);
   CLAMPI_REQUIRE(capacity_ > 0, "storage capacity must be positive");
-  buf_ = std::make_unique<std::byte[]>(capacity_);
+  // Left uninitialized: a copy-in writes every byte before it is served.
+  buf_ = std::make_unique_for_overwrite<std::byte[]>(capacity_);
   Region* r = pool_get();
   *r = Region{0, capacity_, /*free=*/true, nullptr, nullptr, kNoBin, 0};
   head_ = r;
@@ -231,7 +232,7 @@ std::size_t Storage::largest_free() const {
 void Storage::rebuild(std::size_t capacity_bytes) {
   const std::size_t cap = util::round_up(capacity_bytes, util::kCacheLineBytes);
   CLAMPI_REQUIRE(cap > 0, "storage capacity must be positive");
-  auto buf = std::make_unique<std::byte[]>(cap);  // may throw; state untouched
+  auto buf = std::make_unique_for_overwrite<std::byte[]>(cap);  // may throw; state untouched
   capacity_ = cap;
   buf_ = std::move(buf);
   reset();

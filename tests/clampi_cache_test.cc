@@ -231,6 +231,111 @@ TEST(CacheCore, InvalidateDropsEverything) {
   EXPECT_TRUE(c.validate());
 }
 
+TEST(CacheCore, WholeRangePutDropsEveryEntryOfItsTarget) {
+  CacheCore c(small_cfg());
+  std::size_t live = 0;
+  for (std::uint64_t d = 0; d < 48; ++d) {
+    for (const int target : {1, 2}) {
+      const auto r = c.access({target, d * 64}, 64);
+      ASSERT_TRUE(r.inserted);
+      materialize(c, r.entry, std::vector<std::uint8_t>(64, 3).data(), 64);
+      if (target == 1) ++live;
+    }
+  }
+  EXPECT_EQ(c.invalidate_overlap(1, 0, 48 * 64), live);
+  EXPECT_EQ(c.stats().put_invalidations, live);
+  EXPECT_EQ(c.cached_entries(), 48u);  // target 2 is untouched
+  for (std::uint64_t d = 0; d < 48; ++d) {
+    EXPECT_EQ(c.find_cached({1, d * 64}), kNoEntry);
+    EXPECT_NE(c.find_cached({2, d * 64}), kNoEntry);
+  }
+  EXPECT_TRUE(c.validate());
+}
+
+TEST(CacheCore, ScrubSlicesWrapAroundTheTable) {
+  Config cfg = small_cfg();
+  cfg.scrub_entries_per_epoch = 8;  // integrity on: checksums maintained
+  CacheCore c(cfg);
+  constexpr std::uint32_t kEntries = 60;
+  for (std::uint32_t i = 0; i < kEntries; ++i) {
+    const auto r = c.access({0, std::uint64_t{i} * 96}, 96);
+    ASSERT_EQ(r.entry, i);
+    materialize(c, r.entry, std::vector<std::uint8_t>(96, 0x11).data(), 96);
+  }
+  // One big slice scans exactly the live entries.
+  EXPECT_EQ(c.scrub(4096).scanned, c.cached_entries());
+  // Rot the second-to-last entry. Eight slices of 8 cover all 60 slots
+  // (the eighth runs off the end of the table and resumes at slot 0) and
+  // must find it.
+  c.entry_data(kEntries - 2)[5] ^= std::byte{0x40};
+  std::size_t corrupted = 0;
+  for (int slice = 0; slice < 8; ++slice) {
+    const auto rep = c.scrub(8);
+    EXPECT_EQ(rep.scanned, 8u) << slice;
+    EXPECT_TRUE(rep.invariants_ok);
+    corrupted += rep.corrupted;
+  }
+  EXPECT_EQ(corrupted, 1u);
+  EXPECT_FALSE(c.entry_live(kEntries - 2));
+  EXPECT_EQ(c.scrub(4096).scanned, kEntries - 1);
+  EXPECT_TRUE(c.validate());
+}
+
+TEST(ShardBoundary, SingleShardIsTheIdentityEncoding) {
+  // The core is one partition: entry ids are the dense allocation order
+  // 0, 1, 2, ... with no routing bits folded in.
+  CacheCore c(small_cfg());
+  const std::vector<std::uint8_t> buf(64, 5);
+  for (std::uint32_t i = 0; i < 32; ++i) {
+    const auto r = c.access({1, std::uint64_t{i} * 64}, 64);
+    ASSERT_TRUE(r.inserted);
+    EXPECT_EQ(r.entry, i);
+    materialize(c, r.entry, buf.data(), 64);
+  }
+  EXPECT_EQ(c.cached_entries(), 32u);
+  // Whole-cache maintenance walks that one partition and leaves it empty
+  // and consistent.
+  c.invalidate();
+  EXPECT_EQ(c.cached_entries(), 0u);
+  EXPECT_TRUE(c.audit().ok);
+  EXPECT_EQ(c.scrub(64).scanned, 0u);
+  // Ids restart at 0 once every slot is free again.
+  const auto r = c.access({1, 0}, 64);
+  ASSERT_TRUE(r.inserted);
+  EXPECT_EQ(r.entry, 0u);
+}
+
+TEST(CacheCore, DeterministicAcrossInstances) {
+  // Two cores with the same config replay the same op stream identically:
+  // seeding is pure config (no global state, no addresses).
+  Config cfg = small_cfg();
+  cfg.index_entries = 64;
+  cfg.storage_bytes = 8 * 1024;
+  CacheCore a(cfg);
+  CacheCore b(cfg);
+  for (std::uint64_t i = 0; i < 512; ++i) {
+    // 48 keys whose mixed sizes overflow S_w: hits, partial hits and
+    // capacity evictions interleave.
+    const Key key{static_cast<std::int32_t>(i % 3), ((i / 3) % 16) * 192};
+    const std::size_t bytes = 32 + (i % 7) * 48;
+    const auto ra = a.access(key, bytes);
+    const auto rb = b.access(key, bytes);
+    ASSERT_EQ(ra.type, rb.type) << i;
+    ASSERT_EQ(ra.entry, rb.entry) << i;
+    ASSERT_EQ(ra.cached_bytes, rb.cached_bytes) << i;
+    if (ra.entry != kNoEntry && (ra.inserted || ra.extended)) {
+      const std::vector<std::uint8_t> payload(bytes, static_cast<std::uint8_t>(i));
+      materialize(a, ra.entry, payload.data(), bytes);
+      materialize(b, rb.entry, payload.data(), bytes);
+    }
+  }
+  EXPECT_GT(a.stats().hits_full, 0u);
+  EXPECT_GT(a.stats().evictions, 0u);
+  EXPECT_EQ(a.stats().hits_full, b.stats().hits_full);
+  EXPECT_EQ(a.stats().evictions, b.stats().evictions);
+  EXPECT_EQ(a.cached_entries(), b.cached_entries());
+}
+
 TEST(CacheCore, InvalidateWithPendingEntriesThrows) {
   CacheCore c(small_cfg());
   c.access({0, 0}, 64);  // pending

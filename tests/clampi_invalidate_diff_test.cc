@@ -1,5 +1,5 @@
 // Differential test of put invalidation: CacheCore::invalidate_overlap,
-// which probes each shard's address index, against the obviously-correct
+// which probes the core's address index, against the obviously-correct
 // reference — a walk of the whole entry table through the public
 // iteration surface (entry_slots / entry_live / entry_key / entry_bytes /
 // entry_pending), dropping every live CACHED entry of the target whose
@@ -13,8 +13,8 @@
 // expected victims are computed by the reference scan; the count, the
 // exact set of dropped ids, the put_invalidations delta and a clean
 // audit() must all agree, and the next miss must reuse the highest
-// dropped id of its shard (victims are evicted in ascending id order,
-// exactly as the table walk did, so the free list is unchanged).
+// dropped id (victims are evicted in ascending id order, exactly as the
+// table walk did, so the free list is unchanged).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -32,7 +32,6 @@ namespace {
 using clampi::CacheCore;
 using clampi::Config;
 using clampi::Key;
-using clampi::kNoEntry;
 namespace util = clampi::util;
 
 constexpr int kTargets = 3;
@@ -48,8 +47,7 @@ struct PendingInfo {
 
 class TraceRunner {
  public:
-  TraceRunner(std::uint64_t seed, std::size_t shards)
-      : rng_(seed), core_(make_config(seed, shards)) {}
+  explicit TraceRunner(std::uint64_t seed) : rng_(seed), core_(make_config(seed)) {}
 
   void run(int steps) {
     for (int step = 0; step < steps; ++step) {
@@ -74,8 +72,7 @@ class TraceRunner {
         core_.invalidate_retaining(keep);
       } else if (op < 99) {
         settle_all();
-        const std::size_t n = core_.shards();
-        core_.resize(n * (16 + rng_.bounded(64)), n * ((2 + rng_.bounded(8)) << 10));
+        core_.resize(16 + rng_.bounded(64), (2 + rng_.bounded(8)) << 10);
       } else {
         settle_all();
         core_.invalidate();
@@ -87,13 +84,12 @@ class TraceRunner {
   }
 
  private:
-  static Config make_config(std::uint64_t seed, std::size_t shards) {
+  static Config make_config(std::uint64_t seed) {
     Config cfg;
     cfg.seed = seed;
-    cfg.cache_shards = shards;
     // Small enough that capacity and conflict evictions are frequent.
-    cfg.index_entries = 64 * shards;
-    cfg.storage_bytes = shards * (std::size_t{8} << 10);
+    cfg.index_entries = 64;
+    cfg.storage_bytes = std::size_t{8} << 10;
     return cfg;
   }
 
@@ -214,20 +210,14 @@ class TraceRunner {
     check_free_list_order(expected);
   }
 
-  /// Victims are evicted in ascending id order, so each shard's free list
-  /// ends with its highest victim: a miss into that shard reuses it.
+  /// Victims are evicted in ascending id order, so the free list ends
+  /// with the highest victim: the next miss reuses it.
   void check_free_list_order(const std::set<std::uint32_t>& victims) {
     const Key fresh{0, next_fresh_disp_};
     next_fresh_disp_ += 64;  // past every pick_disp() range: always a miss
-    const std::size_t shard = core_.shard_of(fresh);
-    std::uint32_t highest = kNoEntry;
-    for (const std::uint32_t id : victims) {
-      if ((id & (core_.shards() - 1)) == shard) highest = id;  // ascending set
-    }
-    if (highest == kNoEntry) return;
     const CacheCore::Result r = core_.access(fresh, 8);
     if (!r.inserted) return;  // could not be placed; the id went straight back
-    EXPECT_EQ(r.entry, highest);
+    EXPECT_EQ(r.entry, *victims.rbegin());
     core_.mark_cached(r.entry);
   }
 
@@ -242,14 +232,7 @@ class TraceRunner {
 TEST(InvalidateDiff, SingleShard) {
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     SCOPED_TRACE(seed);
-    TraceRunner(seed, 1).run(4000);
-  }
-}
-
-TEST(InvalidateDiff, FourShards) {
-  for (const std::uint64_t seed : {11u, 12u, 13u}) {
-    SCOPED_TRACE(seed);
-    TraceRunner(seed, 4).run(4000);
+    TraceRunner(seed).run(4000);
   }
 }
 
@@ -267,7 +250,7 @@ TEST(InvalidateDiff, LongEntryFoundFromDistantBlock) {
   EXPECT_EQ(core.invalidate_overlap(1, (64 << 10) - 1, 1), 1u);
   EXPECT_FALSE(core.entry_live(big.entry));
   EXPECT_TRUE(core.entry_live(small.entry));
-  // A put covering more blocks than the shard has chains.
+  // A put covering more blocks than the index has chains.
   EXPECT_EQ(core.invalidate_overlap(1, 0, std::size_t{1} << 30), 1u);
   EXPECT_FALSE(core.entry_live(small.entry));
   EXPECT_TRUE(core.audit().ok) << core.audit().detail;
