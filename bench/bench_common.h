@@ -38,12 +38,18 @@ inline rmasim::Engine::Config modeled_engine(int nranks) {
   return cfg;
 }
 
+/// CLAMPI_BENCH_SCALE, or 1 when unset. Anything but a number in (0, 1]
+/// ends the run with status 2: a typo must not silently run full scale.
 inline double bench_scale() {
-  if (const char* s = std::getenv("CLAMPI_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0 && v <= 1.0) return v;
+  const char* s = std::getenv("CLAMPI_BENCH_SCALE");
+  if (s == nullptr) return 1.0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v > 0.0 && v <= 1.0)) {
+    std::fprintf(stderr, "CLAMPI_BENCH_SCALE=\"%s\" is not a number in (0, 1]\n", s);
+    std::exit(2);
   }
-  return 1.0;
+  return v;
 }
 
 inline std::size_t scaled(std::size_t n, std::size_t min_n = 1) {

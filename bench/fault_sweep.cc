@@ -14,7 +14,10 @@
 //      "avg_get_us":...,"served":...,"retries":...,"giveups":...}, ...]}
 //
 // Everything is virtual-time modelled, so the numbers are deterministic
-// across runs and machines.
+// across runs and machines. Rank 0's window holds a known pattern and every
+// served get is checked against it; any mismatch is reported on stderr and
+// makes the binary exit nonzero.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <vector>
@@ -43,11 +46,31 @@ struct SweepCell {
   long served = 0;
   long retries = 0;
   long giveups = 0;
+  long mismatches = 0;  // served gets whose bytes differ from the pattern
 
   double avg_get_us() const {
     return served > 0 ? total_get_us / static_cast<double>(served) : 0.0;
   }
 };
+
+std::uint8_t pattern_at(std::size_t i) {
+  return static_cast<std::uint8_t>((i * 7 + 13) & 0xff);
+}
+
+/// Rank 0 exposes the pattern, so a get that serves the wrong bytes shows.
+void fill_pattern(void* base) {
+  auto* bytes = static_cast<std::uint8_t*>(base);
+  for (std::size_t i = 0; i < kKeys * kBytes; ++i) bytes[i] = pattern_at(i);
+}
+
+void check_served(const std::vector<std::uint8_t>& buf, std::size_t disp, SweepCell* cell) {
+  for (std::size_t j = 0; j < buf.size(); ++j) {
+    if (buf[j] != pattern_at(disp + j)) {
+      ++cell->mismatches;
+      return;
+    }
+  }
+}
 
 fault::Plan make_plan(double fail_prob, double degrade_factor) {
   fault::Plan plan;
@@ -80,18 +103,21 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
   e.run([ccfg, cell](Process& p) {
     void* base = nullptr;
     auto win = CachedWindow::allocate(p, kKeys * kBytes, &base, ccfg);
+    if (p.rank() == 0) fill_pattern(base);
     p.barrier();
     if (p.rank() != 0) {
       win.lock_all();
-      std::vector<std::byte> buf(kBytes);
+      std::vector<std::uint8_t> buf(kBytes);
       for (int round = 0; round < kRounds; ++round) {
         for (int k = 0; k < kKeys; ++k) {
+          const std::size_t disp = static_cast<std::size_t>(k) * kBytes;
           const double t0 = p.now_us();
           try {
-            win.get(buf.data(), kBytes, 0, static_cast<std::size_t>(k) * kBytes);
+            win.get(buf.data(), kBytes, 0, disp);
             win.flush_all();
             cell->total_get_us += p.now_us() - t0;
             ++cell->served;
+            check_served(buf, disp, cell.get());
           } catch (const fault::OpFailedError&) {
             ++cell->giveups;
           }
@@ -113,17 +139,19 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
   e.run([cell](Process& p) {
     void* base = nullptr;
     const rmasim::Window w = p.win_allocate(kKeys * kBytes, &base);
+    if (p.rank() == 0) fill_pattern(base);
     p.barrier();
     if (p.rank() != 0) {
-      std::vector<std::byte> buf(kBytes);
+      std::vector<std::uint8_t> buf(kBytes);
       for (int round = 0; round < kRounds; ++round) {
         for (int k = 0; k < kKeys; ++k) {
+          const std::size_t disp = static_cast<std::size_t>(k) * kBytes;
           const double t0 = p.now_us();
           bool ok = false;
           double backoff = kBackoffUs;
           for (int attempt = 0; attempt <= kMaxRetries && !ok; ++attempt) {
             try {
-              p.get(buf.data(), kBytes, 0, static_cast<std::size_t>(k) * kBytes, w);
+              p.get(buf.data(), kBytes, 0, disp, w);
               p.flush(0, w);
               ok = true;
             } catch (const fault::OpFailedError&) {
@@ -136,6 +164,7 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
           if (ok) {
             cell->total_get_us += p.now_us() - t0;
             ++cell->served;
+            check_served(buf, disp, cell.get());
           } else {
             ++cell->giveups;
           }
@@ -148,12 +177,20 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
   return *cell;
 }
 
-void emit(bool first, double fail_prob, double degrade_factor, const char* cache,
+/// Print one result row; returns the cell's mismatches (reported on
+/// stderr, so stdout carries only the JSON document).
+long emit(bool first, double fail_prob, double degrade_factor, const char* cache,
           const SweepCell& c) {
+  if (c.mismatches > 0) {
+    std::fprintf(stderr, "fault_sweep: fail_prob=%g degrade_factor=%g cache=%s: %ld "
+                 "served gets returned wrong bytes\n",
+                 fail_prob, degrade_factor, cache, c.mismatches);
+  }
   std::printf("%s\n    {\"fail_prob\":%g,\"degrade_factor\":%g,\"cache\":\"%s\","
               "\"avg_get_us\":%.3f,\"served\":%ld,\"retries\":%ld,\"giveups\":%ld}",
               first ? "" : ",", fail_prob, degrade_factor, cache, c.avg_get_us(),
               c.served, c.retries, c.giveups);
+  return c.mismatches;
 }
 
 }  // namespace
@@ -164,13 +201,14 @@ int main() {
 
   std::printf("{\"bench\":\"fault_sweep\",\"results\":[");
   bool first = true;
+  long mismatches = 0;
   for (const double df : degrade_factors) {
     for (const double fp : fail_probs) {
-      emit(first, fp, df, "clampi", run_cached(fp, df));
+      mismatches += emit(first, fp, df, "clampi", run_cached(fp, df));
       first = false;
-      emit(first, fp, df, "none", run_uncached(fp, df));
+      mismatches += emit(first, fp, df, "none", run_uncached(fp, df));
     }
   }
   std::printf("\n]}\n");
-  return 0;
+  return mismatches > 0 ? 1 : 0;
 }

@@ -82,11 +82,20 @@ void CachedWindow::issue_network_get(void* origin, std::size_t bytes, int target
                   [&] { p_->get(origin, bytes, target, disp, win_); });
 }
 
-void CachedWindow::issue_network_get_blocks(void* origin, int target, std::size_t disp,
-                                            const rmasim::Process::Block* blocks,
-                                            std::size_t nblocks, std::size_t bytes) {
+void CachedWindow::issue_network_get_typed(void* origin, const dt::Datatype& dtype,
+                                           std::size_t count, int target, std::size_t disp,
+                                           std::size_t first_elem) {
+  // The blocks of elements [first_elem, count), packed into origin.
+  const std::size_t start = first_elem * dtype.extent();
+  std::vector<rmasim::Process::Block> blocks;
+  for (const auto& b : dtype.flatten(count)) {
+    if (b.offset + b.size <= start) continue;
+    const std::size_t off = std::max(b.offset, start);
+    blocks.push_back({off, b.size - (off - b.offset)});
+  }
+  const std::size_t bytes = dtype.size_of(count) - first_elem * dtype.size();
   issue_resilient(target, disp, bytes, [&] {
-    p_->get_blocks(origin, target, disp, blocks, nblocks, win_);
+    p_->get_blocks(origin, target, disp, blocks.data(), blocks.size(), win_);
   });
 }
 
@@ -417,7 +426,6 @@ void CachedWindow::rollback_failed(const CacheCore::Result& res,
 
 void CachedWindow::handle_result(const CacheCore::Result& res, void* origin,
                                  std::size_t bytes, int target, std::size_t disp) {
-  last_access_ = res.type;
   switch (res.type) {
     case AccessType::kHit:
       serve_cached(origin, res.entry, bytes);
@@ -471,62 +479,37 @@ void CachedWindow::notify_get(int target, std::size_t disp, std::size_t bytes,
 
 void CachedWindow::get(void* origin, std::size_t bytes, int target, std::size_t disp) {
   CLAMPI_REQUIRE(bytes > 0, "zero-byte get");
-  crash_epoch_check(target);
-  shed_admission(target, disp, bytes);
-  begin_op_deadline();
-  last_phases_ = PhaseBreakdown{};
-  if (breaker_says_passthrough()) {
-    issue_network_get(origin, bytes, target, disp);
-    notify_get(target, disp, bytes, /*degraded=*/false, /*healed=*/false);
-    return;
-  }
-  if (try_degraded_read(origin, bytes, target, disp, /*sig=*/0)) {
-    notify_get(target, disp, bytes, last_degraded_, /*healed=*/false);
-    return;
-  }
-  const CacheCore::Result res =
-      core_->access(Key{target, disp}, bytes, /*dtype_sig=*/0,
-                    cfg_.collect_phase_timings ? &last_phases_ : nullptr);
-  if (res.healed) [[unlikely]] note_heal(target, disp, bytes);
-  const std::size_t pending_mark = pending_.size();
-  try {
-    handle_result(res, origin, bytes, target, disp);
-  } catch (const fault::OpFailedError&) {
-    rollback_failed(res, pending_mark);
-    throw;
-  }
-  if (!res.healed) breaker_probe_success();
-  if (cfg_.shadow_verify_every_n != 0 && res.type == AccessType::kHit) [[unlikely]] {
-    if (++shadow_tick_ >= cfg_.shadow_verify_every_n) {
-      shadow_tick_ = 0;
-      shadow_verify(origin, bytes, target, disp, res.entry);
-    }
-  }
-  notify_get(target, disp, bytes, /*degraded=*/false, res.healed);
+  get_impl(origin, bytes, target, disp, nullptr, 0);
 }
 
 void CachedWindow::get(void* origin, const dt::Datatype& dtype, std::size_t count,
                        int target, std::size_t disp) {
   const std::size_t bytes = dtype.size_of(count);
   CLAMPI_REQUIRE(bytes > 0, "zero-byte typed get");
-  if (dtype.is_contiguous()) {
-    get(origin, bytes, target, disp);
-    return;
-  }
+  // A contiguous layout packs to the plain byte range: an untyped get.
+  get_impl(origin, bytes, target, disp, dtype.is_contiguous() ? nullptr : &dtype, count);
+}
+
+void CachedWindow::get_impl(void* origin, std::size_t bytes, int target, std::size_t disp,
+                            const dt::Datatype* dtype, std::size_t count) {
   crash_epoch_check(target);
   shed_admission(target, disp, bytes);
   begin_op_deadline();
   last_phases_ = PhaseBreakdown{};
   if (breaker_says_passthrough()) {
-    const auto blocks = dtype.flatten(count);
-    std::vector<rmasim::Process::Block> rb;
-    rb.reserve(blocks.size());
-    for (const auto& b : blocks) rb.push_back({b.offset, b.size});
-    issue_network_get_blocks(origin, target, disp, rb.data(), rb.size(), bytes);
+    if (dtype != nullptr) {
+      issue_network_get_typed(origin, *dtype, count, target, disp, /*first_elem=*/0);
+    } else {
+      issue_network_get(origin, bytes, target, disp);
+    }
+    notify_get(target, disp, bytes, /*degraded=*/false, /*healed=*/false);
     return;
   }
-  const std::uint64_t sig = dtype.signature();
-  if (try_degraded_read(origin, bytes, target, disp, sig)) return;
+  const std::uint64_t sig = dtype != nullptr ? dtype->signature() : 0;
+  if (try_degraded_read(origin, bytes, target, disp, sig)) {
+    notify_get(target, disp, bytes, /*degraded=*/true, /*healed=*/false);
+    return;
+  }
   const CacheCore::Result res =
       core_->access(Key{target, disp}, bytes, sig,
                     cfg_.collect_phase_timings ? &last_phases_ : nullptr);
@@ -534,12 +517,25 @@ void CachedWindow::get(void* origin, const dt::Datatype& dtype, std::size_t coun
   last_access_ = res.type;
   const std::size_t pending_mark = pending_.size();
   try {
-    handle_typed_result(res, origin, dtype, count, target, disp, sig, bytes);
+    if (dtype != nullptr) {
+      handle_typed_result(res, origin, *dtype, count, target, disp, sig, bytes);
+    } else {
+      handle_result(res, origin, bytes, target, disp);
+    }
   } catch (const fault::OpFailedError&) {
     rollback_failed(res, pending_mark);
     throw;
   }
   if (!res.healed) breaker_probe_success();
+  // Shadow verification compares a contiguous range, so typed hits skip it.
+  if (dtype == nullptr && cfg_.shadow_verify_every_n != 0 && res.type == AccessType::kHit)
+      [[unlikely]] {
+    if (++shadow_tick_ >= cfg_.shadow_verify_every_n) {
+      shadow_tick_ = 0;
+      shadow_verify(origin, bytes, target, disp, res.entry);
+    }
+  }
+  notify_get(target, disp, bytes, /*degraded=*/false, res.healed);
 }
 
 void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origin,
@@ -570,7 +566,6 @@ void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origi
     case AccessType::kPartialHit: {
       if (prefix_ok) {
         const std::size_t head = res.cached_bytes;
-        const std::size_t head_elems = head / esz;
         if (res.serve_now) {
           serve_cached(origin, res.entry, head);
         } else {
@@ -578,16 +573,8 @@ void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origi
                               static_cast<std::byte*>(origin), 0, head, 0.0});
         }
         // Fetch the remaining elements' blocks, packed after the head.
-        std::vector<rmasim::Process::Block> blocks;
-        const std::size_t tail_start = head_elems * dtype.extent();
-        for (const auto& b : dtype.flatten(count)) {
-          if (b.offset + b.size <= tail_start) continue;
-          const std::size_t off = std::max(b.offset, tail_start);
-          blocks.push_back({off, b.size - (off - b.offset)});
-        }
         auto* tail_dst = static_cast<std::byte*>(origin) + head;
-        issue_network_get_blocks(tail_dst, target, disp, blocks.data(), blocks.size(),
-                                 bytes - head);
+        issue_network_get_typed(tail_dst, dtype, count, target, disp, head / esz);
         if (res.extended) {
           pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target, tail_dst, head,
                               bytes - head, p_->now_us()});
@@ -598,26 +585,17 @@ void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origi
     }
     case AccessType::kDirect:
     case AccessType::kConflicting:
-    case AccessType::kCapacity: {
-      const auto blocks = dtype.flatten(count);
-      std::vector<rmasim::Process::Block> rb;
-      rb.reserve(blocks.size());
-      for (const auto& b : blocks) rb.push_back({b.offset, b.size});
-      issue_network_get_blocks(origin, target, disp, rb.data(), rb.size(), bytes);
+    case AccessType::kCapacity:
+      issue_network_get_typed(origin, dtype, count, target, disp, /*first_elem=*/0);
       pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
                           static_cast<std::byte*>(origin), 0, bytes, p_->now_us()});
       return;
-    }
     case AccessType::kFailing:
       break;
   }
   // Fallback: fetch the full payload over the network (incompatible
   // layout or failing access).
-  const auto blocks = dtype.flatten(count);
-  std::vector<rmasim::Process::Block> rb;
-  rb.reserve(blocks.size());
-  for (const auto& b : blocks) rb.push_back({b.offset, b.size});
-  issue_network_get_blocks(origin, target, disp, rb.data(), rb.size(), bytes);
+  issue_network_get_typed(origin, dtype, count, target, disp, /*first_elem=*/0);
   if (res.type == AccessType::kPartialHit && res.extended) {
     // The core grew the entry for the *new* layout and left it PENDING;
     // repopulate it wholesale from the freshly fetched packed payload,

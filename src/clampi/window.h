@@ -116,7 +116,7 @@ class CachedWindow {
   /// (trace::RecordingWindow installs itself here). nullptr disables.
   void record_faults_to(trace::Trace* t) { fault_trace_ = t; }
 
-  /// One completed (non-throwing) untyped get(), as the cache classified
+  /// One completed (non-throwing) get(), as the cache classified
   /// it. The chaos oracle (docs/CHAOS.md) taps this to know, per get,
   /// whether the bytes in the user buffer came from the cache, the
   /// network, or the bounded-staleness degraded path — the information it
@@ -240,15 +240,21 @@ class CachedWindow {
   };
 
   void serve_cached(void* origin, std::uint32_t entry, std::size_t bytes);
+  /// The one gate sequence of every get (docs/INTERNALS.md "The window get
+  /// sequence"); `dtype` is null for a contiguous byte range. Only the
+  /// result handling differs between typed and untyped gets.
+  void get_impl(void* origin, std::size_t bytes, int target, std::size_t disp,
+                const dt::Datatype* dtype, std::size_t count);
   void handle_result(const CacheCore::Result& res, void* origin, std::size_t bytes,
                      int target, std::size_t disp);
   void handle_typed_result(const CacheCore::Result& res, void* origin,
                            const dt::Datatype& dtype, std::size_t count, int target,
                            std::size_t disp, std::uint64_t sig, std::size_t bytes);
   void issue_network_get(void* origin, std::size_t bytes, int target, std::size_t disp);
-  void issue_network_get_blocks(void* origin, int target, std::size_t disp,
-                                const rmasim::Process::Block* blocks,
-                                std::size_t nblocks, std::size_t bytes);
+  /// Fetch elements [first_elem, count) of a typed get, packed into
+  /// `origin`, as one gather under the retry policy.
+  void issue_network_get_typed(void* origin, const dt::Datatype& dtype, std::size_t count,
+                               int target, std::size_t disp, std::size_t first_elem);
   /// Run `issue_fn` under the retry policy: transient fault::OpFailedErrors
   /// back off in virtual time and re-issue up to max_retries times (within
   /// the epoch budget); anything else propagates.
@@ -334,7 +340,7 @@ class CachedWindow {
   /// Epoch-boundary integrity work: injected storage corruption (bit
   /// flips of cached bytes) followed by one bounded scrub slice.
   void integrity_epoch_tasks();
-  /// Deliver a GetObservation for a completed untyped get.
+  /// Deliver a GetObservation for a completed get.
   void notify_get(int target, std::size_t disp, std::size_t bytes, bool degraded,
                   bool healed);
 

@@ -60,12 +60,6 @@ void validate(const StoreConfig& cfg, int nranks) {
   }
 }
 
-/// Control-flow signal for a won hedge race: thrown by maybe_hedge deep
-/// inside the primary's lookup, caught by get_impl, which then serves the
-/// backup's stashed result. Not an error — the unwound primary walk is
-/// simply abandoned.
-struct HedgeWon {};
-
 }  // namespace
 
 Store::Store(rmasim::Process& p, const StoreConfig& cfg)
@@ -208,9 +202,7 @@ void Store::insert_local(std::uint64_t key) {
   }
 }
 
-void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
-  const std::size_t bb = cfg_.layout.bucket_bytes();
-  const std::size_t disp = static_cast<std::size_t>(b) * bb;
+void Store::count_bucket_read(std::uint32_t b, GetMeta* m) {
   ++m->bucket_reads;
   if (b < main_buckets_) {
     ++win_->core().mutable_stats().kv_bucket_reads;
@@ -218,6 +210,12 @@ void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
     ++win_->core().mutable_stats().kv_chain_reads;
     ++m->chain_follows;
   }
+}
+
+bool Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
+  const std::size_t bb = cfg_.layout.bucket_bytes();
+  const std::size_t disp = static_cast<std::size_t>(b) * bb;
+  count_bucket_read(b, m);
   if (!cached) {
     win_->get_nocache(bucket_buf_.data(), bb, server, disp);
     feed_latency(server);
@@ -225,16 +223,17 @@ void Store::read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m) {
     // The uncached path skips the resilient issue wrapper, so its
     // successes must count as probes by hand (half-open recovery).
     win_->record_target_outcome(server, /*success=*/true);
-    return;
+    return true;
   }
   win_->get(bucket_buf_.data(), bb, server, disp);
   if (win_->last_was_degraded()) m->degraded = true;
   if (win_->last_access() == AccessType::kHit) {
     ++m->cached_hits;  // local copy, nothing in flight: skip the flush
-  } else {
-    maybe_hedge(server, m);  // throws HedgeWon when the backup's answer wins
-    win_->flush(server);
+    return true;
   }
+  if (maybe_hedge(server, m)) return false;  // the backup's answer won
+  win_->flush(server);
+  return true;
 }
 
 void Store::feed_latency(int server) {
@@ -244,12 +243,12 @@ void Store::feed_latency(int server) {
   lat_est_[static_cast<std::size_t>(server)].add(t > now ? t - now : 0.0, now);
 }
 
-void Store::maybe_hedge(int server, GetMeta* m) {
+bool Store::maybe_hedge(int server, GetMeta* m) {
   const int backup = hedge_backup_;
   hedge_backup_ = -1;  // at most one race per lookup
   if (backup < 0 || backup == server || lat_est_.empty()) {
     feed_latency(server);
-    return;
+    return false;
   }
   const double now = p_->now_us();
   const double t_p = win_->outstanding_wait_us(server);
@@ -257,7 +256,7 @@ void Store::maybe_hedge(int server, GetMeta* m) {
   auto& est = lat_est_[static_cast<std::size_t>(server)];
   if (est.samples() < cfg_.hedge_min_samples || wait <= est.quantile()) {
     est.add(wait, now);
-    return;
+    return false;
   }
   // The primary's modelled wait is past the target's recent quantile:
   // race the next ring replica. A real hedging client only learns this by
@@ -294,7 +293,7 @@ void Store::maybe_hedge(int server, GetMeta* m) {
       win_->record_target_outcome(backup, /*success=*/true);
       win_->abandon_target(server);
       hedge_found_ = backup_found;
-      throw HedgeWon{};
+      return true;
     }
     // The primary would answer first after all: discard the backup's
     // pending completion — nobody will wait for it.
@@ -302,85 +301,81 @@ void Store::maybe_hedge(int server, GetMeta* m) {
   }
   ++win_->core().mutable_stats().kv_hedge_wasted;
   est.add(wait, now);  // the primary's wait was experienced end to end
+  return false;
 }
 
-bool Store::lookup_backup_nowait(int server, std::uint64_t key, GetMeta* m) {
-  const std::size_t bb = cfg_.layout.bucket_bytes();
+template <typename Fetch>
+Store::Lookup Store::scan_chain(std::uint64_t key, Fetch&& fetch, SlotRef* hit) {
   std::uint32_t b = bucket_index(key);
   std::size_t hops = 0;
   for (;;) {
-    ++m->bucket_reads;
-    if (b < main_buckets_) {
-      ++win_->core().mutable_stats().kv_bucket_reads;
-    } else {
-      ++win_->core().mutable_stats().kv_chain_reads;
-      ++m->chain_follows;
-    }
-    // Uncached and unflushed: eager data movement makes the bytes readable
-    // immediately while the modelled completion stays pending, so the walk
-    // can follow chains without committing to the backup's latency.
-    win_->get_nocache(hedge_buf_.data(), bb, server,
-                      static_cast<std::size_t>(b) * bb);
-    const BucketHeader h = load_header(hedge_buf_.data());
-    CLAMPI_REQUIRE(h.generation == generation_,
-                   "kv: server bucket carries unexpected generation");
+    const std::byte* image = fetch(b);
+    if (image == nullptr) return Lookup::kHedgeWon;
+    const BucketHeader h = load_header(image);
     CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
                    "kv: bucket header count out of range");
     for (std::uint32_t s = 0; s < h.count; ++s) {
-      const std::byte* slot = hedge_buf_.data() + cfg_.layout.slot_offset(s);
+      const std::byte* slot = image + cfg_.layout.slot_offset(s);
       const SlotMeta sm = load_slot_meta(slot);
       if (sm.key != key) continue;
-      CLAMPI_REQUIRE(sm.len <= cfg_.layout.value_capacity,
-                     "kv: slot length exceeds value_capacity");
-      std::memcpy(hedge_value_.data(), slot + Layout::kSlotHeaderBytes, sm.len);
-      m->seq = sm.seq;
-      m->len = sm.len;
-      m->generation = h.generation;
-      return true;
+      *hit = SlotRef{b, s, slot, sm, h.generation};
+      return Lookup::kFound;
     }
-    if (h.chain == kNoBucket) return false;
+    if (h.chain == kNoBucket) return Lookup::kAbsent;
     CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
     b = h.chain;
     CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
   }
 }
 
-bool Store::lookup_on(int server, std::uint64_t key, bool cached,
-                      std::byte* value_out, GetMeta* m) {
-  std::uint32_t b = bucket_index(key);
-  std::size_t hops = 0;
-  for (;;) {
-    read_bucket(server, b, cached, m);
-    BucketHeader h = load_header(bucket_buf_.data());
-    if (h.generation != generation_ && cached) {
+void Store::require_generation(const std::byte* image) const {
+  CLAMPI_REQUIRE(load_header(image).generation == generation_,
+                 "kv: server bucket carries unexpected generation");
+}
+
+void Store::take_value(const SlotRef& hit, std::byte* value_out, GetMeta* m) const {
+  CLAMPI_REQUIRE(hit.meta.len <= cfg_.layout.value_capacity,
+                 "kv: slot length exceeds value_capacity");
+  std::memcpy(value_out, hit.slot_image + Layout::kSlotHeaderBytes, hit.meta.len);
+  m->seq = hit.meta.seq;
+  m->len = hit.meta.len;
+  m->generation = hit.generation;
+}
+
+bool Store::lookup_backup_nowait(int server, std::uint64_t key, GetMeta* m) {
+  const std::size_t bb = cfg_.layout.bucket_bytes();
+  SlotRef hit;
+  const Lookup r = scan_chain(key, [&](std::uint32_t b) {
+    count_bucket_read(b, m);
+    // Uncached and unflushed: eager data movement makes the bytes readable
+    // immediately while the modelled completion stays pending, so the walk
+    // can follow chains without committing to the backup's latency.
+    win_->get_nocache(hedge_buf_.data(), bb, server, static_cast<std::size_t>(b) * bb);
+    require_generation(hedge_buf_.data());
+    return static_cast<const std::byte*>(hedge_buf_.data());
+  }, &hit);
+  if (r != Lookup::kFound) return false;
+  take_value(hit, hedge_value_.data(), m);
+  return true;
+}
+
+Store::Lookup Store::lookup_on(int server, std::uint64_t key, bool cached,
+                               std::byte* value_out, GetMeta* m) {
+  SlotRef hit;
+  const Lookup r = scan_chain(key, [&](std::uint32_t b) -> const std::byte* {
+    if (!read_bucket(server, b, cached, m)) return nullptr;
+    if (cached && load_header(bucket_buf_.data()).generation != generation_) {
       // Cached image predates the current owner-side write epoch (reload):
       // versioned re-read straight from the server.
       ++win_->core().mutable_stats().kv_version_rereads;
       m->version_reread = true;
       read_bucket(server, b, /*cached=*/false, m);
-      h = load_header(bucket_buf_.data());
     }
-    CLAMPI_REQUIRE(h.generation == generation_,
-                   "kv: server bucket carries unexpected generation");
-    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
-                   "kv: bucket header count out of range");
-    for (std::uint32_t s = 0; s < h.count; ++s) {
-      const std::byte* slot = bucket_buf_.data() + cfg_.layout.slot_offset(s);
-      const SlotMeta sm = load_slot_meta(slot);
-      if (sm.key != key) continue;
-      CLAMPI_REQUIRE(sm.len <= cfg_.layout.value_capacity,
-                     "kv: slot length exceeds value_capacity");
-      std::memcpy(value_out, slot + Layout::kSlotHeaderBytes, sm.len);
-      m->seq = sm.seq;
-      m->len = sm.len;
-      m->generation = h.generation;
-      return true;
-    }
-    if (h.chain == kNoBucket) return false;
-    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
-    b = h.chain;
-    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
-  }
+    require_generation(bucket_buf_.data());
+    return bucket_buf_.data();
+  }, &hit);
+  if (r == Lookup::kFound) take_value(hit, value_out, m);
+  return r;
 }
 
 bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
@@ -398,8 +393,18 @@ bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
       hedge_key_ = key;
     }
     try {
-      const bool found = lookup_on(reps[pos], key, cached, value_out, m);
+      const Lookup r = lookup_on(reps[pos], key, cached, value_out, m);
       hedge_backup_ = -1;
+      if (r == Lookup::kHedgeWon) {
+        // The backup replica answered first; its stashed result is
+        // authoritative (reconciliation is to the highest seq, and a hedge
+        // win serves exactly what a fall-through to that replica would).
+        if (hedge_found_) std::memcpy(value_out, hedge_value_.data(), m->len);
+        m->server = reps[1];
+        m->replica_pos = 1;
+        return hedge_found_;
+      }
+      const bool found = r == Lookup::kFound;
       // Membership is identical on every replica (update-only store), so a
       // clean miss on a reachable replica is authoritative.
       m->server = reps[pos];
@@ -416,15 +421,6 @@ bool Store::get_impl(std::uint64_t key, std::byte* value_out, GetMeta* meta,
         read_repair(key, pos, reps, value_out, m);
       }
       return found;
-    } catch (const HedgeWon&) {
-      // The backup replica answered first; its stashed result is
-      // authoritative (reconciliation is to the highest seq, and a hedge
-      // win serves exactly what a fall-through to that replica would).
-      hedge_backup_ = -1;
-      if (hedge_found_) std::memcpy(value_out, hedge_value_.data(), m->len);
-      m->server = reps[1];
-      m->replica_pos = 1;
-      return hedge_found_;
     } catch (const fault::OpFailedError& e) {
       hedge_backup_ = -1;
       if (e.failure() == fault::FailureKind::kShed) {
@@ -477,27 +473,18 @@ bool Store::locate_on(int server, std::uint64_t key, bool cached, Locator* loc) 
     return true;
   }
   GetMeta scratch;
-  std::uint32_t b = bucket_index(key);
-  std::size_t hops = 0;
-  for (;;) {
-    read_bucket(server, b, cached, &scratch);
-    const BucketHeader h = load_header(bucket_buf_.data());
-    CLAMPI_REQUIRE(h.count <= cfg_.layout.slots_per_bucket,
-                   "kv: bucket header count out of range");
-    for (std::uint32_t s = 0; s < h.count; ++s) {
-      const SlotMeta sm =
-          load_slot_meta(bucket_buf_.data() + cfg_.layout.slot_offset(s));
-      if (sm.key != key) continue;
-      loc->bucket = b;
-      loc->slot = s;
-      memo.emplace(key, *loc);  // placement is immutable after load
-      return true;
-    }
-    if (h.chain == kNoBucket) return false;
-    CLAMPI_REQUIRE(h.chain < nbuckets_, "kv: chain link out of range");
-    b = h.chain;
-    CLAMPI_REQUIRE(++hops <= nbuckets_, "kv: chain cycle detected");
-  }
+  SlotRef hit;
+  // No generation check: placement is immutable after load, so a cached
+  // image of any generation locates the key. Hedges are armed only for a
+  // get's primary lookup, never here.
+  const Lookup r = scan_chain(key, [&](std::uint32_t b) -> const std::byte* {
+    return read_bucket(server, b, cached, &scratch) ? bucket_buf_.data() : nullptr;
+  }, &hit);
+  if (r != Lookup::kFound) return false;
+  loc->bucket = hit.bucket;
+  loc->slot = hit.slot;
+  memo.emplace(key, *loc);
+  return true;
 }
 
 bool Store::put(std::uint64_t key, std::uint32_t seq, const std::byte* value,

@@ -290,14 +290,35 @@ class Store {
     std::uint32_t bucket = 0;
     std::uint32_t slot = 0;
   };
+  /// Outcome of one key's bucket-chain walk on one server.
+  enum class Lookup { kAbsent, kFound, kHedgeWon };
+  /// Where a chain walk found its key, inside the last fetched image.
+  struct SlotRef {
+    std::uint32_t bucket = 0;
+    std::uint32_t slot = 0;
+    const std::byte* slot_image = nullptr;
+    SlotMeta meta;
+    std::uint64_t generation = 0;
+  };
 
+  /// Count one bucket fetch of bucket `b` (main or chain) in Stats and `m`.
+  void count_bucket_read(std::uint32_t b, GetMeta* m);
   /// Fetch bucket `b` of `server` into bucket_buf_. Cached reads skip the
-  /// flush on a full hit (no network op was issued). Throws
+  /// flush on a full hit (no network op was issued). False: a hedged
+  /// backup answered first and the primary walk is abandoned. Throws
   /// fault::OpFailedError when the server is unreachable.
-  void read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m);
-  /// Walk the chain on one server. True: key found, value copied out.
-  bool lookup_on(int server, std::uint64_t key, bool cached, std::byte* value_out,
-                 GetMeta* m);
+  bool read_bucket(int server, std::uint32_t b, bool cached, GetMeta* m);
+  /// The one chain walk behind every lookup: `fetch(b)` brings bucket
+  /// b's image (nullptr: a won hedge abandons the walk); the scan of its
+  /// slots and the chain follow are shared.
+  template <typename Fetch>
+  Lookup scan_chain(std::uint64_t key, Fetch&& fetch, SlotRef* hit);
+  void require_generation(const std::byte* image) const;
+  /// Copy a found slot's value out and record its seq/len/generation in `m`.
+  void take_value(const SlotRef& hit, std::byte* value_out, GetMeta* m) const;
+  /// Walk the chain on one server; on kFound the value is copied out.
+  Lookup lookup_on(int server, std::uint64_t key, bool cached, std::byte* value_out,
+                   GetMeta* m);
   /// Find the key's (bucket, slot) on one server, memoized (slot placement
   /// is immutable after load).
   bool locate_on(int server, std::uint64_t key, bool cached, Locator* loc);
@@ -331,10 +352,10 @@ class Store {
   void feed_latency(int server);
   /// Hedge decision point: called by read_bucket on a cached miss against
   /// `server` with the fetch outstanding. May race the armed backup and,
-  /// when the backup wins, throws HedgeWon (caught by get_impl) after
-  /// stashing the backup's result. Otherwise returns with the primary's
-  /// fetch still outstanding (read_bucket flushes as usual).
-  void maybe_hedge(int server, GetMeta* m);
+  /// when the backup wins, returns true after stashing the backup's
+  /// result (get_impl serves it). Otherwise returns false with the
+  /// primary's fetch still outstanding (read_bucket flushes as usual).
+  bool maybe_hedge(int server, GetMeta* m);
   std::uint32_t bucket_index(std::uint64_t key) const;
   std::uint32_t initial_len(std::uint64_t key) const;
   void load_shard();

@@ -649,151 +649,93 @@ void Process::end_crash_recovery() {
 // One-sided operations
 // ---------------------------------------------------------------------------
 
-namespace {
-/// Completion time of a transfer of duration `xfer_us` issued at `t0`
-/// against world rank `remote`. With injection serialization the remote
-/// NIC is a unit-capacity server: the transfer waits for it.
-double completion_time(Engine::Config& cfg, std::vector<double>& nic_free, int remote,
-                       double t0, double xfer_us) {
-  if (!cfg.serialize_injection) return t0 + xfer_us;
-  auto& free_at = nic_free[static_cast<std::size_t>(remote)];
-  const double start = std::max(t0, free_at);
-  free_at = start + xfer_us;
-  return free_at;
+Engine::Admitted Engine::admit(int origin, fault::OpKind kind, const WindowObj& wo,
+                               int target, std::size_t disp, std::size_t bytes) {
+  auto& clock = ctx(origin).clock;
+  const int wt = comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
+  Admitted a{wt, {}};
+  if (fault::Injector* inj = cfg_.injector.get()) {
+    const bool recovering = crash_gate(wt, clock.now_us());
+    if (!recovering) a.fv = inj->on_op(kind, origin, wt, bytes, clock.now_us());
+    if (recovering || a.fv.fail) {
+      // A refused op moves no data and leaves nothing pending for flush,
+      // but the origin NIC did work before the drop: charge the issue.
+      clock.advance_us(model().issue_us(origin, wt, bytes));
+      fail_op(origin, {kind, origin, wt, disp, bytes, clock.now_us()},
+              recovering ? fault::FailureKind::kRecovering : a.fv.kind);
+    }
+  }
+  if (cfg_.op_observer) {
+    cfg_.op_observer({kind, origin, wt, disp, bytes, clock.now_us()}, /*failed=*/false);
+  }
+  return a;
 }
-}  // namespace
+
+void Engine::complete(int origin, Window w, int target, const Admitted& a,
+                      std::size_t bytes, double xfer_us) {
+  auto& clock = ctx(origin).clock;
+  const double t0 = clock.now_us();
+  clock.advance_us(model().issue_us(origin, a.wt, bytes));
+  const double xfer = fault::Injector::perturb(a.fv, xfer_us);
+  double done = t0 + xfer;
+  if (cfg_.serialize_injection) {
+    // The remote NIC is a unit-capacity server: the transfer waits for it.
+    auto& free_at = nic_free_us_[static_cast<std::size_t>(a.wt)];
+    free_at = std::max(t0, free_at) + xfer;
+    done = free_at;
+  }
+  pending_[static_cast<std::size_t>(origin)].note(static_cast<std::size_t>(w.id), target,
+                                                  done, nranks());
+  clock.exit_runtime();
+}
+
+void Engine::fail_op(int origin, const fault::OpDesc& d, fault::FailureKind kind) {
+  if (cfg_.op_observer) cfg_.op_observer(d, /*failed=*/true);
+  ctx(origin).clock.exit_runtime();
+  throw fault::OpFailedError(kind, d);
+}
+
+std::optional<fault::FailureKind> Engine::unreachable(const fault::Injector& inj,
+                                                      int origin, int wt, double now_us) {
+  if (inj.dead(wt, now_us)) return fault::FailureKind::kRankDead;
+  if (inj.partitioned(origin, wt, now_us)) return fault::FailureKind::kPartitioned;
+  // Restarted wiped and mid-recovery: the landing zone of the ops is gone.
+  if (crash_gate(wt, now_us)) return fault::FailureKind::kRecovering;
+  return std::nullopt;
+}
 
 void Process::get(void* origin, std::size_t bytes, int target, std::size_t disp, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
+  engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   engine_->validate_target(wo, target, disp, bytes);
-  const int wt = engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  const auto& m = engine_->model();
-  fault::Injector::Verdict fv;
-  if (fault::Injector* inj = engine_->cfg_.injector.get()) {
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kGet, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
-    }
-    fv = inj->on_op(fault::OpKind::kGet, rank_, wt, bytes, me.clock.now_us());
-    if (fv.fail) {
-      // Consulted before the eager copy: a failed get delivers no data.
-      // The origin NIC still did work before the drop, so the issue
-      // overhead is charged; nothing is left pending for flush.
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kGet, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fv.kind, d);
-    }
-  }
-  if (engine_->cfg_.op_observer) {
-    engine_->cfg_.op_observer(
-        {fault::OpKind::kGet, rank_, wt, disp, bytes, me.clock.now_us()},
-        /*failed=*/false);
-  }
+  const auto a = engine_->admit(rank_, fault::OpKind::kGet, wo, target, disp, bytes);
   // Data is copied eagerly (legal under the epoch model: the source may not
   // be concurrently modified within the epoch); the completion time is what
   // the network model says, so flush shows the true overlap window.
   std::memcpy(origin, wo.base[static_cast<std::size_t>(target)] + disp, bytes);
-  const double t0 = me.clock.now_us();
-  me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-  engine_->pending_[static_cast<std::size_t>(rank_)].note(
-      static_cast<std::size_t>(w.id), target,
-      completion_time(engine_->cfg_, engine_->nic_free_us_, wt, t0,
-                      fault::Injector::perturb(fv, m.transfer_us(wt, rank_, bytes))),
-      engine_->nranks());
-  me.clock.exit_runtime();
+  engine_->complete(rank_, w, target, a, bytes, model().transfer_us(a.wt, rank_, bytes));
 }
 
 void Process::put(const void* origin, std::size_t bytes, int target, std::size_t disp,
                   Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
+  engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   engine_->validate_target(wo, target, disp, bytes);
-  const int wt = engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  const auto& m = engine_->model();
-  fault::Injector::Verdict fv;
-  if (fault::Injector* inj = engine_->cfg_.injector.get()) {
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kPut, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
-    }
-    fv = inj->on_op(fault::OpKind::kPut, rank_, wt, bytes, me.clock.now_us());
-    if (fv.fail) {
-      // A failed put never reaches the target window.
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kPut, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fv.kind, d);
-    }
-  }
-  if (engine_->cfg_.op_observer) {
-    engine_->cfg_.op_observer(
-        {fault::OpKind::kPut, rank_, wt, disp, bytes, me.clock.now_us()},
-        /*failed=*/false);
-  }
+  const auto a = engine_->admit(rank_, fault::OpKind::kPut, wo, target, disp, bytes);
   std::memcpy(wo.base[static_cast<std::size_t>(target)] + disp, origin, bytes);
-  const double t0 = me.clock.now_us();
-  me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-  engine_->pending_[static_cast<std::size_t>(rank_)].note(
-      static_cast<std::size_t>(w.id), target,
-      completion_time(engine_->cfg_, engine_->nic_free_us_, wt, t0,
-                      fault::Injector::perturb(fv, m.transfer_us(rank_, wt, bytes))),
-      engine_->nranks());
-  me.clock.exit_runtime();
+  engine_->complete(rank_, w, target, a, bytes, model().transfer_us(rank_, a.wt, bytes));
 }
 
 void Process::get_blocks(void* origin, int target, std::size_t disp, const Block* blocks,
                          std::size_t nblocks, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
+  engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   std::size_t total = 0;
   for (std::size_t i = 0; i < nblocks; ++i) {
     engine_->validate_target(wo, target, disp + blocks[i].offset, blocks[i].size);
     total += blocks[i].size;
   }
-  const int wt = engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  const auto& m = engine_->model();
-  fault::Injector::Verdict fv;
-  if (fault::Injector* inj = engine_->cfg_.injector.get()) {
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      me.clock.advance_us(m.issue_us(rank_, wt, total));
-      const fault::OpDesc d{fault::OpKind::kGetBlocks, rank_, wt, disp, total,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
-    }
-    fv = inj->on_op(fault::OpKind::kGetBlocks, rank_, wt, total, me.clock.now_us());
-    if (fv.fail) {
-      me.clock.advance_us(m.issue_us(rank_, wt, total));
-      const fault::OpDesc d{fault::OpKind::kGetBlocks, rank_, wt, disp, total,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fv.kind, d);
-    }
-  }
-  if (engine_->cfg_.op_observer) {
-    engine_->cfg_.op_observer(
-        {fault::OpKind::kGetBlocks, rank_, wt, disp, total, me.clock.now_us()},
-        /*failed=*/false);
-  }
+  const auto a = engine_->admit(rank_, fault::OpKind::kGetBlocks, wo, target, disp, total);
   auto* out = static_cast<std::byte*>(origin);
   const std::byte* in = wo.base[static_cast<std::size_t>(target)];
   std::size_t off = 0;
@@ -801,14 +743,7 @@ void Process::get_blocks(void* origin, int target, std::size_t disp, const Block
     std::memcpy(out + off, in + disp + blocks[i].offset, blocks[i].size);
     off += blocks[i].size;
   }
-  const double t0 = me.clock.now_us();
-  me.clock.advance_us(m.issue_us(rank_, wt, total));
-  engine_->pending_[static_cast<std::size_t>(rank_)].note(
-      static_cast<std::size_t>(w.id), target,
-      completion_time(engine_->cfg_, engine_->nic_free_us_, wt, t0,
-                      fault::Injector::perturb(fv, m.transfer_us(wt, rank_, total))),
-      engine_->nranks());
-  me.clock.exit_runtime();
+  engine_->complete(rank_, w, target, a, total, model().transfer_us(a.wt, rank_, total));
 }
 
 double Process::pending_completion_us(int target, Window w) const {
@@ -839,25 +774,12 @@ void Process::flush(int target, Window w) {
       inj != nullptr && done > 0.0) {
     const int wt =
         engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-    const bool is_dead = inj->dead(wt, me.clock.now_us());
-    if (is_dead || inj->partitioned(rank_, wt, me.clock.now_us())) {
-      // The target died — or a partition cut it off — with operations
-      // outstanding: the flush cannot confirm their completion. Pending
-      // state is already cleared (taken above), so a subsequent flush of
-      // the same target succeeds trivially.
-      const fault::OpDesc d{fault::OpKind::kFlush, rank_, wt, 0, 0, me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(
-          is_dead ? fault::FailureKind::kRankDead : fault::FailureKind::kPartitioned, d);
-    }
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      // The target restarted wiped and is mid-recovery: the flush cannot
-      // confirm completion of ops whose landing zone no longer exists.
-      const fault::OpDesc d{fault::OpKind::kFlush, rank_, wt, 0, 0, me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
+    // The flush cannot confirm completion of the outstanding ops. Pending
+    // state is already cleared (taken above), so a subsequent flush of the
+    // same target succeeds trivially.
+    if (const auto why = engine_->unreachable(*inj, rank_, wt, me.clock.now_us())) {
+      engine_->fail_op(rank_, {fault::OpKind::kFlush, rank_, wt, 0, 0, me.clock.now_us()},
+                       *why);
     }
   }
   me.clock.advance_to_us(done);
@@ -869,41 +791,24 @@ void Process::flush_all(Window w) {
   me.clock.enter_runtime();
   const auto& wo = engine_->window(w);
   auto& pend = engine_->pending_[static_cast<std::size_t>(rank_)];
-  // World rank of the lowest unreachable (dead or partitioned-away) target
-  // with pending ops, and why it is unreachable.
+  // World rank of the lowest unreachable target with pending ops, and why
+  // it is unreachable.
   int failed_target = -1;
-  fault::FailureKind failed_kind = fault::FailureKind::kRankDead;
+  std::optional<fault::FailureKind> why;
   if (const fault::Injector* inj = engine_->cfg_.injector.get();
       inj != nullptr && pend.per_window_target.size() > static_cast<std::size_t>(w.id)) {
     const auto& per_target = pend.per_window_target[static_cast<std::size_t>(w.id)];
     const auto& members = engine_->comm_obj(Comm{wo.comm_id}).members;
-    for (std::size_t t = 0; t < per_target.size(); ++t) {
+    for (std::size_t t = 0; t < per_target.size() && !why; ++t) {
       if (per_target[t] <= 0.0) continue;
-      const int wt = members[t];
-      if (inj->dead(wt, me.clock.now_us())) {
-        failed_target = wt;
-        failed_kind = fault::FailureKind::kRankDead;
-        break;
-      }
-      if (inj->partitioned(rank_, wt, me.clock.now_us())) {
-        failed_target = wt;
-        failed_kind = fault::FailureKind::kPartitioned;
-        break;
-      }
-      if (engine_->crash_gate(wt, me.clock.now_us())) {
-        failed_target = wt;
-        failed_kind = fault::FailureKind::kRecovering;
-        break;
-      }
+      failed_target = members[t];
+      why = engine_->unreachable(*inj, rank_, failed_target, me.clock.now_us());
     }
   }
   const double done = pend.take_all(static_cast<std::size_t>(w.id));
-  if (failed_target >= 0) {
-    const fault::OpDesc d{fault::OpKind::kFlush, rank_, failed_target, 0, 0,
-                          me.clock.now_us()};
-    if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-    me.clock.exit_runtime();
-    throw fault::OpFailedError(failed_kind, d);
+  if (why) {
+    engine_->fail_op(
+        rank_, {fault::OpKind::kFlush, rank_, failed_target, 0, 0, me.clock.now_us()}, *why);
   }
   me.clock.advance_to_us(done);
   me.clock.exit_runtime();
@@ -977,54 +882,20 @@ void accumulate_dispatch(AccumulateType type, std::byte* win_data, const void* o
 void Process::get_accumulate(const void* origin, void* result, std::size_t count,
                              AccumulateType type, AccumulateOp op, int target,
                              std::size_t disp, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
+  engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   const std::size_t bytes = count * accumulate_type_size(type);
   engine_->validate_target(wo, target, disp, bytes);
-  const int wt = engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  const auto& m = engine_->model();
-  fault::Injector::Verdict fv;
-  if (fault::Injector* inj = engine_->cfg_.injector.get()) {
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kAtomic, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
-    }
-    fv = inj->on_op(fault::OpKind::kAtomic, rank_, wt, bytes, me.clock.now_us());
-    if (fv.fail) {
-      // A failed atomic neither mutates the window nor fetches old values.
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kAtomic, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fv.kind, d);
-    }
-  }
-  if (engine_->cfg_.op_observer) {
-    engine_->cfg_.op_observer(
-        {fault::OpKind::kAtomic, rank_, wt, disp, bytes, me.clock.now_us()},
-        /*failed=*/false);
-  }
+  const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
   // Element-wise atomicity is free: the scheduler serializes ranks, and
   // accumulates (unlike put/get) are permitted to race per MPI-3.
   accumulate_dispatch(type, wo.base[static_cast<std::size_t>(target)] + disp, origin,
                       result, count, op);
-  const double t0 = me.clock.now_us();
-  me.clock.advance_us(m.issue_us(rank_, wt, bytes));
   // Fetching variants pay a round trip (payload out + old values back).
-  const double xfer = m.transfer_us(rank_, wt, bytes) +
-                      (result != nullptr ? m.transfer_us(wt, rank_, bytes) : 0.0);
-  engine_->pending_[static_cast<std::size_t>(rank_)].note(
-      static_cast<std::size_t>(w.id), target,
-      completion_time(engine_->cfg_, engine_->nic_free_us_, wt, t0,
-                      fault::Injector::perturb(fv, xfer)),
-      engine_->nranks());
-  me.clock.exit_runtime();
+  const auto& m = model();
+  engine_->complete(rank_, w, target, a, bytes,
+                    m.transfer_us(rank_, a.wt, bytes) +
+                        (result != nullptr ? m.transfer_us(a.wt, rank_, bytes) : 0.0));
 }
 
 void Process::accumulate(const void* origin, std::size_t count, AccumulateType type,
@@ -1043,51 +914,19 @@ void Process::compare_and_swap(const void* desired, const void* expected, void* 
                                Window w) {
   CLAMPI_REQUIRE(type != AccumulateType::kDouble,
                  "compare_and_swap requires an integer type");
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
+  engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   const std::size_t bytes = accumulate_type_size(type);
   engine_->validate_target(wo, target, disp, bytes);
-  const int wt = engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  const auto& m = engine_->model();
-  fault::Injector::Verdict fv;
-  if (fault::Injector* inj = engine_->cfg_.injector.get()) {
-    if (engine_->crash_gate(wt, me.clock.now_us())) {
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kAtomic, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fault::FailureKind::kRecovering, d);
-    }
-    fv = inj->on_op(fault::OpKind::kAtomic, rank_, wt, bytes, me.clock.now_us());
-    if (fv.fail) {
-      me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-      const fault::OpDesc d{fault::OpKind::kAtomic, rank_, wt, disp, bytes,
-                            me.clock.now_us()};
-      if (engine_->cfg_.op_observer) engine_->cfg_.op_observer(d, /*failed=*/true);
-      me.clock.exit_runtime();
-      throw fault::OpFailedError(fv.kind, d);
-    }
-  }
-  if (engine_->cfg_.op_observer) {
-    engine_->cfg_.op_observer(
-        {fault::OpKind::kAtomic, rank_, wt, disp, bytes, me.clock.now_us()},
-        /*failed=*/false);
-  }
+  const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
   std::byte* slot = wo.base[static_cast<std::size_t>(target)] + disp;
   std::memcpy(result, slot, bytes);
   if (std::memcmp(slot, expected, bytes) == 0) std::memcpy(slot, desired, bytes);
-  const double t0 = me.clock.now_us();
-  me.clock.advance_us(m.issue_us(rank_, wt, bytes));
-  engine_->pending_[static_cast<std::size_t>(rank_)].note(
-      static_cast<std::size_t>(w.id), target,
-      completion_time(engine_->cfg_, engine_->nic_free_us_, wt, t0,
-                      fault::Injector::perturb(
-                          fv, m.transfer_us(rank_, wt, bytes) + m.transfer_us(wt, rank_, bytes))),
-      engine_->nranks());
-  me.clock.exit_runtime();
+  const auto& m = model();
+  engine_->complete(rank_, w, target, a, bytes,
+                    m.transfer_us(rank_, a.wt, bytes) + m.transfer_us(a.wt, rank_, bytes));
 }
+
 
 // ---------------------------------------------------------------------------
 // flush_local

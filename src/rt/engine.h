@@ -30,6 +30,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -269,12 +270,12 @@ class Engine {
     std::shared_ptr<fault::Injector> injector;
     /// Optional per-operation observer: invoked once for every one-sided
     /// data operation (get / put / get_blocks / accumulate family) with
-    /// the operation descriptor and whether the injector failed it, and
-    /// for flushes that fail against a dead target. Runs on the issuing
-    /// rank's thread while it holds the scheduler baton, so observers see
-    /// a serialized operation stream; they must not call back into
-    /// Process. The chaos semantics oracle (src/chaos) uses this to
-    /// assert, e.g., that cache hits issue no network operations.
+    /// the operation descriptor and whether it failed, and for flushes
+    /// that fail against a dead, partitioned or recovering target. Runs
+    /// on the issuing rank's thread while it holds the scheduler baton,
+    /// so observers see a serialized operation stream; they must not call
+    /// back into Process. The chaos semantics oracle (src/chaos) uses this
+    /// to assert, e.g., that cache hits issue no network operations.
     std::function<void(const fault::OpDesc&, bool failed)> op_observer;
   };
 
@@ -397,6 +398,30 @@ class Engine {
 
   const CommObj& comm_obj(Comm c) const;
   Window win_register(int rank, void* base, std::size_t bytes, bool owned, Comm comm);
+
+  // --- The one-sided op protocol (docs/INTERNALS.md). Every data op runs
+  // admit, moves its data, then runs complete; each op keeps only its
+  // bounds checks, its data movement and the transfer it charges. ---
+  struct Admitted {
+    int wt;                       ///< world rank of the target
+    fault::Injector::Verdict fv;  ///< perturbs the transfer at completion
+  };
+  /// Resolve `target`'s world rank, run the crash gate, then ask the
+  /// injector for a verdict (in that order: on_op draws from the RNG). A
+  /// refused op is charged its issue overhead and thrown by fail_op; an
+  /// admitted one is reported to op_observer before it moves any data.
+  Admitted admit(int origin, fault::OpKind kind, const WindowObj& wo, int target,
+                 std::size_t disp, std::size_t bytes);
+  /// Charge the issue overhead and note when the admitted op's perturbed
+  /// transfer of `xfer_us` completes, for the next flush; leaves the runtime.
+  void complete(int origin, Window w, int target, const Admitted& a, std::size_t bytes,
+                double xfer_us);
+  /// Report the failed op `d` to op_observer, leave the runtime and throw.
+  [[noreturn]] void fail_op(int origin, const fault::OpDesc& d, fault::FailureKind kind);
+  /// Why world rank `wt` cannot confirm `origin`'s pending ops at `now_us`
+  /// (dead, partitioned away, or restarted and recovering), or nullopt.
+  std::optional<fault::FailureKind> unreachable(const fault::Injector& inj, int origin,
+                                                int wt, double now_us);
 
   // With serialize_injection: per-world-rank time at which the rank's NIC
   // becomes free again. Guarded by the baton (single running rank).

@@ -298,6 +298,53 @@ TEST(CachedWindow, TypedGetMoreElementsIsPartialHit) {
   });
 }
 
+TEST(CachedWindow, GappedTypedGetsReachTheGetObserver) {
+  // Typed gets run the same gate sequence as byte-range gets, so each one
+  // that completes is observed; the partial hit fetches the elements past
+  // the cached prefix as one gather.
+  Engine e(engine_cfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, 4096, &base, cache_cfg(Mode::kAlwaysCache));
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    win.lock_all();
+    const int peer = 1 - p.rank();
+    std::vector<CachedWindow::GetObservation> seen;
+    win.observe_gets([&seen](const CachedWindow::GetObservation& o) { seen.push_back(o); });
+    const auto t = dt::Datatype::vector(2, 4, 8, dt::Datatype::contiguous(1));
+    ASSERT_FALSE(t.is_contiguous());
+    std::vector<std::uint8_t> a(t.size_of(2)), b(t.size_of(2)), c(t.size_of(5));
+    win.get(a.data(), t, 2, peer, 64);
+    win.flush_all();
+    win.get(b.data(), t, 2, peer, 64);
+    win.get(c.data(), t, 5, peer, 64);
+    win.flush_all();
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_NE(seen[0].type, AccessType::kHit);
+    EXPECT_EQ(seen[1].type, AccessType::kHit);
+    EXPECT_EQ(seen[2].type, AccessType::kPartialHit);
+    for (const auto& o : seen) {
+      EXPECT_EQ(o.target, peer);
+      EXPECT_EQ(o.disp, 64u);
+      EXPECT_FALSE(o.degraded);
+    }
+    EXPECT_EQ(seen[2].bytes, c.size());
+    std::size_t pos = 0;
+    for (const auto& blk : t.flatten(5)) {
+      for (std::size_t i = 0; i < blk.size; ++i, ++pos) {
+        ASSERT_EQ(c[pos], pattern_at(64 + blk.offset + i, peer));
+      }
+    }
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0);
+    EXPECT_EQ(std::memcmp(a.data(), c.data(), a.size()), 0);
+    win.observe_gets({});
+    win.unlock_all();
+    p.barrier();
+    win.free_window();
+  });
+}
+
 TEST(CachedWindow, EpochCounterAdvances) {
   Engine e(engine_cfg(2));
   e.run([](Process& p) {

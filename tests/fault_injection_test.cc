@@ -3,7 +3,9 @@
 // and the interaction with NIC injection serialization.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -428,6 +430,157 @@ TEST(FaultEngine, IdenticalSeedsIdenticalRuns) {
   int total = 0;
   for (const int f : fail_a) total += f;
   EXPECT_GT(total, 0);  // the plan actually injected something
+}
+
+// ---------------------------------------------------------------------------
+// The one-sided op contract: every data op under every failure cause
+// ---------------------------------------------------------------------------
+
+// For each (op, fault) cell: the FailureKind thrown, the op_observer's
+// OpDesc, the virtual-clock charge, that a failed op moves no bytes, and
+// that a flush after it finds nothing pending. A success charges the issue
+// overhead at issue and the (one- or two-way) transfer at flush.
+TEST(FaultEngine, OneSidedOpContract) {
+  constexpr double kXfer = 10.0;
+  constexpr double kIssue = 0.5;
+  constexpr std::size_t kWin = 256;
+  constexpr double kOpAt = 300.0;  // after the crash epoch below restarts
+
+  struct OpCase {
+    const char* name;
+    fault::OpKind kind;
+    std::size_t disp;
+    std::size_t bytes;  // payload the OpDesc reports
+    double xfer_us;     // modelled transfer a flush waits for
+    bool fetches;       // a success writes `out`
+    bool writes;        // a success writes the target window
+    void (*issue)(Process&, Window, std::uint8_t* out, const std::uint8_t* src);
+  };
+  const OpCase ops[] = {
+      {"get", fault::OpKind::kGet, 8, 64, kXfer, true, false,
+       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t*) {
+         p.get(out, 64, 1, 8, w);
+       }},
+      {"put", fault::OpKind::kPut, 8, 64, kXfer, false, true,
+       [](Process& p, Window w, std::uint8_t*, const std::uint8_t* src) {
+         p.put(src, 64, 1, 8, w);
+       }},
+      {"get_blocks", fault::OpKind::kGetBlocks, 8, 32, kXfer, true, false,
+       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t*) {
+         const Process::Block blocks[] = {{0, 16}, {32, 16}};
+         p.get_blocks(out, 1, 8, blocks, 2, w);
+       }},
+      {"accumulate", fault::OpKind::kAtomic, 16, 16, kXfer, false, true,
+       [](Process& p, Window w, std::uint8_t*, const std::uint8_t* src) {
+         p.accumulate(src, 2, rmasim::AccumulateType::kInt64, rmasim::AccumulateOp::kSum,
+                      1, 16, w);
+       }},
+      {"get_accumulate", fault::OpKind::kAtomic, 16, 16, 2 * kXfer, true, true,
+       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t* src) {
+         p.get_accumulate(src, out, 2, rmasim::AccumulateType::kInt64,
+                          rmasim::AccumulateOp::kSum, 1, 16, w);
+       }},
+      {"compare_and_swap", fault::OpKind::kAtomic, 16, 8, 2 * kXfer, true, true,
+       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t* src) {
+         // Expect the window's current value, so a success swaps.
+         p.compare_and_swap(src, p.win_raw(w, 1) + 16, out,
+                            rmasim::AccumulateType::kInt64, 1, 16, w);
+       }},
+  };
+
+  struct FaultCase {
+    const char* name;
+    fault::Plan plan;
+    bool fails;
+    fault::FailureKind kind;
+  };
+  const FaultCase faults[] = {
+      {"success", fault::Plan{}, false, fault::FailureKind::kTransient},
+      {"transient", fault::Plan{}.fail_everywhere(1.0), true,
+       fault::FailureKind::kTransient},
+      {"dead", fault::Plan{}.kill_rank(1, 0.0), true, fault::FailureKind::kRankDead},
+      {"partitioned", fault::Plan{}.partition_pair(0, 1, 0.0), true,
+       fault::FailureKind::kPartitioned},
+      // Rank 1 declared explicit recovery and never begins it: after its
+      // restart every op against it fast-fails.
+      {"recovering", fault::Plan{}.crash_rank(1, 100.0, 200.0), true,
+       fault::FailureKind::kRecovering},
+  };
+
+  for (const OpCase& op : ops) {
+    for (const FaultCase& fc : faults) {
+      SCOPED_TRACE(std::string(op.name) + " / " + fc.name);
+      struct Seen {
+        fault::OpDesc desc;
+        bool failed;
+      };
+      auto seen = std::make_shared<std::vector<Seen>>();
+      Engine::Config c = ecfg(2, std::make_shared<fault::Injector>(fc.plan));
+      c.model = std::make_shared<net::FlatModel>(kXfer, 0.0, kIssue);
+      c.op_observer = [seen](const fault::OpDesc& d, bool failed) {
+        seen->push_back({d, failed});
+      };
+      Engine e(c);
+      e.run([&](Process& p) {
+        void* base = nullptr;
+        const Window w = p.win_allocate(kWin, &base);
+        if (p.rank() == 1) {
+          p.declare_crash_recovery();
+          auto* mem = static_cast<std::uint8_t*>(base);
+          for (std::size_t i = 0; i < kWin; ++i) mem[i] = static_cast<std::uint8_t>(i * 7 + 3);
+        }
+        p.barrier();
+        if (p.rank() == 0) {
+          std::vector<std::uint8_t> out(64, 0xee);
+          std::vector<std::uint8_t> src(64);
+          for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::uint8_t>(i + 1);
+          const auto* win1 = reinterpret_cast<const std::uint8_t*>(p.win_raw(w, 1));
+          const std::vector<std::uint8_t> win_before(win1, win1 + kWin);
+          const std::vector<std::uint8_t> out_before = out;
+          p.compute_us(kOpAt - p.now_us());
+          const double t0 = p.now_us();
+          bool threw = false;
+          try {
+            op.issue(p, w, out.data(), src.data());
+          } catch (const fault::OpFailedError& err) {
+            threw = true;
+            EXPECT_EQ(err.failure(), fc.kind);
+            EXPECT_EQ(err.op().kind, op.kind);
+            EXPECT_DOUBLE_EQ(err.op().time_us, t0 + kIssue);
+          }
+          EXPECT_EQ(threw, fc.fails);
+          EXPECT_DOUBLE_EQ(p.now_us() - t0, kIssue);
+          EXPECT_EQ(p.pending_completion_us(1, w) > 0.0, !fc.fails);
+
+          ASSERT_EQ(seen->size(), 1u);
+          const Seen& s = seen->front();
+          EXPECT_EQ(s.failed, fc.fails);
+          EXPECT_EQ(s.desc.kind, op.kind);
+          EXPECT_EQ(s.desc.origin, 0);
+          EXPECT_EQ(s.desc.target, 1);
+          EXPECT_EQ(s.desc.disp, op.disp);
+          EXPECT_EQ(s.desc.bytes, op.bytes);
+          // A failure is stamped after the issue charge, a success before.
+          EXPECT_DOUBLE_EQ(s.desc.time_us, fc.fails ? t0 + kIssue : t0);
+
+          const std::vector<std::uint8_t> win_after(win1, win1 + kWin);
+          if (fc.fails) {
+            EXPECT_EQ(out, out_before);
+            EXPECT_EQ(win_after, win_before);
+          } else {
+            EXPECT_EQ(out != out_before, op.fetches);
+            EXPECT_EQ(win_after != win_before, op.writes);
+          }
+
+          p.flush(1, w);  // never throws: a failed op leaves nothing pending
+          EXPECT_DOUBLE_EQ(p.now_us() - t0, fc.fails ? kIssue : op.xfer_us);
+          EXPECT_EQ(seen->size(), 1u);  // the flush reported nothing
+        }
+        p.barrier();
+        p.win_free(w);
+      });
+    }
+  }
 }
 
 }  // namespace
