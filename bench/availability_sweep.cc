@@ -261,6 +261,8 @@ void emit(bool first, int dead_servers, const char* variant, const Cell& c) {
 }  // namespace
 
 int main() {
+  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
+  benchx::bench_scale();
   const int dead_counts[] = {0, 1, 2, 4};
 
   long violations = 0;

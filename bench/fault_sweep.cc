@@ -196,6 +196,8 @@ long emit(bool first, double fail_prob, double degrade_factor, const char* cache
 }  // namespace
 
 int main() {
+  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
+  benchx::bench_scale();
   const double fail_probs[] = {0.0, 0.05, 0.1, 0.2, 0.4};
   const double degrade_factors[] = {1.0, 4.0, 16.0};
 

@@ -105,9 +105,7 @@ Cell run_cell(double bitflip_prob, int breaker_threshold) {
         }
       }
       cell->stats = win.stats();
-      if (win.breaker() != nullptr) {
-        cell->time_in_open_us = win.breaker()->time_in_open_us(p.now_us());
-      }
+      cell->time_in_open_us = win.breaker_time_in_open_us();
       win.unlock_all();
     }
     p.barrier();
@@ -139,6 +137,8 @@ void emit(bool first, double bitflip_prob, int breaker_threshold, const Cell& c)
 }  // namespace
 
 int main() {
+  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
+  benchx::bench_scale();
   const double bitflip_probs[] = {0.0, 1e-5, 1e-4, 1e-3};
   const int breaker_thresholds[] = {0, 16, 64};  // 0 = breaker disabled
 

@@ -23,10 +23,10 @@
 #pragma once
 
 #include "clampi/adaptive.h"   // IWYU pragma: export
-#include "clampi/breaker.h"    // IWYU pragma: export
 #include "clampi/cache.h"      // IWYU pragma: export
 #include "clampi/checksum.h"   // IWYU pragma: export
 #include "clampi/config.h"     // IWYU pragma: export
+#include "clampi/detector.h"   // IWYU pragma: export
 #include "clampi/health.h"     // IWYU pragma: export
 #include "clampi/info.h"       // IWYU pragma: export
 #include "clampi/stats.h"      // IWYU pragma: export

@@ -123,14 +123,6 @@ struct Config {
   /// half-open at epoch boundaries.
   int health_failure_threshold = 0;
   double health_window_us = 10000.0;  ///< per-target sliding failure window
-  /// Per-outcome EWMA weight of the virtual-time suspicion estimator.
-  double health_ewma_alpha = 0.3;
-  /// Virtual-time half-life of the suspicion decay (phi-style: an idle
-  /// target's suspicion fades even without successes).
-  double health_ewma_halflife_us = 5000.0;
-  /// Suspicion above which a target is marked SUSPECT (diagnostic state;
-  /// quarantine requires the windowed failure threshold or a fatal error).
-  double health_suspect_threshold = 0.5;
   /// Minimum quarantine dwell before an epoch boundary re-probes the
   /// target half-open (PROBING).
   double health_quarantine_dwell_us = 5000.0;
@@ -175,7 +167,6 @@ struct Config {
 
   // --- instrumentation ---
   bool collect_phase_timings = false;  ///< real-time phase breakdown (Fig. 7)
-  bool trace_adaptation = false;       ///< print every adaptive resize to stderr
 
   std::uint64_t seed = 0x5eedc1a3ca11edull;  ///< hash functions + sampling
 };

@@ -4,27 +4,11 @@
 // backoff, but the first version accounted for them *globally*: one
 // epoch-wide backoff pool and one circuit breaker for the whole window,
 // so a single dead target could starve retries for healthy ones. This
-// subsystem makes failure handling per-target:
-//
-//   - a virtual-time EWMA failure detector (phi-accrual flavoured: the
-//     suspicion score decays exponentially with elapsed virtual time and
-//     is bumped by every op outcome) feeding
-//   - a per-target state machine
-//
-//         failures accumulate          windowed failures >= threshold,
-//            (suspicion)               or a fatal (rank-dead) failure
-//     HEALTHY -----------> SUSPECT -------------------------------+
-//        ^  ^                 |                                   v
-//        |  |                 +----------------------------> QUARANTINED
-//        |  |  probe_successes consecutive                     |     ^
-//        |  +------------------------------- PROBING <---------+     |
-//        |        successful probes             |   dwell elapsed    |
-//        |                                      |  (epoch boundary)  |
-//        +--- suspicion decays below threshold  +--- probe fails ----+
-//
-//   - per-target sliding-window failure counts (metrics::
-//     SlidingWindowCounter) and per-target epoch backoff accounting,
-//     replacing the window-wide pool.
+// subsystem makes failure handling per-target: each target has its own
+// FailureDetector (clampi/detector.h; closed, open and probing read as
+// HEALTHY, QUARANTINED and PROBING, and a fatal rank-dead failure
+// quarantines at once), its own op counters and its own epoch backoff
+// pool, replacing the window-wide one.
 //
 // Quarantined targets fast-fail (the window refuses to issue network ops
 // for them instead of burning retries and backoff) and may opt into
@@ -35,20 +19,21 @@
 //
 // The monitor is runtime-agnostic: CachedWindow feeds it op outcomes and
 // virtual time; tests drive it directly. Targets are window-comm local
-// ranks. With failure_threshold == 0 the detector is off (every target
-// reports HEALTHY forever) but the per-target backoff accounting — which
-// must work unconditionally — is still live.
+// ranks. With threshold == 0 the detector is off (every target reports
+// HEALTHY forever) but the per-target backoff accounting — which must
+// work unconditionally — is still live.
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "metrics/sliding_window.h"
+#include "clampi/detector.h"
 
 namespace clampi {
 
-enum class HealthState : std::uint8_t { kHealthy, kSuspect, kQuarantined, kProbing };
+/// The values are the trace's `h` codes. Code 1 is retired: nothing
+/// writes it, but traces that carry it still load.
+enum class HealthState : std::uint8_t { kHealthy = 0, kQuarantined = 2, kProbing = 3 };
 
 const char* to_string(HealthState s);
 
@@ -58,7 +43,6 @@ const char* to_string(HealthState s);
 /// OpFailedError.
 struct TargetStatus {
   HealthState state = HealthState::kHealthy;
-  double suspicion = 0.0;  ///< decayed EWMA failure estimate in [0, 1]
   std::uint64_t failures = 0;   ///< cumulative op failures against this target
   std::uint64_t successes = 0;  ///< cumulative successful network ops
   std::uint64_t fast_fails = 0;     ///< gets refused while quarantined
@@ -69,7 +53,7 @@ struct TargetStatus {
   std::uint64_t slow_observations = 0;  ///< ops that completed against this
                                         ///< target while it straggled (SLOW
                                         ///< is informational: it never feeds
-                                        ///< suspicion or quarantine)
+                                        ///< quarantine)
   bool dead = false;    ///< the fault injector reports the rank dead *now*
                         ///< (filled by CachedWindow, not the monitor)
   bool partitioned = false;  ///< a partition currently cuts this rank off
@@ -89,87 +73,53 @@ struct TargetStatus {
 
 class HealthMonitor {
  public:
-  struct Config {
-    /// Windowed per-target failures that quarantine the target; 0 turns
-    /// the detector off entirely (state() is kHealthy forever).
-    int failure_threshold = 0;
-    double window_us = 10000.0;       ///< sliding failure-count window
-    double ewma_alpha = 0.3;          ///< per-outcome EWMA weight
-    double ewma_halflife_us = 5000.0; ///< virtual-time suspicion half-life
-    double suspect_threshold = 0.5;   ///< suspicion above this marks SUSPECT
-    double quarantine_dwell_us = 5000.0;  ///< min quarantine before probing
-    int probe_successes = 2;  ///< consecutive healthy probes to recover
-  };
+  /// Every target's detector; threshold 0 turns health off (see above).
+  using Config = FailureDetector::Config;
 
   explicit HealthMonitor(const Config& cfg) : cfg_(cfg) {}
 
-  bool enabled() const { return cfg_.failure_threshold > 0; }
+  bool enabled() const { return cfg_.threshold > 0; }
 
-  /// A network op against `target` completed cleanly at virtual time
-  /// `now_us`. Returns the state after the update (PROBING may reclose).
-  HealthState record_success(int target, double now_us);
+  /// A network op against `target` completed cleanly. Returns the state
+  /// after the update (PROBING may reclose).
+  HealthState record_success(int target);
 
   /// A network op failed. `fatal` (rank-dead) quarantines immediately;
-  /// transient failures accumulate suspicion and windowed counts.
+  /// transient failures count in the target's window.
   HealthState record_failure(int target, double now_us, bool fatal);
 
   HealthState state(int target) const;
-  /// Decayed suspicion at `now_us` (diagnostic; state() is the decision).
-  double suspicion(int target, double now_us) const;
-  TargetStatus status(int target, double now_us) const;
+  TargetStatus status(int target) const;
 
   /// Epoch boundary: zero every target's backoff accounting and promote
-  /// quarantined targets whose dwell elapsed to PROBING. Transitions are
-  /// appended to `out` (may be nullptr) as (target, new state).
-  void on_epoch_close(double now_us,
-                      std::vector<std::pair<int, HealthState>>* out);
+  /// quarantined targets whose dwell elapsed to PROBING. Returns the
+  /// promoted targets.
+  std::vector<int> on_epoch_close(double now_us);
 
   /// Zero the per-target backoff accounting without touching states
   /// (abandoned epochs: a flush failure resets the pools mid-epoch).
   void reset_epoch_backoff();
 
+  /// The target's counter fields (TargetStatus minus the state), for the
+  /// window to bump.
+  TargetStatus& counters(int target) { return at(target).counters; }
+
   /// Per-target backoff charged in the current epoch (mutable: the retry
   /// loop accumulates into it). Replaces the window-global pool.
-  double& epoch_backoff_us(int target) { return at(target).epoch_backoff_us; }
-  double epoch_backoff_us(int target) const;
+  double& epoch_backoff_us(int target) { return counters(target).epoch_backoff_us; }
   /// Sum across targets (back-compat for the old window-global accessor).
   double total_epoch_backoff_us() const;
 
-  void note_fast_fail(int target) { ++at(target).fast_fails; }
-  void note_degraded_hit(int target) { ++at(target).degraded_hits; }
-
-  /// A network op completed against `target` while a straggler epoch
-  /// covered it (docs/FAULTS.md §8). SLOW is a pure observation: it bumps
-  /// a counter and nothing else — no suspicion, no windowed failure count,
-  /// no state transition — so a straggling-but-correct rank can never be
-  /// quarantined by slowness alone. Works with the detector off.
-  void record_slow(int target) { ++at(target).slow_observations; }
-
-  /// Highest target index ever touched + 1 (targets are created lazily).
-  std::size_t tracked_targets() const { return targets_.size(); }
-
  private:
+  // Targets are created lazily, on first touch.
   struct Target {
-    explicit Target(double window_us) : window_failures(window_us) {}
-    HealthState state = HealthState::kHealthy;
-    double suspicion = 0.0;
-    double last_update_us = 0.0;
-    metrics::SlidingWindowCounter window_failures;
-    std::uint64_t failures = 0;
-    std::uint64_t successes = 0;
-    std::uint64_t fast_fails = 0;
-    std::uint64_t degraded_hits = 0;
-    double quarantined_since_us = -1.0;
-    double epoch_backoff_us = 0.0;
-    int probe_streak = 0;
-    std::uint64_t slow_observations = 0;
+    explicit Target(const Config& cfg) : detector(cfg) {}
+    FailureDetector detector;
+    TargetStatus counters;
   };
 
   Target& at(int target);
   const Target* find(int target) const;
-  /// Apply the virtual-time exponential decay to t's suspicion.
-  void decay(Target& t, double now_us) const;
-  void enter_quarantine(Target& t, double now_us);
 
   Config cfg_;
   std::vector<Target> targets_;

@@ -119,12 +119,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.health_failure_threshold = parse_int(key, value);
     } else if (key == "clampi_health_window_us") {
       cfg.health_window_us = parse_f64(key, value);
-    } else if (key == "clampi_health_ewma_alpha") {
-      cfg.health_ewma_alpha = parse_f64(key, value);
-    } else if (key == "clampi_health_ewma_halflife_us") {
-      cfg.health_ewma_halflife_us = parse_f64(key, value);
-    } else if (key == "clampi_health_suspect_threshold") {
-      cfg.health_suspect_threshold = parse_f64(key, value);
     } else if (key == "clampi_health_quarantine_dwell_us") {
       cfg.health_quarantine_dwell_us = parse_f64(key, value);
     } else if (key == "clampi_health_probe_successes") {
@@ -233,13 +227,6 @@ void validate_config(const Config& cfg) {
     // The remaining health knobs only matter when the detector exists; a
     // disabled detector tolerates any leftover values.
     CLAMPI_REQUIRE(cfg.health_window_us > 0.0, "config: health_window_us must be > 0");
-    CLAMPI_REQUIRE(cfg.health_ewma_alpha > 0.0 && cfg.health_ewma_alpha <= 1.0,
-                   "config: health_ewma_alpha must be in (0, 1]");
-    CLAMPI_REQUIRE(cfg.health_ewma_halflife_us > 0.0,
-                   "config: health_ewma_halflife_us must be > 0");
-    CLAMPI_REQUIRE(cfg.health_suspect_threshold > 0.0 &&
-                       cfg.health_suspect_threshold <= 1.0,
-                   "config: health_suspect_threshold must be in (0, 1]");
     CLAMPI_REQUIRE(cfg.health_quarantine_dwell_us >= 0.0,
                    "config: negative health_quarantine_dwell_us");
     CLAMPI_REQUIRE(cfg.health_probe_successes >= 1,

@@ -82,7 +82,6 @@ namespace clampi {
                                                                               \
   /* --- per-target health (failure detection / quarantine / degraded        \
      reads; docs/FAULTS.md §6) --- */                                         \
-  X(health_suspects)        /* transitions into SUSPECT */                    \
   X(health_quarantines)     /* transitions into QUARANTINED */                \
   X(health_probes)          /* QUARANTINED -> PROBING (half-open) */          \
   X(health_recoveries)      /* PROBING -> HEALTHY */                          \

@@ -19,7 +19,9 @@
 //   b <state>                     breaker transition (0 closed, 1 open,
 //                                 2 half-open)
 //   h <target> <state>            per-target health transition (0 healthy,
-//                                 1 suspect, 2 quarantined, 3 probing)
+//                                 2 quarantined, 3 probing; 1, the
+//                                 retired SUSPECT state, is no longer
+//                                 emitted but still loads)
 //
 // The x/r/c/b/h lines are annotations emitted by the resilience and
 // integrity layers: replay skips them (the injector, if any, re-creates

@@ -1,6 +1,5 @@
 #include "clampi/window.h"
 
-#include <cstdio>
 #include <cstring>
 
 #include "clampi/trace.h"
@@ -11,15 +10,8 @@ namespace clampi {
 namespace {
 
 HealthMonitor::Config health_config(const Config& cfg) {
-  HealthMonitor::Config hc;
-  hc.failure_threshold = cfg.health_failure_threshold;
-  hc.window_us = cfg.health_window_us;
-  hc.ewma_alpha = cfg.health_ewma_alpha;
-  hc.ewma_halflife_us = cfg.health_ewma_halflife_us;
-  hc.suspect_threshold = cfg.health_suspect_threshold;
-  hc.quarantine_dwell_us = cfg.health_quarantine_dwell_us;
-  hc.probe_successes = cfg.health_probe_successes;
-  return hc;
+  return {cfg.health_failure_threshold, cfg.health_window_us,
+          cfg.health_quarantine_dwell_us, cfg.health_probe_successes};
 }
 
 LoadShedder::Config shedder_config(const Config& cfg) {
@@ -34,6 +26,15 @@ LoadShedder::Config shedder_config(const Config& cfg) {
 
 }  // namespace
 
+const char* to_string(BreakerState s) {
+  switch (s) {
+    case BreakerState::kClosed: return "closed";
+    case BreakerState::kOpen: return "open";
+    case BreakerState::kHalfOpen: return "half_open";
+  }
+  return "?";
+}
+
 CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config& cfg)
     : p_(&p),
       win_(win),
@@ -44,13 +45,9 @@ CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config&
       retry_rng_(cfg.seed ^ 0x7e7a11edbac0ffull),
       health_(health_config(cfg)) {
   if (cfg_.breaker_failure_threshold > 0) {
-    CircuitBreaker::Config bc;
-    bc.failure_threshold = cfg_.breaker_failure_threshold;
-    bc.window_us = cfg_.breaker_window_us;
-    bc.open_us = cfg_.breaker_open_us;
-    bc.probe_every_n = cfg_.breaker_probe_every_n;
-    bc.halfopen_successes = cfg_.breaker_halfopen_successes;
-    breaker_ = std::make_unique<CircuitBreaker>(bc);
+    breaker_ = std::make_unique<FailureDetector>(FailureDetector::Config{
+        cfg_.breaker_failure_threshold, cfg_.breaker_window_us, cfg_.breaker_open_us,
+        cfg_.breaker_halfopen_successes});
   }
   if (cfg_.load_shedding) shedder_ = std::make_unique<LoadShedder>(shedder_config(cfg_));
 }
@@ -107,7 +104,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   // at the top of get()) so pure cache hits on a down target still serve.
   if (health_.enabled() && health_.state(target) == HealthState::kQuarantined) {
     ++core_->mutable_stats().fast_fails;
-    health_.note_fast_fail(target);
+    ++health_.counters(target).fast_fails;
     throw_get_failure(fault::FailureKind::kQuarantined, target, disp, bytes);
   }
   // A walk-wide deadline (kv replica fall-through) may already be spent
@@ -122,16 +119,16 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   for (;;) {
     try {
       issue_fn();
-      health_record(target, /*success=*/true, /*fatal=*/false);
+      record_target_outcome(target, /*success=*/true);
       return;
     } catch (const fault::OpFailedError& err) {
       Stats& st = core_->mutable_stats();
       ++st.injected_faults;
       if (fault_trace_ != nullptr) fault_trace_->add_fault(target, disp, bytes);
       // Rank death and partitions persist until external state changes:
-      // quarantine immediately rather than accumulating suspicion.
-      health_record(target, /*success=*/false,
-                    /*fatal=*/err.failure() != fault::FailureKind::kTransient);
+      // quarantine immediately rather than waiting for the window count.
+      record_target_outcome(target, /*success=*/false,
+                            /*fatal=*/err.failure() != fault::FailureKind::kTransient);
       if (!err.recoverable() || attempt >= cfg_.max_retries) {
         // Give-ups only count when a retry policy was actually in play
         // and could not help (transient fault, retries exhausted).
@@ -307,7 +304,7 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
   if (cfg_.degraded_max_staleness_us <= 0.0 || age <= cfg_.degraded_max_staleness_us) {
     serve_cached(origin, id, bytes);
     ++st.degraded_hits;
-    health_.note_degraded_hit(target);
+    ++health_.counters(target).degraded_hits;
     // Deliberately not counted as a total_get: degraded serves happen
     // outside access() and must not skew the adaptive tuner's ratios.
     st.bytes_from_cache += bytes;
@@ -327,7 +324,7 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
 
 TargetStatus CachedWindow::target_status(int target) const {
   const double now = p_->now_us();
-  TargetStatus ts = health_.status(target, now);
+  TargetStatus ts = health_.status(target);
   const fault::Injector* inj = p_->fault_injector();
   if (inj != nullptr) {
     const int wt = p_->comm_world_rank(comm_, target);
@@ -360,7 +357,7 @@ void CachedWindow::reset_after_crash(bool wipe_cache, bool wipe_health, bool wip
   }
 }
 
-void CachedWindow::health_record(int target, bool success, bool fatal) {
+void CachedWindow::record_target_outcome(int target, bool success, bool fatal) {
   if (success) {
     // SLOW observation (docs/FAULTS.md §8): the op completed while a
     // straggler epoch covered the target. Counted before the enabled()
@@ -370,21 +367,19 @@ void CachedWindow::health_record(int target, bool success, bool fatal) {
     if (inj != nullptr &&
         inj->slow(p_->comm_world_rank(comm_, target), p_->now_us())) {
       ++core_->mutable_stats().slow_observations;
-      health_.record_slow(target);
+      ++health_.counters(target).slow_observations;
     }
   }
   if (!health_.enabled()) return;
-  const double now = p_->now_us();
   const HealthState before = health_.state(target);
-  const HealthState after = success ? health_.record_success(target, now)
-                                    : health_.record_failure(target, now, fatal);
+  const HealthState after = success ? health_.record_success(target)
+                                    : health_.record_failure(target, p_->now_us(), fatal);
   if (after != before) health_note(target, after);
 }
 
 void CachedWindow::health_note(int target, HealthState after) {
   Stats& st = core_->mutable_stats();
   switch (after) {
-    case HealthState::kSuspect: ++st.health_suspects; break;
     case HealthState::kQuarantined: ++st.health_quarantines; break;
     case HealthState::kProbing: ++st.health_probes; break;
     case HealthState::kHealthy: ++st.health_recoveries; break;
@@ -400,10 +395,8 @@ void CachedWindow::health_note(int target, HealthState after) {
 }
 
 void CachedWindow::health_epoch_close() {
-  health_transitions_.clear();
-  health_.on_epoch_close(p_->now_us(), &health_transitions_);
-  for (const auto& [target, state] : health_transitions_) {
-    health_note(target, state);
+  for (const int target : health_.on_epoch_close(p_->now_us())) {
+    health_note(target, HealthState::kProbing);
   }
 }
 
@@ -664,8 +657,8 @@ void CachedWindow::on_flush_failure(const fault::OpFailedError& err, bool all_ta
   ++st.injected_faults;
   const int local = p_->comm_local_rank(comm_, err.op().target);
   if (fault_trace_ != nullptr) fault_trace_->add_fault(local, 0, 0);
-  health_record(local, /*success=*/false,
-                /*fatal=*/err.failure() != fault::FailureKind::kTransient);
+  record_target_outcome(local, /*success=*/false,
+                        /*fatal=*/err.failure() != fault::FailureKind::kTransient);
   // The dead target's in-flight data will never be *completed*. Ops that
   // failed at issue were already rolled back, so every surviving pending
   // op against the target was issued before the death — and data movement
@@ -740,21 +733,6 @@ void CachedWindow::maybe_adapt() {
   const AdaptiveTuner::Decision d = tuner_.evaluate(
       delta, core_->index_entries(), core_->storage_bytes(), core_->free_bytes());
   if (d.change) {
-    if (cfg_.trace_adaptation) {
-      std::fprintf(stderr,
-                   "clampi-adapt: %s |I_w| %zu->%zu |S_w| %zu->%zu "
-                   "(conf=%llu cap=%llu fail=%llu hit=%.2f free=%.2f over %llu gets)\n",
-                   d.reason, core_->index_entries(), d.index_entries,
-                   core_->storage_bytes(), d.storage_bytes,
-                   static_cast<unsigned long long>(delta.conflicting),
-                   static_cast<unsigned long long>(delta.capacity),
-                   static_cast<unsigned long long>(delta.failing),
-                   static_cast<double>(delta.hitting()) /
-                       static_cast<double>(delta.total_gets),
-                   static_cast<double>(core_->free_bytes()) /
-                       static_cast<double>(core_->storage_bytes()),
-                   static_cast<unsigned long long>(delta.total_gets));
-    }
     core_->resize(d.index_entries, d.storage_bytes);
   }
   adapt_base_ = core_->stats();
@@ -819,31 +797,46 @@ void CachedWindow::fence() {
 // --- integrity guard (docs/INTEGRITY.md) ---
 
 bool CachedWindow::breaker_says_passthrough() {
-  if (breaker_ == nullptr) [[likely]] return false;
-  const BreakerState before = breaker_->state();
-  const CircuitBreaker::Route route = breaker_->route(p_->now_us());
-  breaker_note(before);  // open -> half-open transitions surface here
-  if (route == CircuitBreaker::Route::kCache) return false;
+  if (!breaker_) [[likely]] return false;
+  const double now = p_->now_us();
+  if (breaker_->probe_due(now)) {
+    // Dwell served: start probing with this get.
+    breaker_open_us_ += now - breaker_->opened_at_us();
+    breaker_probe_tick_ = 0;
+    breaker_note(BreakerState::kOpen);
+  }
+  const BreakerState state = breaker_state();
+  if (state == BreakerState::kClosed) return false;
+  // Half-open: 1 of every probe_every_n gets probes the cache.
+  if (state == BreakerState::kHalfOpen &&
+      breaker_probe_tick_++ % cfg_.breaker_probe_every_n == 0) {
+    return false;
+  }
   ++core_->mutable_stats().breaker_passthrough_gets;
   last_access_ = AccessType::kDirect;
   return true;
 }
 
 void CachedWindow::breaker_failure() {
-  if (breaker_ == nullptr) return;
-  const BreakerState before = breaker_->state();
+  if (!breaker_) return;
+  const BreakerState before = breaker_state();
   breaker_->record_failure(p_->now_us());
   breaker_note(before);
 }
 
 void CachedWindow::breaker_probe_success() {
-  if (breaker_ == nullptr || breaker_->state() != BreakerState::kHalfOpen) return;
-  breaker_->record_probe_success(p_->now_us());
+  if (breaker_state() != BreakerState::kHalfOpen) return;
+  breaker_->record_success();
   breaker_note(BreakerState::kHalfOpen);
 }
 
+double CachedWindow::breaker_time_in_open_us() const {
+  if (breaker_state() != BreakerState::kOpen) return breaker_open_us_;
+  return breaker_open_us_ + (p_->now_us() - breaker_->opened_at_us());
+}
+
 void CachedWindow::breaker_note(BreakerState before) {
-  const BreakerState now = breaker_->state();
+  const BreakerState now = breaker_state();
   if (now == before) return;
   Stats& st = core_->mutable_stats();
   if (now == BreakerState::kOpen) ++st.breaker_trips;

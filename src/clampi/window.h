@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "clampi/adaptive.h"
-#include "clampi/breaker.h"
 #include "clampi/cache.h"
 #include "clampi/config.h"
+#include "clampi/detector.h"
 #include "clampi/health.h"
 #include "clampi/info.h"
 #include "clampi/shedder.h"
@@ -37,6 +37,12 @@
 #include "rt/engine.h"
 
 namespace clampi {
+
+/// The circuit breaker's names for its FailureDetector's states, in the
+/// same order; the values are the trace's `b` codes.
+enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
+
+const char* to_string(BreakerState s);
 
 namespace trace {
 struct Trace;  // clampi/trace.h; fault/retry annotations are mirrored there
@@ -141,7 +147,9 @@ class CachedWindow {
   /// across targets (the accounting itself is per-target; docs/FAULTS.md §6).
   double epoch_backoff_us() const { return health_.total_epoch_backoff_us(); }
   /// Backoff charged against one target in the current epoch.
-  double epoch_backoff_us(int target) const { return health_.epoch_backoff_us(target); }
+  double epoch_backoff_us(int target) const {
+    return health_.status(target).epoch_backoff_us;
+  }
 
   // --- survivability introspection (docs/FAULTS.md §6) ---
   /// Typed per-target health snapshot: lets a workload drop a dead or
@@ -150,7 +158,6 @@ class CachedWindow {
   TargetStatus target_status(int target) const;
   /// Health state alone (kHealthy when the detector is off).
   HealthState target_health(int target) const { return health_.state(target); }
-  const HealthMonitor& health() const { return health_; }
   /// True when the previous get() was served as a bounded-staleness
   /// degraded read; last_degraded_age_us() is that serve's staleness.
   bool last_was_degraded() const { return last_degraded_; }
@@ -166,14 +173,13 @@ class CachedWindow {
   using HealthObserver = std::function<void(int target, HealthState state)>;
   /// Install (or with an empty function clear) the transition observer.
   void observe_health(HealthObserver obs) { health_observer_ = std::move(obs); }
-  /// Feed an out-of-band op outcome into the health machine. The cached
-  /// get path records outcomes itself (issue_resilient), but the KV
-  /// layer's uncached reads and slot writes go straight to the engine —
-  /// without this, their successes against a PROBING target would never
-  /// count as probes and a recovered rank could stay half-open forever.
-  void record_target_outcome(int target, bool success, bool fatal = false) {
-    health_record(target, success, fatal);
-  }
+  /// Feed one op outcome into the health machine and mirror any state
+  /// transition into Stats and the trace. The cached get path records its
+  /// outcomes here too (issue_resilient), but the KV layer's uncached
+  /// reads and slot writes go straight to the engine — without this,
+  /// their successes against a PROBING target would never count as
+  /// probes and a recovered rank could stay half-open forever.
+  void record_target_outcome(int target, bool success, bool fatal = false);
 
   /// Crash-restart wipe (docs/DURABILITY.md): drop the volatile
   /// client-side state a wiped-memory crash of *this* rank destroys. The
@@ -221,11 +227,13 @@ class CachedWindow {
   /// Breaker state; kClosed when no breaker is configured
   /// (breaker_failure_threshold == 0).
   BreakerState breaker_state() const {
-    return breaker_ == nullptr ? BreakerState::kClosed : breaker_->state();
+    return breaker_ ? static_cast<BreakerState>(breaker_->state()) : BreakerState::kClosed;
   }
-  /// The breaker itself (nullptr when disabled); exposed for tests and
-  /// the integrity sweep (time-in-open accounting).
-  const CircuitBreaker* breaker() const { return breaker_.get(); }
+  /// The breaker's detector (nullptr when disabled); exposed for tests.
+  const FailureDetector* breaker() const { return breaker_.get(); }
+  /// Cumulative virtual time the breaker spent open (half-open not
+  /// included); 0 when no breaker is configured.
+  double breaker_time_in_open_us() const;
 
  private:
   struct PendingOp {
@@ -294,9 +302,6 @@ class CachedWindow {
   /// Foreground admission gate: throws kShed when the AIMD shedder
   /// refuses the op (before any cache or network work).
   void shed_admission(int target, std::size_t disp, std::size_t bytes);
-  /// Feed one op outcome to the health monitor and mirror any state
-  /// transition into Stats and the trace.
-  void health_record(int target, bool success, bool fatal);
   /// Mirror a transition of `target` to `after` (stats counters + trace
   /// `h` annotation). Callers only invoke on an actual change.
   void health_note(int target, HealthState after);
@@ -327,7 +332,7 @@ class CachedWindow {
   /// transition into Stats and the trace.
   void breaker_failure();
   /// A cache-routed get completed cleanly; in half-open this counts
-  /// toward reclosing.
+  /// toward reclosing. The breaker never reports a success while open.
   void breaker_probe_success();
   /// Mirror a state change since `before` into Stats and the trace.
   void breaker_note(BreakerState before);
@@ -358,7 +363,6 @@ class CachedWindow {
   std::uint64_t bypassed_ = 0;
   util::Xoshiro256 retry_rng_;
   HealthMonitor health_;
-  std::vector<std::pair<int, HealthState>> health_transitions_;  // scratch
   bool last_degraded_ = false;
   double last_degraded_age_us_ = 0.0;
   double epoch_open_us_ = 0.0;  ///< virtual time the current epoch opened:
@@ -367,7 +371,7 @@ class CachedWindow {
   trace::Trace* fault_trace_ = nullptr;
   GetObserver get_observer_;        // chaos-oracle tap (empty = disabled)
   HealthObserver health_observer_;  // KV hinted-handoff tap (empty = disabled)
-  std::unique_ptr<CircuitBreaker> breaker_;  // null unless configured
+  std::unique_ptr<FailureDetector> breaker_;  // null unless configured
   std::uint64_t shadow_tick_ = 0;            // shadow_verify_every_n sampling
   std::vector<std::byte> shadow_buf_;        // scratch for shadow fetches
   std::unique_ptr<LoadShedder> shedder_;     // null unless load_shedding
@@ -375,6 +379,8 @@ class CachedWindow {
   double deadline_abs_ = -1.0;        // deadline of the op in flight (< 0 = none)
   std::vector<int> crash_restarts_seen_;  // per comm-rank restarts swept
                                           // (crash_epoch_check; lazily sized)
+  int breaker_probe_tick_ = 0;    // half-open: 1 of every probe_every_n probes
+  double breaker_open_us_ = 0.0;  // time open, over finished open spells
 };
 
 /// Paper-style spelling of the user-defined-mode invalidation call.

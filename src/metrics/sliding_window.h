@@ -3,9 +3,9 @@
 // Counts events whose timestamp lies within the trailing `window_us`
 // microseconds. Backing store is a deque of timestamps, pruned lazily on
 // every query, so `count()` is amortized O(1) per recorded event. Used by
-// the CLaMPI circuit breaker (docs/INTEGRITY.md) to decide when the
-// corruption / retry-giveup rate justifies tripping to pass-through, but
-// generic enough for any windowed-rate decision over virtual time.
+// the CLaMPI failure detector (clampi/detector.h: the circuit breaker and
+// per-target health) to decide when the failure rate justifies opening,
+// but generic enough for any windowed-rate decision over virtual time.
 //
 // Timestamps must be non-decreasing (virtual time is monotonic within a
 // rank); the class does not sort.

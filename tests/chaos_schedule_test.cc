@@ -160,7 +160,9 @@ TEST(ChaosGenerator, OracleSoundnessCouplingRules) {
     // Deaths and degraded epochs only make sense on server ranks; the
     // driver (rank 0) dying would deadlock the run.
     for (std::size_t r = 0; r < s.plan.death_us.size(); ++r) {
-      if (s.plan.death_us[r] >= 0.0) EXPECT_GE(r, 1u);
+      if (s.plan.death_us[r] >= 0.0) {
+        EXPECT_GE(r, 1u);
+      }
     }
   }
   // The 400-seed sweep must actually exercise both coupled regimes.

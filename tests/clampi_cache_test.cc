@@ -456,7 +456,9 @@ TEST_P(CacheOracle, ServedBytesAlwaysCorrect) {
       for (std::size_t i = 0; i < n; ++i) payload[i] = remote_byte(disp + i);
       materialize(c, r.entry, payload.data(), n);
     }
-    if (step % 2000 == 0) ASSERT_TRUE(c.validate());
+    if (step % 2000 == 0) {
+      ASSERT_TRUE(c.validate());
+    }
   }
   ASSERT_TRUE(c.validate());
   // The stream has only 64 distinct keys: hits must dominate.

@@ -183,9 +183,6 @@ TEST(ConfigValidation, RejectsMalformedHealthKnobs) {
   // Dependent detector knobs are only checked once the detector is on.
   Config off;
   off.health_window_us = -1.0;
-  off.health_ewma_alpha = 7.0;
-  off.health_ewma_halflife_us = 0.0;
-  off.health_suspect_threshold = 0.0;
   off.health_quarantine_dwell_us = -5.0;
   off.health_probe_successes = 0;
   EXPECT_NO_THROW(validate_config(off));
@@ -196,19 +193,6 @@ TEST(ConfigValidation, RejectsMalformedHealthKnobs) {
   on.health_window_us = 0.0;
   EXPECT_THROW(validate_config(on), util::ContractError);
   on.health_window_us = 10000.0;
-  on.health_ewma_alpha = 0.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_ewma_alpha = 1.5;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_ewma_alpha = 0.3;
-  on.health_ewma_halflife_us = 0.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_ewma_halflife_us = 5000.0;
-  on.health_suspect_threshold = 0.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_suspect_threshold = 2.0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_suspect_threshold = 0.5;
   on.health_quarantine_dwell_us = -1.0;
   EXPECT_THROW(validate_config(on), util::ContractError);
   on.health_quarantine_dwell_us = 5000.0;
@@ -305,9 +289,6 @@ TEST(ConfigValidation, TailInfoKeysParse) {
 TEST(ConfigValidation, HealthInfoKeysParse) {
   const Info info{{"clampi_health_failure_threshold", "3"},
                   {"clampi_health_window_us", "20000"},
-                  {"clampi_health_ewma_alpha", "0.25"},
-                  {"clampi_health_ewma_halflife_us", "4000"},
-                  {"clampi_health_suspect_threshold", "0.6"},
                   {"clampi_health_quarantine_dwell_us", "8000"},
                   {"clampi_health_probe_successes", "3"},
                   {"clampi_degraded_reads", "true"},
@@ -315,9 +296,6 @@ TEST(ConfigValidation, HealthInfoKeysParse) {
   const Config cfg = config_from_info(info);
   EXPECT_EQ(cfg.health_failure_threshold, 3);
   EXPECT_DOUBLE_EQ(cfg.health_window_us, 20000.0);
-  EXPECT_DOUBLE_EQ(cfg.health_ewma_alpha, 0.25);
-  EXPECT_DOUBLE_EQ(cfg.health_ewma_halflife_us, 4000.0);
-  EXPECT_DOUBLE_EQ(cfg.health_suspect_threshold, 0.6);
   EXPECT_DOUBLE_EQ(cfg.health_quarantine_dwell_us, 8000.0);
   EXPECT_EQ(cfg.health_probe_successes, 3);
   EXPECT_TRUE(cfg.degraded_reads);
@@ -365,11 +343,15 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
 
 TEST(ConfigValidation, RemovedKnobsAreUnknownKeys) {
   // Deleted knobs fail like any other unknown key: the unbounded cache
-  // fallback (degraded_reads covers it) and the shard count (the core is
-  // one partition). The second key is spelled in two pieces so that a
-  // search for the deleted knob finds no live use of it.
-  const std::string shard_key = std::string("clampi_cache_") + "shards";
-  for (const std::string& key : {std::string("clampi_cache_fallback"), shard_key}) {
+  // fallback (degraded_reads covers it), the shard count (the core is
+  // one partition) and the three knobs of the retired health suspicion
+  // estimator. Keys after the first are spelled in two pieces so that a
+  // search for a deleted knob finds no live use of it.
+  const std::string health = "clampi_health_";
+  for (const std::string& key :
+       {std::string("clampi_cache_fallback"), std::string("clampi_cache_") + "shards",
+        health + "ewma_alpha", health + "ewma_halflife_us",
+        health + "suspect_threshold"}) {
     try {
       (void)config_from_info({{key, "1"}});
       ADD_FAILURE() << key << " was accepted";

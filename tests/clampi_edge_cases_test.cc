@@ -149,7 +149,9 @@ TEST(CacheEdge, AdversarialSameSlotStreamKeepsInvariants) {
     if (r.entry != kNoEntry && c.entry_pending(r.entry)) {
       materialize(c, r.entry, 1);
     }
-    if (i % 2000 == 0) ASSERT_TRUE(c.validate()) << i;
+    if (i % 2000 == 0) {
+      ASSERT_TRUE(c.validate()) << i;
+    }
   }
   EXPECT_GT(c.stats().conflicting + c.stats().failing, 0u);
   EXPECT_TRUE(c.validate());

@@ -1,5 +1,5 @@
-// Per-target health subsystem (docs/FAULTS.md §6): failure-detector state
-// machine, per-target retry budgets (no cross-target starvation),
+// Per-target health subsystem (docs/FAULTS.md §6): the per-target
+// failure detector, per-target retry budgets (no cross-target starvation),
 // quarantine fast-fails, bounded-staleness degraded reads, dead-flush
 // in-flight handling and the typed target-status query API.
 #include <gtest/gtest.h>
@@ -54,67 +54,50 @@ std::uint8_t pattern_at(std::size_t i, int rank) {
 
 HealthMonitor::Config mon_cfg() {
   HealthMonitor::Config c;
-  c.failure_threshold = 3;
+  c.threshold = 3;
   c.window_us = 10000.0;
-  c.ewma_alpha = 0.5;
-  c.ewma_halflife_us = 1000.0;
-  c.suspect_threshold = 0.5;
-  c.quarantine_dwell_us = 1000.0;
-  c.probe_successes = 2;
+  c.dwell_us = 1000.0;
+  c.close_after = 2;
   return c;
 }
 
 TEST(HealthMonitor, DisabledDetectorStaysHealthyButAccountsBackoff) {
   HealthMonitor::Config c = mon_cfg();
-  c.failure_threshold = 0;  // detector off
+  c.threshold = 0;  // detector off
   HealthMonitor m(c);
   EXPECT_FALSE(m.enabled());
   for (int i = 0; i < 20; ++i) m.record_failure(0, 100.0 * i, /*fatal=*/true);
   EXPECT_EQ(m.state(0), HealthState::kHealthy);
-  EXPECT_DOUBLE_EQ(m.suspicion(0, 5000.0), 0.0);
   // The per-target backoff pools must work unconditionally.
   m.epoch_backoff_us(0) += 25.0;
   m.epoch_backoff_us(2) += 5.0;
   EXPECT_DOUBLE_EQ(m.epoch_backoff_us(0), 25.0);
   EXPECT_DOUBLE_EQ(m.epoch_backoff_us(1), 0.0);
   EXPECT_DOUBLE_EQ(m.total_epoch_backoff_us(), 30.0);
-  m.on_epoch_close(1000.0, nullptr);
+  m.on_epoch_close(1000.0);
   EXPECT_DOUBLE_EQ(m.total_epoch_backoff_us(), 0.0);
 }
 
 TEST(HealthMonitor, WindowedFailuresQuarantine) {
   HealthMonitor m(mon_cfg());
-  EXPECT_EQ(m.record_failure(1, 10.0, false), HealthState::kSuspect);  // s = 0.5
-  EXPECT_EQ(m.record_failure(1, 20.0, false), HealthState::kSuspect);
+  EXPECT_EQ(m.record_failure(1, 10.0, false), HealthState::kHealthy);
+  EXPECT_EQ(m.record_failure(1, 20.0, false), HealthState::kHealthy);
   // Third windowed failure reaches the threshold.
   EXPECT_EQ(m.record_failure(1, 30.0, false), HealthState::kQuarantined);
-  const TargetStatus st = m.status(1, 30.0);
+  const TargetStatus st = m.status(1);
   EXPECT_EQ(st.state, HealthState::kQuarantined);
   EXPECT_EQ(st.failures, 3u);
   EXPECT_DOUBLE_EQ(st.quarantined_since_us, 30.0);
   EXPECT_FALSE(st.usable);
   // Other targets are untouched.
   EXPECT_EQ(m.state(0), HealthState::kHealthy);
-  EXPECT_TRUE(m.status(0, 30.0).usable);
+  EXPECT_TRUE(m.status(0).usable);
 }
 
 TEST(HealthMonitor, FatalFailureQuarantinesImmediately) {
   HealthMonitor m(mon_cfg());
   EXPECT_EQ(m.record_failure(4, 100.0, /*fatal=*/true), HealthState::kQuarantined);
-  EXPECT_EQ(m.status(4, 100.0).failures, 1u);
-}
-
-TEST(HealthMonitor, SuspicionDecaysWithVirtualTime) {
-  HealthMonitor m(mon_cfg());
-  m.record_failure(0, 0.0, false);  // suspicion = alpha = 0.5
-  EXPECT_DOUBLE_EQ(m.suspicion(0, 0.0), 0.5);
-  // One half-life later the estimate halves without any new outcome.
-  EXPECT_NEAR(m.suspicion(0, 1000.0), 0.25, 1e-12);
-  EXPECT_NEAR(m.suspicion(0, 2000.0), 0.125, 1e-12);
-  // A success after the decay drops the target back below the suspect
-  // threshold and recovers the state.
-  EXPECT_EQ(m.state(0), HealthState::kSuspect);
-  EXPECT_EQ(m.record_success(0, 2000.0), HealthState::kHealthy);
+  EXPECT_EQ(m.status(4).failures, 1u);
 }
 
 TEST(HealthMonitor, EpochClosePromotesAfterDwell) {
@@ -122,28 +105,24 @@ TEST(HealthMonitor, EpochClosePromotesAfterDwell) {
   m.record_failure(2, 500.0, /*fatal=*/true);
   m.epoch_backoff_us(2) += 40.0;
 
-  std::vector<std::pair<int, HealthState>> out;
-  m.on_epoch_close(1000.0, &out);  // dwell (1000us) not yet elapsed
-  EXPECT_TRUE(out.empty());
+  // Dwell (1000us) not yet elapsed.
+  EXPECT_TRUE(m.on_epoch_close(1000.0).empty());
   EXPECT_EQ(m.state(2), HealthState::kQuarantined);
   EXPECT_DOUBLE_EQ(m.epoch_backoff_us(2), 0.0);  // backoff resets regardless
 
-  m.on_epoch_close(1600.0, &out);  // 1100us in quarantine: promote
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].first, 2);
-  EXPECT_EQ(out[0].second, HealthState::kProbing);
+  // 1100us in quarantine: promote.
+  EXPECT_EQ(m.on_epoch_close(1600.0), std::vector<int>{2});
   EXPECT_EQ(m.state(2), HealthState::kProbing);
 }
 
 TEST(HealthMonitor, ProbeStreakRecloses) {
   HealthMonitor m(mon_cfg());
   m.record_failure(0, 0.0, /*fatal=*/true);
-  m.on_epoch_close(2000.0, nullptr);
+  m.on_epoch_close(2000.0);
   ASSERT_EQ(m.state(0), HealthState::kProbing);
-  EXPECT_EQ(m.record_success(0, 2100.0), HealthState::kProbing);  // streak 1 of 2
-  EXPECT_EQ(m.record_success(0, 2200.0), HealthState::kHealthy);
-  const TargetStatus st = m.status(0, 2200.0);
-  EXPECT_DOUBLE_EQ(st.suspicion, 0.0);
+  EXPECT_EQ(m.record_success(0), HealthState::kProbing);  // streak 1 of 2
+  EXPECT_EQ(m.record_success(0), HealthState::kHealthy);
+  const TargetStatus st = m.status(0);
   EXPECT_LT(st.quarantined_since_us, 0.0);
   EXPECT_EQ(st.failures, 1u);  // cumulative counters survive recovery
   EXPECT_EQ(st.successes, 2u);
@@ -152,15 +131,14 @@ TEST(HealthMonitor, ProbeStreakRecloses) {
 TEST(HealthMonitor, ProbeFailureRequarantines) {
   HealthMonitor m(mon_cfg());
   m.record_failure(0, 0.0, /*fatal=*/true);
-  m.on_epoch_close(2000.0, nullptr);
+  m.on_epoch_close(2000.0);
   ASSERT_EQ(m.state(0), HealthState::kProbing);
   EXPECT_EQ(m.record_failure(0, 2100.0, false), HealthState::kQuarantined);
-  EXPECT_DOUBLE_EQ(m.status(0, 2100.0).quarantined_since_us, 2100.0);
+  EXPECT_DOUBLE_EQ(m.status(0).quarantined_since_us, 2100.0);
 }
 
 TEST(HealthMonitor, StateNames) {
   EXPECT_STREQ(to_string(HealthState::kHealthy), "healthy");
-  EXPECT_STREQ(to_string(HealthState::kSuspect), "suspect");
   EXPECT_STREQ(to_string(HealthState::kQuarantined), "quarantined");
   EXPECT_STREQ(to_string(HealthState::kProbing), "probing");
 }
@@ -216,7 +194,6 @@ TEST(HealthWindow, QuarantineFastFailsWithoutBurningRetries) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);  // max_retries = 0
   ccfg.health_failure_threshold = 2;
   ccfg.health_window_us = 1e6;
-  ccfg.health_suspect_threshold = 0.9;
   ccfg.health_quarantine_dwell_us = 1e9;  // never re-probed in this test
 
   Engine e(ecfg(3, std::make_shared<fault::Injector>(plan)));
@@ -543,7 +520,6 @@ TEST(HealthWindow, TraceRecordsHealthTransitions) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
   ccfg.health_failure_threshold = 2;
   ccfg.health_window_us = 1e6;
-  ccfg.health_suspect_threshold = 0.9;
   ccfg.health_quarantine_dwell_us = 1e9;
 
   Engine e(ecfg(2, std::make_shared<fault::Injector>(plan)));
@@ -600,6 +576,151 @@ TEST(HealthWindow, TargetStatusReportsInjectorDeathWithoutDetector) {
     p.barrier();
     win.free_window();
   });
+}
+
+// ---------------------------------------------------------------------------
+// Pinned decisions of both failure detectors
+// ---------------------------------------------------------------------------
+
+// FNV-1a, one little-endian byte of each word at a time.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+std::uint64_t splitmix64(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+// What became of one get: served (cache or network), passed through the
+// open breaker, fast-failed by quarantine, or failed with another kind.
+std::uint64_t get_outcome(CachedWindow& win, void* buf, int target, std::size_t disp) {
+  const std::uint64_t passed = win.stats().breaker_passthrough_gets;
+  try {
+    win.get(buf, 64, target, disp);
+  } catch (const fault::OpFailedError& err) {
+    if (err.failure() == fault::FailureKind::kQuarantined) return 2;
+    return 3 + static_cast<std::uint64_t>(err.failure());
+  }
+  return win.stats().breaker_passthrough_gets != passed ? 1 : 0;
+}
+
+// One seeded run with the breaker and the health detector both armed:
+// transient faults against target 1, a death and revival of target 2,
+// two partitions cutting target 3 off, and bit rot in the cache, with
+// degraded reads on. Digests
+// every get's outcome, the breaker and health transitions of the fault
+// trace, and the breaker and health counters.
+std::uint64_t detector_decisions_digest(std::uint64_t seed, Stats* total) {
+  fault::Plan plan;
+  plan.seed = seed;
+  plan.fail_target(1, 0.25);
+  plan.kill_rank(2, 800.0 + 100.0 * static_cast<double>(seed % 7)).revive_rank(2, 3000.0);
+  plan.partition_pair(0, 3, 1500.0, 1900.0).partition_pair(0, 3, 4200.0, 4500.0);
+  plan.storage_bitflip_prob = 2e-4;
+
+  Config ccfg = cache_cfg(Mode::kAlwaysCache);
+  ccfg.verify_every_n = 1;  // bit rot is caught and healed on the next hit
+  ccfg.max_retries = 1;
+  ccfg.retry_backoff_us = 5.0;
+  ccfg.health_failure_threshold = 2;
+  ccfg.health_window_us = 1000.0;
+  ccfg.health_quarantine_dwell_us = 300.0;
+  ccfg.health_probe_successes = 2;
+  ccfg.degraded_reads = true;  // a down target's cached entries still serve
+  ccfg.degraded_max_staleness_us = 2000.0;
+  ccfg.breaker_failure_threshold = 2;
+  ccfg.breaker_window_us = 400.0;
+  ccfg.breaker_open_us = 150.0;
+  ccfg.breaker_probe_every_n = 3;
+  ccfg.breaker_halfopen_successes = 2;
+
+  Digest d;
+  Engine e(ecfg(4, std::make_shared<fault::Injector>(plan)));
+  e.run([&](Process& p) {
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    if (p.rank() == 0) {
+      trace::Trace t;
+      win.record_faults_to(&t);
+      win.lock_all();
+      std::uint64_t s = seed;
+      std::vector<std::uint8_t> buf(64);
+      for (int op = 0; op < 600; ++op) {
+        const std::uint64_t r = splitmix64(s);
+        p.compute_us(static_cast<double>((r >> 32) % 40));
+        if (r % 8 == 0) {
+          try {
+            win.flush_all();
+            d.add(0xe0);
+          } catch (const fault::OpFailedError& err) {
+            d.add(0xe1 + static_cast<std::uint64_t>(err.failure()));
+          }
+          continue;
+        }
+        const int target = 1 + static_cast<int>((r >> 8) % 3);
+        const std::size_t disp = 64 * ((r >> 16) % 16);
+        d.add(get_outcome(win, buf.data(), target, disp));
+      }
+      try {
+        win.flush_all();
+      } catch (const fault::OpFailedError&) {
+      }
+      win.record_faults_to(nullptr);
+      for (const trace::Event& ev : t.events) {
+        if (ev.kind == trace::Event::Kind::kBreaker) {
+          d.add(0xb0 + static_cast<std::uint64_t>(ev.target));
+        } else if (ev.kind == trace::Event::Kind::kHealth && ev.disp != 1) {
+          // Code 1 (SUSPECT) is left out: it was a diagnostic edge.
+          d.add(0x100 * static_cast<std::uint64_t>(ev.target) + ev.disp);
+        }
+      }
+      const Stats st = win.stats();
+      for (const std::uint64_t c :
+           {st.breaker_trips, st.breaker_recloses, st.breaker_passthrough_gets,
+            st.health_quarantines, st.health_probes, st.health_recoveries, st.fast_fails,
+            st.degraded_hits, st.degraded_expired, st.degraded_corrupt_drops}) {
+        d.add(c);
+      }
+      total->breaker_recloses += st.breaker_recloses;
+      total->breaker_passthrough_gets += st.breaker_passthrough_gets;
+      total->health_recoveries += st.health_recoveries;
+      total->fast_fails += st.fast_fails;
+      total->degraded_hits += st.degraded_hits;
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+  return d.h;
+}
+
+TEST(HealthWindow, DetectorDecisionsArePinned) {
+  // Every decision of the window's circuit breaker and per-target health
+  // machine over eight seeded fault schedules, folded into one constant.
+  // A refactor of either detector must keep it.
+  Digest all;
+  Stats total;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    all.add(detector_decisions_digest(seed, &total));
+  }
+  EXPECT_EQ(all.h, 0x109099481ba9d5f6ull);
+  // Both machines walk their full cycle, so the digest pins real edges.
+  EXPECT_GT(total.breaker_recloses, 0u);
+  EXPECT_GT(total.health_recoveries, 0u);
+  EXPECT_GT(total.fast_fails, 0u);
+  EXPECT_GT(total.degraded_hits, 0u);
+  EXPECT_GT(total.breaker_passthrough_gets, 0u);
 }
 
 }  // namespace

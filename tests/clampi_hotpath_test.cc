@@ -104,7 +104,9 @@ TEST(KickRotation, StressHighLoadInsertsStayValid) {
     const std::uint64_t k = ops.keys[id];
     const std::uint32_t got =
         idx.lookup(k, [&](std::uint32_t e) { return ops.keys[e] == k; });
-    if (got != kNoEntry) EXPECT_EQ(ops.keys[got], k);
+    if (got != kNoEntry) {
+      EXPECT_EQ(ops.keys[got], k);
+    }
   }
 }
 
@@ -154,7 +156,9 @@ TEST(Fingerprint, CollisionIsCountedAndRejected) {
   for (std::uint32_t id = 0; id < ops.keys.size(); ++id) {
     const std::uint64_t k = ops.keys[id];
     const std::uint32_t got = idx.lookup(k, [&](std::uint32_t e) { return ops.keys[e] == k; });
-    if (got != kNoEntry) EXPECT_EQ(ops.keys[got], k);
+    if (got != kNoEntry) {
+      EXPECT_EQ(ops.keys[got], k);
+    }
   }
 }
 

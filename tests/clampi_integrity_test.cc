@@ -7,9 +7,9 @@
 #include <memory>
 #include <vector>
 
-#include "clampi/breaker.h"
 #include "clampi/checksum.h"
 #include "clampi/clampi.h"
+#include "clampi/detector.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "netmodel/model.h"
@@ -385,62 +385,55 @@ TEST(IntegrityWindow, CorruptorIsDeterministicPerSeed) {
 
 // --- circuit breaker (unit + window) ---
 
-TEST(Breaker, StateMachineTripsProbesAndRecloses) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 2;
-  bc.window_us = 1000.0;
-  bc.open_us = 50.0;
-  bc.probe_every_n = 2;
-  bc.halfopen_successes = 2;
-  CircuitBreaker b(bc);
+// The breaker's detector as CachedWindow configures it; the window itself
+// owns the half-open probe tick (IntegrityWindow.HalfOpenProbesOneGetInN).
+FailureDetector::Config breaker_cfg(int threshold, double window_us, double open_us,
+                                    int halfopen_successes) {
+  return {threshold, window_us, open_us, halfopen_successes};
+}
 
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.route(0.0), CircuitBreaker::Route::kCache);
+TEST(Breaker, StateMachineTripsProbesAndRecloses) {
+  FailureDetector b(breaker_cfg(2, 1000.0, 50.0, 2));
+  EXPECT_EQ(b.state(), FailureDetector::State::kClosed);
+  EXPECT_FALSE(b.probe_due(0.0));
 
   b.record_failure(1.0);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
+  EXPECT_EQ(b.state(), FailureDetector::State::kClosed);
   b.record_failure(2.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 1u);
-  EXPECT_EQ(b.route(10.0), CircuitBreaker::Route::kPassThrough);
+  EXPECT_EQ(b.state(), FailureDetector::State::kOpen);
+  EXPECT_DOUBLE_EQ(b.opened_at_us(), 2.0);
+  EXPECT_FALSE(b.probe_due(10.0));  // dwell not served: still open
+  EXPECT_EQ(b.state(), FailureDetector::State::kOpen);
 
-  // Dwell elapsed: half-open, 1 of every probe_every_n gets probes.
-  EXPECT_EQ(b.route(60.0), CircuitBreaker::Route::kCache);  // probe
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  EXPECT_EQ(b.route(61.0), CircuitBreaker::Route::kPassThrough);
-  EXPECT_EQ(b.route(62.0), CircuitBreaker::Route::kCache);  // probe
+  // Dwell elapsed: half-open.
+  EXPECT_TRUE(b.probe_due(60.0));
+  EXPECT_EQ(b.state(), FailureDetector::State::kProbing);
+  EXPECT_FALSE(b.probe_due(61.0));  // the edge fires once
 
-  b.record_probe_success(63.0);
-  EXPECT_EQ(b.state(), BreakerState::kHalfOpen);
-  b.record_probe_success(64.0);
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
-  EXPECT_EQ(b.recloses(), 1u);
-  EXPECT_GE(b.time_in_open_us(64.0), 50.0);
+  b.record_success();
+  EXPECT_EQ(b.state(), FailureDetector::State::kProbing);
+  b.record_success();
+  EXPECT_EQ(b.state(), FailureDetector::State::kClosed);
 }
 
 TEST(Breaker, HalfOpenFailureRetrips) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 1;
-  bc.open_us = 10.0;
-  CircuitBreaker b(bc);
+  FailureDetector b(breaker_cfg(1, 10000.0, 10.0, 4));
   b.record_failure(0.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.route(20.0), CircuitBreaker::Route::kCache);  // half-open probe
+  EXPECT_EQ(b.state(), FailureDetector::State::kOpen);
+  EXPECT_TRUE(b.probe_due(20.0));  // half-open probe
   b.record_failure(21.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
-  EXPECT_EQ(b.trips(), 2u);
+  EXPECT_EQ(b.state(), FailureDetector::State::kOpen);
+  EXPECT_DOUBLE_EQ(b.opened_at_us(), 21.0);  // the dwell restarts
+  EXPECT_FALSE(b.probe_due(30.0));
 }
 
 TEST(Breaker, OldFailuresSlideOutOfTheWindow) {
-  CircuitBreaker::Config bc;
-  bc.failure_threshold = 2;
-  bc.window_us = 100.0;
-  CircuitBreaker b(bc);
+  FailureDetector b(breaker_cfg(2, 100.0, 5000.0, 4));
   b.record_failure(0.0);
   b.record_failure(150.0);  // the first failure is outside the window now
-  EXPECT_EQ(b.state(), BreakerState::kClosed);
+  EXPECT_EQ(b.state(), FailureDetector::State::kClosed);
   b.record_failure(160.0);
-  EXPECT_EQ(b.state(), BreakerState::kOpen);
+  EXPECT_EQ(b.state(), FailureDetector::State::kOpen);
 }
 
 TEST(IntegrityWindow, BreakerFailsOpenThenRecloses) {
@@ -503,7 +496,50 @@ TEST(IntegrityWindow, BreakerFailsOpenThenRecloses) {
       ASSERT_EQ(win.breaker_state(), BreakerState::kClosed);
       EXPECT_EQ(win.stats().breaker_recloses, 1u);
       ASSERT_NE(win.breaker(), nullptr);
-      EXPECT_GE(win.breaker()->time_in_open_us(p.now_us()), 100.0);
+      EXPECT_GE(win.breaker_time_in_open_us(), 100.0);
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+
+TEST(IntegrityWindow, HalfOpenProbesOneGetInN) {
+  Engine e(engine_cfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Config ccfg = cache_cfg(Mode::kAlwaysCache);
+    ccfg.verify_every_n = 1;
+    ccfg.breaker_failure_threshold = 1;
+    ccfg.breaker_open_us = 100.0;
+    ccfg.breaker_probe_every_n = 2;
+    ccfg.breaker_halfopen_successes = 4;
+    auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    if (p.rank() == 0) {
+      win.lock_all();
+      std::vector<std::uint8_t> buf(64);
+      win.get(buf.data(), 64, 1, 0);
+      win.flush_all();
+      const std::uint32_t id = win.core().find_cached(Key{1, 0});
+      ASSERT_NE(id, kNoEntry);
+      win.core().entry_data(id)[3] ^= std::byte{0x10};
+      win.get(buf.data(), 64, 1, 0);  // healed hit -> trip
+      win.flush_all();
+      ASSERT_EQ(win.breaker_state(), BreakerState::kOpen);
+
+      // Half-open: the first get after the dwell probes the cache, then
+      // 1 of every 2; the others pass through.
+      p.compute_us(200.0);
+      for (int i = 0; i < 4; ++i) {
+        const std::uint64_t before = win.stats().breaker_passthrough_gets;
+        win.get(buf.data(), 64, 1, 0);
+        win.flush_all();
+        EXPECT_EQ(win.stats().breaker_passthrough_gets - before, i % 2 == 0 ? 0u : 1u)
+            << "get " << i;
+        EXPECT_EQ(win.breaker_state(), BreakerState::kHalfOpen);
+      }
       win.unlock_all();
     }
     p.barrier();

@@ -150,6 +150,14 @@ TEST(Trace, OldTracesWithoutFaultEventsStillParse) {
   EXPECT_EQ(t.events[1].kind, Event::Kind::kFlush);
   EXPECT_EQ(t.events[3].kind, Event::Kind::kFlushAll);
   EXPECT_EQ(t.events[4].kind, Event::Kind::kInvalidate);
+
+  // A trace recorded while health still had a SUSPECT state (code 1).
+  std::stringstream suspect("g 1 0 64\nh 0 1\nh 0 0\n");
+  const Trace u = Trace::load(suspect);
+  ASSERT_EQ(u.events.size(), 3u);
+  EXPECT_EQ(u.events[1].kind, Event::Kind::kHealth);
+  EXPECT_EQ(u.events[1].target, 0);
+  EXPECT_EQ(u.events[1].disp, 1u);
 }
 
 TEST(Trace, ReplayCoreSkipsFaultAnnotations) {

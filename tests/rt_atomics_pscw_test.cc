@@ -84,7 +84,9 @@ TEST(Atomics, FetchAndOpReturnsOldValue) {
     p.allreduce_u64(&ticket, &sum, 1, rmasim::ReduceOp::kSum);
     EXPECT_EQ(sum, 0u + 1 + 2 + 3);
     p.fence(w);
-    if (p.rank() == 0) EXPECT_EQ(counter, 4u);
+    if (p.rank() == 0) {
+      EXPECT_EQ(counter, 4u);
+    }
     p.win_free(w);
   });
 }
@@ -122,7 +124,9 @@ TEST(Atomics, CompareAndSwapOnlyOneWinner) {
     p.allreduce_u64(&won, &winners, 1, rmasim::ReduceOp::kSum);
     EXPECT_EQ(winners, 1u);  // exactly one rank saw the initial value
     p.fence(w);
-    if (p.rank() == 0) EXPECT_GE(lock_word, 0);
+    if (p.rank() == 0) {
+      EXPECT_GE(lock_word, 0);
+    }
     p.win_free(w);
   });
 }

@@ -149,7 +149,9 @@ TEST(Comm, AtomicsOverSubcomm) {
     p.accumulate(&one, 1, rmasim::AccumulateType::kInt64, rmasim::AccumulateOp::kSum,
                  /*target=*/0, 0, w);
     p.fence(w);
-    if (p.comm_rank(c) == 0) EXPECT_EQ(counter, 2);  // both halves have 2 members
+    if (p.comm_rank(c) == 0) {  // both halves have 2 members
+      EXPECT_EQ(counter, 2);
+    }
     p.win_free(w);
     p.barrier();
   });

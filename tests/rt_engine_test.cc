@@ -146,7 +146,9 @@ TEST(Window, PutWritesRemoteData) {
       p.flush(1, w);
     }
     p.barrier();
-    if (p.rank() == 1) EXPECT_EQ(mine[3], 0xabcdefull);
+    if (p.rank() == 1) {
+      EXPECT_EQ(mine[3], 0xabcdefull);
+    }
     p.win_free(w);
   });
 }

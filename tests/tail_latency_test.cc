@@ -147,7 +147,6 @@ TEST(Straggler, SlowsTransfersButNeverQuarantines) {
   // hedged around, never quarantined.
   EXPECT_GT(slow.stats.slow_observations, 0u);
   EXPECT_EQ(slow.stats.health_quarantines, 0u);
-  EXPECT_EQ(slow.stats.health_suspects, 0u);
   EXPECT_EQ(slow.status.state, HealthState::kHealthy);
   EXPECT_TRUE(slow.status.usable);
   EXPECT_TRUE(slow.status.slow);

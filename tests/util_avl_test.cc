@@ -122,7 +122,9 @@ TEST_P(AvlRandomOps, MatchesReferenceMap) {
     } else {
       EXPECT_EQ(t.erase(key), ref.erase(key) == 1);
     }
-    if (step % 1000 == 0) ASSERT_TRUE(t.validate());
+    if (step % 1000 == 0) {
+      ASSERT_TRUE(t.validate());
+    }
   }
   ASSERT_TRUE(t.validate());
   EXPECT_EQ(t.size(), ref.size());
