@@ -1,7 +1,7 @@
 // micro_hotpath — the perf-regression harness for CLaMPI's cache core.
 //
 // Guards the per-operation costs the paper's crossover analysis lives on
-// (Sec. III, Fig. 7): index lookup hit/miss, the cuckoo insertion walk,
+// (Sec. III, Fig. 7): index lookup hit/miss, the cuckoo insertion search,
 // storage alloc/dealloc/extend, the end-to-end cached-get hit, and the
 // capacity and conflicting misses. Unlike
 // micro_structures.cc (broad data-structure coverage), every benchmark
@@ -131,10 +131,10 @@ void BM_IndexLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexLookupMiss);
 
-// --- index: insertion walk -------------------------------------------------
+// --- index: insertion search -----------------------------------------------
 
 // Steady state at high load: erase one resident entry, insert a fresh
-// key. Most inserts displace occupants, exercising the kick rotation.
+// key. Many inserts find all p candidate slots taken and move occupants.
 void BM_IndexInsertWalk(benchmark::State& state) {
   RawOps ops;
   CuckooIndex<RawOps> idx(1 << 14, 4, 64, 42, &ops);
@@ -156,7 +156,7 @@ void BM_IndexInsertWalk(benchmark::State& state) {
     const std::size_t at = i++ & mask;
     const std::uint32_t victim = resident[at];
     idx.erase(victim);
-    // Recycle the id with a fresh key (walks may still fail at this
+    // Recycle the id with a fresh key (searches may still fail at this
     // load; keep the occupancy invariant by restoring the old key then).
     const std::uint64_t old_key = ops.keys[victim].key;
     ops.keys[victim].key = old_key * 0x9e3779b97f4a7c15ull + 1;
@@ -272,13 +272,14 @@ void BM_CachedGetMissEvict(benchmark::State& state) {
 BENCHMARK(BM_CachedGetMissEvict);
 
 // Steady-state conflicting miss (Secs. III-C1, III-D2): the index is kept
-// full, so a fresh key walks the cuckoo path to its bound, rolls it back,
-// scores the entries on it and evicts the lowest-scoring one before the
-// retry lands. Storage is ample (2^17 x 256 B regions fill half of it),
-// so no access turns into a capacity one. The counters report the kick
-// steps per access and the share of accesses that were conflicting
-// (~0.9: a conflict that needs a second eviction frees a slot that a
-// later access fills directly).
+// full, so a fresh key's search examines its bound of slots, scores
+// their entries and evicts the lowest-scoring one, whose slot ends the
+// insertion path. Storage is ample (2^17 x 256 B regions fill half of
+// it), so no access turns into a capacity one. The counters report the
+// occupants moved per access and the share of accesses that were
+// conflicting. The rest are direct: their search reached one of the
+// slots still free when the fill loop below stopped, so the conflicting
+// share grows with the run length.
 void BM_CachedGetMissConflict(benchmark::State& state) {
   Config cfg;
   cfg.index_entries = 1 << 17;
@@ -297,7 +298,7 @@ void BM_CachedGetMissConflict(benchmark::State& state) {
     return r.type;
   };
   // Fill to the first conflict, then settle: the few slots still free
-  // fill up through direct inserts until nearly every walk fails.
+  // fill up through direct inserts until nearly every search fails.
   while (miss() != AccessType::kConflicting) {
   }
   for (int i = 0; i < (1 << 13); ++i) miss();

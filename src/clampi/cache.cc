@@ -249,45 +249,36 @@ bool CacheCore::insert_with_conflict_handling(std::uint64_t hkey, std::uint32_t 
   conflicted = false;
   if (index_.insert(hkey, id, &path_)) return true;
   conflicted = true;
-  for (int attempt = 0; attempt < cfg_.max_conflict_evictions; ++attempt) {
-    // Scoring a path candidate chases entry -> region -> neighbours, three
-    // dependent misses. Issue each level for the whole path before the
-    // next, so the misses of one level overlap instead of queueing behind
-    // each other; the scoring loop below then runs on resident lines.
-    // Prefetches change no state: the same victim wins as without them.
-    for (const std::uint32_t cand : path_) {
-      const Entry* e = &entries_[cand];
-      prefetch_read(e);
-      prefetch_read(reinterpret_cast<const char*>(e) + offsetof(Entry, live));
-    }
-    for (const std::uint32_t cand : path_) {
-      const Entry& e = entries_[cand];
-      if (e.live && !e.pending) prefetch_read(e.region);
-    }
-    for (const std::uint32_t cand : path_) {
-      const Entry& e = entries_[cand];
-      if (!e.live || e.pending) continue;
-      if (e.region->prev != nullptr) prefetch_read(e.region->prev);
-      if (e.region->next != nullptr) prefetch_read(e.region->next);
-    }
-    // Victim: the lowest-scoring evictable entry on the insertion path
-    // (first in path order on ties).
-    std::uint32_t victim = kNoEntry;
-    double victim_score = std::numeric_limits<double>::infinity();
-    for (const std::uint32_t cand : path_) {
-      const Entry& e = entries_[cand];
-      if (!e.live || e.pending) continue;
-      const double sc = score(cand);
-      if (sc < victim_score) {
-        victim_score = sc;
-        victim = cand;
-      }
-    }
-    if (victim == kNoEntry) return false;
-    evict_entry(victim);
-    if (index_.insert(hkey, id, &path_)) return true;
+  // Scoring a path candidate chases entry -> region -> neighbours, three
+  // dependent misses. Issue each level for the whole path before the
+  // next, so the misses of one level overlap instead of queueing behind
+  // each other; the scoring below then runs on resident lines.
+  // Prefetches change no state: the same victim wins as without them.
+  for (const std::uint32_t cand : path_) {
+    const Entry* e = &entries_[cand];
+    prefetch_read(e);
+    prefetch_read(reinterpret_cast<const char*>(e) + offsetof(Entry, live));
   }
-  return false;
+  for (const std::uint32_t cand : path_) {
+    const Entry& e = entries_[cand];
+    if (e.live && !e.pending) prefetch_read(e.region);
+  }
+  for (const std::uint32_t cand : path_) {
+    const Entry& e = entries_[cand];
+    if (!e.live || e.pending) continue;
+    if (e.region->prev != nullptr) prefetch_read(e.region->prev);
+    if (e.region->next != nullptr) prefetch_read(e.region->next);
+  }
+  // Victim: the lowest-scoring evictable entry on the search path. Its
+  // slot ends the insertion path, so one eviction always places the key.
+  const std::size_t at = index_.pick_victim(path_, [&](std::uint32_t cand) {
+    const Entry& e = entries_[cand];
+    return e.live && !e.pending ? score(cand) : std::numeric_limits<double>::infinity();
+  });
+  if (at == path_.size()) return false;
+  evict_entry(path_[at]);
+  index_.place(hkey, id, at);
+  return true;
 }
 
 CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dtype_sig,

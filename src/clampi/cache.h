@@ -218,7 +218,7 @@ class CacheCore {
   // The fields a hit or a victim score reads (key, size, region, last,
   // pending, live) lead, so they share the entry's first 48 bytes. The
   // key's hash is not stored here: the cuckoo index keeps it beside the
-  // slot word, where the insertion walk reads it without touching this
+  // slot word, where the insertion search reads it without touching this
   // table (cold paths recompute it with make_hkey).
   struct Entry {
     Key key;
@@ -252,8 +252,8 @@ class CacheCore {
   /// One sampled victim-selection round (Sec. III-D); false if no
   /// evictable entry was found.
   bool capacity_eviction_round();
-  /// Insert `id` into the index, evicting from the insertion path on
-  /// conflicts. Returns false if it still cannot be placed.
+  /// Insert `id` into the index, evicting one entry from the search path
+  /// on a conflict. Returns false only if no entry on it is evictable.
   bool insert_with_conflict_handling(std::uint64_t hkey, std::uint32_t id,
                                      bool& conflicted);
   /// Refresh the index/storage hot-path counters in stats_ from the live
@@ -282,7 +282,7 @@ class CacheCore {
   Storage storage_;
   std::vector<Entry> entries_;
   std::vector<std::uint32_t> free_ids_;
-  std::vector<std::uint32_t> path_;  ///< scratch: cuckoo insertion path
+  std::vector<std::uint32_t> path_;  ///< scratch: cuckoo search path
   std::size_t live_ = 0;
   std::size_t pending_ = 0;
   std::uint64_t g_ = 0;    ///< |C_w.G|: gets processed over the window's lifetime

@@ -48,8 +48,7 @@ struct Config {
 
   // --- cuckoo index (Sec. III-C1) ---
   int cuckoo_arity = 4;       ///< p hash functions (97% utilization at p=4)
-  int max_insert_iters = 64;  ///< walk bound before declaring a conflict
-  int max_conflict_evictions = 4;  ///< path evictions before giving up
+  int max_insert_iters = 64;  ///< slots an insert's search examines before a conflict
 
   // --- eviction (Sec. III-D) ---
   int sample_size = 16;  ///< M, entries sampled per capacity eviction
@@ -173,9 +172,9 @@ struct Config {
 
 /// Rejects nonsensical configurations with a descriptive ContractError:
 /// zero-sized index / sample, cuckoo_arity outside [2, kMaxCuckooArity],
-/// max_insert_iters or max_conflict_evictions < 1, min > max bounds, adaptive
-/// starting values outside [min, max], malformed retry parameters. Called
-/// by CacheCore at window creation; exposed for direct testing.
+/// max_insert_iters < 1, min > max bounds, adaptive starting values
+/// outside [min, max], malformed retry parameters. Called by CacheCore at
+/// window creation; exposed for direct testing.
 void validate_config(const Config& cfg);
 
 }  // namespace clampi

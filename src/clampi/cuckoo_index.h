@@ -2,11 +2,15 @@
 //
 // A cuckoo hash table [11, 17] with p hash functions drawn from a
 // universal family [5]. Lookup probes at most p slots (constant time).
-// Insertion is the random-walk scheme of Fotakis et al.: the new element
-// kicks an occupant to another of the occupant's p candidate slots, up to
-// a bound. CLaMPI deliberately does NOT rehash on insertion failure;
-// instead the failure is surfaced as a *conflicting access* and the
-// caller evicts one of the entries on the insertion path.
+// Insertion searches breadth-first for a free slot, as in MemC3 (Fan et
+// al., NSDI 2013): the roots are the new key's p candidate slots, and a
+// node's children are its occupant's other candidate slots. The search
+// is read-only and examines at most `max_iters` slots. When it reaches an
+// empty slot, the occupants on the path to it shift one step and the new
+// key takes the root slot. CLaMPI deliberately does NOT rehash when the
+// search fails; the failure is surfaced as a *conflicting access*, the
+// caller evicts the occupant of one examined slot, and that slot ends
+// the path instead (place()).
 //
 // Hot-path layout: each slot is one 32-bit word packing an 8-bit key
 // fingerprint (tag) with a 24-bit entry id, so a single load both
@@ -14,18 +18,14 @@
 // touches the caller's entry table, a likely cache miss) only runs on a
 // tag match. Slots map through a single multiply-shift hash (a plain
 // shift for power-of-two tables, fastrange otherwise) instead of the
-// mix-then-modulo of the original implementation. Kick targets during
-// the insertion walk rotate deterministically over the occupant's
-// candidates, provably excluding the slot it was just displaced from
-// whenever the candidates are not all identical.
+// mix-then-modulo of the original implementation.
 //
 // Beside the slot words the index keeps a parallel array holding the
 // hash key of each slot's occupant, written wherever a slot word is
-// written (fast-path insert, every kick, the rollback). The insertion
-// walk reads the displaced occupant's key from that array — it sits next
-// to the slot word the walk just loaded, so one kick step costs two
-// side-by-side loads instead of a slot load chained into a miss on the
-// caller's entry table, and the walk never touches the entry table.
+// written. The search computes a node's children from it, so it never
+// touches the entry table. A child's slot word and key are prefetched
+// when it is queued and tested only when it is dequeued, so the loads of
+// one BFS level overlap instead of forming a chain of dependent misses.
 //
 // The caller's entry table is consulted through the EntryOps policy only
 // on the cold paths: erase() (locating an entry's slot) and validate()
@@ -39,6 +39,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -71,12 +72,12 @@ class CuckooIndex {
   /// alongside stores it already performs.
   struct Counters {
     std::uint64_t tag_false_positives = 0; ///< tag matched, exact compare failed
-    std::uint64_t kick_steps = 0;          ///< displacements during insert walks
+    std::uint64_t kick_steps = 0;          ///< occupants moved one slot by inserts
   };
 
   CuckooIndex(std::size_t nslots, int arity, int max_iters, std::uint64_t seed,
               const EntryOps* ops)
-      : arity_(arity), max_iters_(max_iters), ops_(ops), rng_(seed) {
+      : arity_(arity), max_iters_(static_cast<std::size_t>(max_iters)), ops_(ops), rng_(seed) {
     CLAMPI_REQUIRE(nslots >= static_cast<std::size_t>(arity), "index too small for arity");
     CLAMPI_REQUIRE(arity >= 2 && arity <= kMaxArity, "cuckoo arity out of range");
     table_.assign(nslots, kEmptySlot);
@@ -114,21 +115,6 @@ class CuckooIndex {
     return t == 0xffu ? 0xfeu : t;
   }
 
-  /// Kick-target choice for the insertion walk: the first index (scanning
-  /// from `rotation % arity`) whose candidate slot differs from
-  /// `from_slot`. Falls back to the rotation start in the degenerate case
-  /// where every candidate equals `from_slot`. Public + static so the
-  /// exclusion guarantee is directly unit-testable.
-  static int pick_kick_index(const std::size_t* cand, int arity, std::size_t from_slot,
-                             std::uint32_t rotation) {
-    const int start = static_cast<int>(rotation % static_cast<std::uint32_t>(arity));
-    for (int k = 0; k < arity; ++k) {
-      const int i = start + k < arity ? start + k : start + k - arity;
-      if (cand[i] != from_slot) return i;
-    }
-    return start;
-  }
-
   /// Find the entry whose exact key matches, probing the p candidate slots
   /// of `hkey`. `pred(id)` performs the exact comparison.
   ///
@@ -158,75 +144,75 @@ class CuckooIndex {
     }
   }
 
-  /// Insert `id` (with hash key `hkey`). On success returns true. On
-  /// failure the table is left exactly as before (the walk is rolled
-  /// back), false is returned, and `path` (if non-null) receives the ids
-  /// of the entries encountered on the insertion path — the candidate
-  /// victims for a *conflicting* eviction.
+  /// Insert `id` (with hash key `hkey`) by a breadth-first search that
+  /// examines at most `max_iters` slots. If it reaches an empty slot, the
+  /// occupants on the path shift one step toward it, the key takes the
+  /// root slot and true is returned. Otherwise nothing was written, false
+  /// is returned, and `path` (if non-null) holds the occupant of every
+  /// examined slot in BFS order — the candidate victims of a
+  /// *conflicting* eviction, whose position goes to place(). An entry
+  /// appears once per examined slot holding it.
   bool insert(std::uint64_t hkey, std::uint32_t id, std::vector<std::uint32_t>* path) {
     CLAMPI_REQUIRE(id < kIdMask, "entry id exceeds 24-bit index slot capacity");
     if (path != nullptr) path->clear();
-    std::size_t cand[kMaxArity];
-    candidates(hkey, cand);
-    // Fast path: any of the p candidate slots free?
-    for (int i = 0; i < arity_; ++i) {
-      const std::size_t s = cand[i];
-      if (table_[s] == kEmptySlot) {
-        table_[s] = pack(tag_of(hkey), id);
-        keys_[s] = hkey;
-        ++occupied_;
+    nodes_.clear();
+    enqueue_candidates(hkey, static_cast<std::size_t>(-1), kRoot);
+    for (std::uint32_t head = 0; head < nodes_.size(); ++head) {
+      const std::size_t s = nodes_[head].slot;
+      const std::uint32_t word = table_[s];
+      if (word == kEmptySlot) {
+        place(hkey, id, head);
         return true;
       }
-    }
-    // Walk with a rollback journal. Following Fotakis et al., a kicked
-    // element re-inserts into one of its p-1 *other* candidate slots —
-    // never the one it was just displaced from. The target rotates
-    // deterministically (kick_rot_) instead of drawing bounded RNG with a
-    // bounce-back-prone retry cap.
-    journal_.clear();
-    std::uint32_t cur = pack(tag_of(hkey), id);
-    std::uint64_t cur_key = hkey;
-    std::size_t from_slot = static_cast<std::size_t>(-1);
-    for (int iter = 0; iter < max_iters_; ++iter) {
-      const int pick = pick_kick_index(cand, arity_, from_slot, kick_rot_++);
-      const std::size_t s = cand[pick];
-      const std::uint32_t occupant = table_[s];
-      if (occupant == kEmptySlot) {
-        table_[s] = cur;
-        keys_[s] = cur_key;
-        ++occupied_;
-        return true;
-      }
-      const std::uint64_t occupant_key = keys_[s];
-      ++counters_.kick_steps;
-      // The walk may displace the element being inserted; it is not a
-      // valid eviction victim, so keep it off the reported path.
-      const std::uint32_t occupant_id = occupant & kIdMask;
-      if (path != nullptr && occupant_id != id) path->push_back(occupant_id);
-      journal_.push_back({s, occupant, occupant_key});
-      table_[s] = cur;
-      keys_[s] = cur_key;
-      cur = occupant;
-      cur_key = occupant_key;
-      candidates(cur_key, cand);
-      from_slot = s;
-    }
-    // Roll back so the structure is unchanged on a conflicting access.
-    for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
-      table_[it->slot] = it->occupant;
-      keys_[it->slot] = it->key;
+      if (path != nullptr) path->push_back(word & kIdMask);
+      enqueue_candidates(keys_[s], s, head);
     }
     return false;
+  }
+
+  /// Position in `path` of a conflicting insert's victim: the lowest
+  /// `score(id)` (+infinity marks an entry that may not be evicted), and
+  /// on a tie the first, shallowest occurrence, whose path repeats no
+  /// slot. path.size() if no entry may be evicted.
+  template <class Score>
+  static std::size_t pick_victim(const std::vector<std::uint32_t>& path, Score&& score) {
+    std::size_t best = path.size();
+    double best_score = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < path.size(); ++i) {
+      const double sc = score(path[i]);
+      if (sc < best_score) {
+        best_score = sc;
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  /// Complete the failed insert of (`hkey`, `id`) at `path` position
+  /// `at`, whose occupant the caller has erased: the occupants on the
+  /// path to that slot shift one step toward it, and the key takes the
+  /// root slot. Must follow that insert with no other insert between.
+  void place(std::uint64_t hkey, std::uint32_t id, std::size_t at) {
+    std::size_t n = at;
+    CLAMPI_ASSERT(table_[nodes_[n].slot] == kEmptySlot, "cuckoo path ends in an occupied slot");
+    while (nodes_[n].parent != kRoot) {
+      const std::size_t up = nodes_[n].parent;
+      table_[nodes_[n].slot] = table_[nodes_[up].slot];
+      keys_[nodes_[n].slot] = keys_[nodes_[up].slot];
+      ++counters_.kick_steps;
+      n = up;
+    }
+    table_[nodes_[n].slot] = pack(tag_of(hkey), id);
+    keys_[nodes_[n].slot] = hkey;
+    ++occupied_;
   }
 
   /// Remove `id`. Returns false if the id is not in the table.
   bool erase(std::uint32_t id) {
     const std::uint64_t hkey = ops_->hash_key(id);
     const std::uint32_t word = pack(tag_of(hkey), id);
-    std::size_t cand[kMaxArity];
-    candidates(hkey, cand);
     for (int i = 0; i < arity_; ++i) {
-      const std::size_t s = cand[i];
+      const std::size_t s = slot_of(hkey, i);
       if (table_[s] == word) {
         table_[s] = kEmptySlot;
         --occupied_;
@@ -329,11 +315,12 @@ class CuckooIndex {
   template <class>
   friend struct CuckooIndexTestPeer;
 
-  struct JournalEntry {
+  /// One examined (or queued) slot of the insertion search.
+  struct Node {
     std::size_t slot;
-    std::uint32_t occupant;  ///< full packed word
-    std::uint64_t key;       ///< the occupant's hash key
+    std::uint32_t parent;  ///< index into nodes_, or kRoot
   };
+  static constexpr std::uint32_t kRoot = 0xffffffffu;
 
   static std::uint32_t pack(std::uint32_t tag, std::uint32_t id) {
     return (tag << 24) | id;
@@ -348,30 +335,30 @@ class CuckooIndex {
     return h.slot(hkey, table_.size());
   }
 
-  /// Compute all p candidate slots up front (independent multiplies
-  /// pipeline well) and prefetch their slot words and slot keys: the
-  /// insertion walk writes the slots it probes, so it wants the lines
-  /// resident in exclusive state.
-  void candidates(std::uint64_t hkey, std::size_t* cand) const {
-    for (int i = 0; i < arity_; ++i) cand[i] = slot_of(hkey, i);
+  /// Queue the candidate slots of `hkey` other than `from` as children
+  /// of node `parent`, up to the search bound, prefetching each slot word
+  /// and slot key so that a level's loads overlap.
+  void enqueue_candidates(std::uint64_t hkey, std::size_t from, std::uint32_t parent) {
+    for (int i = 0; i < arity_ && nodes_.size() < max_iters_; ++i) {
+      const std::size_t c = slot_of(hkey, i);
+      if (c == from) continue;
 #if defined(__GNUC__) || defined(__clang__)
-    for (int i = 0; i < arity_; ++i) {
-      __builtin_prefetch(&table_[cand[i]], 1, 1);
-      __builtin_prefetch(&keys_[cand[i]], 1, 1);
-    }
+      __builtin_prefetch(&table_[c]);
+      __builtin_prefetch(&keys_[c]);
 #endif
+      nodes_.push_back({c, parent});
+    }
   }
 
   int arity_;
-  int max_iters_;
+  std::size_t max_iters_;  ///< slots one insert may examine
   int pow2_shift_ = 0;  ///< 64 - log2(nslots) when nslots is a power of two
   const EntryOps* ops_;
   util::Xoshiro256 rng_;
-  std::uint32_t kick_rot_ = 0;  ///< deterministic kick-target rotation
   std::vector<util::UniversalHash> hashes_;
   std::vector<std::uint32_t> table_;  ///< packed (tag << 24 | id) words
   std::unique_ptr<std::uint64_t[]> keys_;  ///< occupant hash key per slot (garbage if empty)
-  std::vector<JournalEntry> journal_;
+  std::vector<Node> nodes_;  ///< the last insert's BFS queue, read by place()
   std::size_t occupied_ = 0;
   mutable Counters counters_;  ///< kick_steps + false positives (exact)
 };

@@ -179,11 +179,9 @@ void validate_config(const Config& cfg) {
   CLAMPI_REQUIRE(cfg.cuckoo_arity >= 2 && cfg.cuckoo_arity <= kMaxCuckooArity,
                  "config: cuckoo_arity must be in [2, " + std::to_string(kMaxCuckooArity) +
                      "]");
-  // A walk bound or eviction budget below 1 would turn every conflicting
-  // access into a failing one.
+  // A search bound below 1 would turn every conflicting access into a
+  // failing one.
   CLAMPI_REQUIRE(cfg.max_insert_iters >= 1, "config: max_insert_iters must be >= 1");
-  CLAMPI_REQUIRE(cfg.max_conflict_evictions >= 1,
-                 "config: max_conflict_evictions must be >= 1");
   CLAMPI_REQUIRE(cfg.sample_size >= 1, "config: eviction sample_size must be >= 1");
   CLAMPI_REQUIRE(cfg.min_index_entries <= cfg.max_index_entries,
                  "config: min_index_entries exceeds max_index_entries");

@@ -50,7 +50,7 @@ namespace clampi {
      than only timed. */                                                      \
   X(index_probes)              /* candidate slots examined by lookups */      \
   X(index_tag_false_positives) /* 8-bit tag matched, exact key differed */    \
-  X(index_kick_steps)          /* cuckoo-walk displacements */                \
+  X(index_kick_steps)          /* occupants moved by cuckoo inserts */        \
   X(storage_fastbin_allocs)    /* allocations served by segregated bins */    \
   X(storage_tree_allocs)       /* allocations served by the AVL tree */       \
   X(storage_pool_reuses)       /* Region descriptors recycled from the pool */ \

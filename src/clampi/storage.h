@@ -93,7 +93,6 @@ class Storage {
 
   std::size_t capacity() const { return capacity_; }
   std::size_t free_bytes() const { return free_bytes_; }
-  std::size_t used_bytes() const { return capacity_ - free_bytes_; }
   std::size_t largest_free() const;
   std::size_t allocated_regions() const { return allocated_regions_; }
   const Counters& counters() const { return counters_; }

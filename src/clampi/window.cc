@@ -360,9 +360,8 @@ void CachedWindow::reset_after_crash(bool wipe_cache, bool wipe_health, bool wip
 void CachedWindow::record_target_outcome(int target, bool success, bool fatal) {
   if (success) {
     // SLOW observation (docs/FAULTS.md §8): the op completed while a
-    // straggler epoch covered the target. Counted before the enabled()
-    // gate so the stats work with the detector off, and fed to the
-    // monitor as a pure counter — slowness alone must never quarantine.
+    // straggler epoch covered the target. Fed to the monitor as a pure
+    // counter — slowness alone must never quarantine.
     const fault::Injector* inj = p_->fault_injector();
     if (inj != nullptr &&
         inj->slow(p_->comm_world_rank(comm_, target), p_->now_us())) {
@@ -370,7 +369,8 @@ void CachedWindow::record_target_outcome(int target, bool success, bool fatal) {
       ++health_.counters(target).slow_observations;
     }
   }
-  if (!health_.enabled()) return;
+  // The monitor counts every outcome per target; with the detector off
+  // (threshold 0) the state just never changes.
   const HealthState before = health_.state(target);
   const HealthState after = success ? health_.record_success(target)
                                     : health_.record_failure(target, p_->now_us(), fatal);

@@ -200,8 +200,6 @@ class CachedWindow {
   /// a whole replica walk with this so the budget spans *all* replicas,
   /// shrinking across fall-throughs. Negative clears the override.
   void set_deadline_us(double abs_us) { extern_deadline_us_ = abs_us; }
-  /// The deadline the current/last op ran under (absolute; < 0 = none).
-  double current_deadline_us() const { return deadline_abs_; }
   /// True when the AIMD shedder says background work (anti-entropy,
   /// read-repair, hint drains) must be skipped this round.
   bool shed_background() const {

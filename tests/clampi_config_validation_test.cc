@@ -34,10 +34,10 @@ TEST(ConfigValidation, RejectsZeroSizedKnobs) {
 }
 
 TEST(ConfigValidation, RejectsOutOfRangeCuckooKnobs) {
-  // Arity outside [2, kMaxCuckooArity] and walk knobs below 1 are refused
-  // where the config is checked, not later inside index construction
-  // (arity) or never (a zero walk bound turned every conflicting access
-  // into a failing one).
+  // Arity outside [2, kMaxCuckooArity] and a search bound below 1 are
+  // refused where the config is checked, not later inside index
+  // construction (arity) or never (a zero search bound turned every
+  // conflicting access into a failing one).
   for (const int arity : {-1, 0, 1, kMaxCuckooArity + 1, 64}) {
     Config c;
     c.cuckoo_arity = arity;
@@ -55,14 +55,9 @@ TEST(ConfigValidation, RejectsOutOfRangeCuckooKnobs) {
     c.max_insert_iters = bad;
     EXPECT_THROW(validate_config(c), util::ContractError) << bad;
     EXPECT_THROW(CacheCore{c}, util::ContractError) << bad;
-    Config d;
-    d.max_conflict_evictions = bad;
-    EXPECT_THROW(validate_config(d), util::ContractError) << bad;
-    EXPECT_THROW(CacheCore{d}, util::ContractError) << bad;
   }
   Config one;
   one.max_insert_iters = 1;
-  one.max_conflict_evictions = 1;
   EXPECT_NO_THROW(CacheCore{one});
 
   // The info key: out-of-range values fail at parse or at validation, and

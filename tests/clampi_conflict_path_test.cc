@@ -1,6 +1,7 @@
 // Conflicting-miss path of CacheCore (paper Secs. III-C1, III-D2): the
-// cuckoo walk at a full index, its rollback, and the choice of the
-// lowest-scoring victim on the insertion path.
+// breadth-first insertion search at a full index, the choice of the
+// lowest-scoring victim among the examined slots, and the in-place
+// eviction that ends the insertion path at the victim's slot.
 //
 // The test drives a core whose 2^12-slot index stays full (the key space
 // is three times larger, storage is ample so no access is a capacity
@@ -9,11 +10,12 @@
 // holes into index and storage. Every access's (type, entry), every
 // put's drop count, the final counters and the audit verdict fold into an
 // FNV-1a digest. The pinned digest fixes every decision of the path: a
-// change to the walk, the kick rotation, the rollback or the victim
-// scoring that picks a different victim even once changes it. It was
-// recorded before the index kept its own copy of each occupant's hash key
-// and before the core lost its multi-shard mode, and both changes had to
-// reproduce it.
+// change to the search order, the search bound, the victim scoring or
+// the path commit that picks a different victim or slot even once
+// changes it. It was re-pinned when the random-walk insert (whose failed
+// walk was rolled back, scored, and walked again) gave way to the
+// breadth-first search: the candidate order, the in-place eviction and
+// `index_kick_steps` (now occupant moves) all changed.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -102,7 +104,7 @@ TEST(ConflictPath, DecisionsPinnedSingleShard) {
   const Outcome o = run_digest();
   // The workload must actually live on the conflicting path.
   EXPECT_GT(o.conflicting * 5, o.accesses) << o.conflicting << " of " << o.accesses;
-  EXPECT_EQ(o.digest, 0x7b43ad5d5c00e1c2ull) << std::hex << "digest 0x" << o.digest;
+  EXPECT_EQ(o.digest, 0x68c6edf859b8075dull) << std::hex << "digest 0x" << o.digest;
 }
 
 }  // namespace

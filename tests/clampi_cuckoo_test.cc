@@ -1,6 +1,9 @@
 // Tests for I_w: the cuckoo hash index (Sec. III-C1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -9,10 +12,13 @@
 #include "util/rng.h"
 
 namespace clampi {
-// Test-only access to the index's private slot-key array.
+// Test-only access to the index's private slot-key array and slot mapping.
 template <class Ops>
 struct CuckooIndexTestPeer {
   static void corrupt_key(CuckooIndex<Ops>& idx, std::size_t slot) { idx.keys_[slot] ^= 1; }
+  static std::size_t slot_of(const CuckooIndex<Ops>& idx, std::uint64_t hkey, int i) {
+    return idx.slot_of(hkey, i);
+  }
 };
 }  // namespace clampi
 
@@ -130,10 +136,10 @@ TEST(Cuckoo, FailedInsertRollsBackExactly) {
       present.emplace_back(key, id);
       continue;
     }
-    // Failure: every slot holds exactly its pre-walk occupant (validate()
-    // below also checks each slot's stored key against it), every
-    // previously inserted key is still findable, the new one is not, and
-    // the path names only present entries.
+    // Failure: the search wrote nothing, so every slot holds exactly its
+    // previous occupant (validate() below also checks each slot's stored
+    // key against it), every previously inserted key is still findable,
+    // the new one is not, and the path names only present entries.
     for (std::size_t s = 0; s < before.size(); ++s) {
       EXPECT_EQ(f.index.entry_at(s), before[s]) << "slot " << s;
     }
@@ -149,8 +155,8 @@ TEST(Cuckoo, FailedInsertRollsBackExactly) {
 }
 
 TEST(Cuckoo, ValidateCatchesACorruptSlotKey) {
-  // The walk trusts the hash keys stored beside the slot words; validate()
-  // must notice one that no longer matches its occupant.
+  // The search trusts the hash keys stored beside the slot words;
+  // validate() must notice one that no longer matches its occupant.
   Fixture f(64);
   for (std::uint64_t k = 1; k <= 40; ++k) {
     ASSERT_TRUE(f.index.insert(k * 7919, f.add(k * 7919), nullptr));
@@ -220,5 +226,158 @@ TEST_P(CuckooChurn, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CuckooChurn, ::testing::Values(1u, 17u, 23u));
+
+// --- differential test of the insertion search -------------------------------
+//
+// CuckooIndex::insert, pick_victim and place against the search written
+// plainly: a std::deque of explicit slot paths, expanded without a bound
+// and cut after `bound` examined slots, whose victim is the first minimum
+// of the scores in BFS order and whose commit shifts along the stored
+// path. Driven at 90-100 % load over several arities, bounds and table
+// sizes (one not a power of two, so both slot mappings run).
+
+using Peer = clampi::CuckooIndexTestPeer<TestOps>;
+using Table = std::vector<std::uint32_t>;  // entry id per slot, kNoEntry if empty
+
+struct RefSearch {
+  std::vector<std::uint32_t> order;              // occupant of each examined slot
+  std::vector<std::vector<std::size_t>> paths;   // root-to-slot path of each
+  std::vector<std::size_t> free_path;            // path to the free slot, if found
+  std::size_t examined = 0;
+};
+
+RefSearch reference_search(const Fixture& f, const Table& table, std::uint64_t key,
+                           std::size_t bound) {
+  const auto slots = [&](std::uint64_t k) {
+    std::vector<std::size_t> out;
+    for (int i = 0; i < f.index.arity(); ++i) out.push_back(Peer::slot_of(f.index, k, i));
+    return out;
+  };
+  std::deque<std::vector<std::size_t>> queue;
+  for (const std::size_t s : slots(key)) queue.push_back({s});
+  RefSearch out;
+  while (!queue.empty() && out.examined < bound) {
+    const std::vector<std::size_t> path = queue.front();
+    queue.pop_front();
+    ++out.examined;
+    const std::size_t s = path.back();
+    if (table[s] == kNoEntry) {
+      out.free_path = path;
+      return out;
+    }
+    out.order.push_back(table[s]);
+    out.paths.push_back(path);
+    for (const std::size_t c : slots(f.ops.keys[table[s]])) {
+      if (c == s) continue;
+      std::vector<std::size_t> next = path;
+      next.push_back(c);
+      queue.push_back(std::move(next));
+    }
+  }
+  return out;
+}
+
+/// Shift the occupants along `path` one step toward its end (overwriting
+/// whatever is there) and put `id` at its root.
+void reference_commit(Table& table, const std::vector<std::size_t>& path, std::uint32_t id) {
+  for (std::size_t i = path.size() - 1; i > 0; --i) table[path[i]] = table[path[i - 1]];
+  table[path[0]] = id;
+}
+
+Table snapshot(const Fixture& f) {
+  Table t(f.index.nslots());
+  for (std::size_t s = 0; s < t.size(); ++s) t[s] = f.index.entry_at(s);
+  return t;
+}
+
+struct BfsCase {
+  std::size_t nslots;
+  int arity;
+  int bound;
+};
+
+class CuckooBfsDiff : public ::testing::TestWithParam<BfsCase> {};
+
+TEST_P(CuckooBfsDiff, MatchesNaiveReference) {
+  const BfsCase c = GetParam();
+  Fixture f(c.nslots, c.arity, c.bound, /*seed=*/1000 + c.nslots + c.arity);
+  clampi::util::Xoshiro256 rng(77 + static_cast<std::uint64_t>(c.bound));
+  // Scores tie often (five levels) and some entries may not be evicted,
+  // so both the tie rule and the skip are exercised.
+  const auto score = [&](std::uint32_t id) {
+    const std::uint64_t k = f.ops.keys[id];
+    return k % 13 == 0 ? std::numeric_limits<double>::infinity()
+                       : static_cast<double>((k >> 7) % 5);
+  };
+  const auto full = static_cast<double>(c.nslots);
+  std::size_t conflicts = 0;
+  for (int step = 0; step < 3000; ++step) {
+    // Past 90 % load, erase a random entry every fourth step on average:
+    // inserts outpace the erases, so the load stays close to 100 %.
+    if (static_cast<double>(f.index.occupied()) >= 0.9 * full && rng.bounded(4) == 0) {
+      std::size_t s = rng.bounded(c.nslots);
+      while (f.index.entry_at(s) == kNoEntry) s = (s + 1) % c.nslots;
+      ASSERT_TRUE(f.index.erase(f.index.entry_at(s)));
+    }
+    const std::uint64_t key = rng();
+    const auto id = f.add(key);
+    Table expect = snapshot(f);
+    const RefSearch ref = reference_search(f, expect, key, static_cast<std::size_t>(c.bound));
+    const std::uint64_t kicks_before = f.index.counters().kick_steps;
+    std::vector<std::uint32_t> path;
+    const bool placed = f.index.insert(key, id, &path);
+    ASSERT_EQ(placed, !ref.free_path.empty()) << "step " << step;
+    ASSERT_EQ(path, ref.order) << "step " << step;
+    ASSERT_LE(path.size() + (placed ? 1 : 0), static_cast<std::size_t>(c.bound));
+    std::size_t moves = 0;
+    if (placed) {
+      reference_commit(expect, ref.free_path, id);
+      moves = ref.free_path.size() - 1;
+    } else if (static_cast<double>(f.index.occupied()) >= 0.9 * full) {
+      ++conflicts;
+      // Odd steps evict by score; even steps evict a random candidate
+      // at its first occurrence, so place() is checked at every depth.
+      std::size_t at = path.size();
+      std::size_t ref_at = path.size();
+      if (step % 2 == 1) {
+        at = CuckooIndex<TestOps>::pick_victim(path, score);
+        // std::min_element returns the first minimum.
+        const auto best = std::min_element(
+            ref.order.begin(), ref.order.end(),
+            [&](std::uint32_t a, std::uint32_t b) { return score(a) < score(b); });
+        if (best != ref.order.end() && score(*best) != std::numeric_limits<double>::infinity()) {
+          ref_at = static_cast<std::size_t>(best - ref.order.begin());
+        }
+        ASSERT_EQ(at, ref_at) << "step " << step;
+      } else if (!path.empty()) {
+        const std::uint32_t victim = path[rng.bounded(path.size())];
+        at = static_cast<std::size_t>(std::find(path.begin(), path.end(), victim) -
+                                      path.begin());
+        ref_at = at;
+      }
+      if (at != path.size()) {
+        ASSERT_TRUE(f.index.erase(path[at]));
+        f.index.place(key, id, at);
+        reference_commit(expect, ref.paths[ref_at], id);
+        moves = ref.paths[ref_at].size() - 1;
+      }
+    }
+    ASSERT_EQ(snapshot(f), expect) << "step " << step;
+    ASSERT_EQ(f.index.counters().kick_steps - kicks_before, moves) << "step " << step;
+    ASSERT_TRUE(f.index.validate()) << "step " << step;
+  }
+  EXPECT_GT(conflicts, 100u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometry, CuckooBfsDiff,
+    ::testing::Values(BfsCase{256, 2, 1}, BfsCase{256, 2, 16}, BfsCase{256, 2, 64},
+                      BfsCase{256, 3, 3}, BfsCase{256, 3, 64}, BfsCase{200, 3, 20},
+                      BfsCase{256, 4, 2}, BfsCase{256, 4, 64}, BfsCase{200, 4, 64},
+                      BfsCase{256, 8, 8}, BfsCase{256, 8, 64}, BfsCase{256, 8, 200}),
+    [](const ::testing::TestParamInfo<BfsCase>& info) {
+      return "n" + std::to_string(info.param.nslots) + "_p" +
+             std::to_string(info.param.arity) + "_b" + std::to_string(info.param.bound);
+    });
 
 }  // namespace

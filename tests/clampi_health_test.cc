@@ -578,6 +578,45 @@ TEST(HealthWindow, TargetStatusReportsInjectorDeathWithoutDetector) {
   });
 }
 
+TEST(HealthWindow, TargetCountsOutcomesWithoutDetector) {
+  // The per-target failure and success counters do not depend on the
+  // detector: with it off, every attempt still lands in one of them.
+  fault::Plan plan;
+  plan.fail_target(1, 0.5);
+
+  Config ccfg = cache_cfg(Mode::kAlwaysCache);  // detector off, max_retries = 0
+  ASSERT_EQ(ccfg.health_failure_threshold, 0);
+
+  Engine e(ecfg(2, std::make_shared<fault::Injector>(plan)));
+  e.run([ccfg](Process& p) {
+    void* base = nullptr;
+    auto win = CachedWindow::allocate(p, 4096, &base, ccfg);
+    p.barrier();
+    if (p.rank() == 0) {
+      win.lock_all();
+      std::vector<std::uint8_t> buf(64);
+      std::uint64_t thrown = 0;
+      for (std::size_t i = 0; i < 20; ++i) {
+        try {
+          win.get(buf.data(), 64, 1, 64 * i);
+        } catch (const fault::OpFailedError&) {
+          ++thrown;
+        }
+      }
+      win.flush_all();
+      const TargetStatus st = win.target_status(1);
+      EXPECT_EQ(st.state, HealthState::kHealthy);
+      EXPECT_GT(st.failures, 0u);
+      EXPECT_EQ(st.failures, win.stats().injected_faults);
+      EXPECT_EQ(st.failures, thrown);
+      EXPECT_EQ(st.failures + st.successes, 20u);
+      win.unlock_all();
+    }
+    p.barrier();
+    win.free_window();
+  });
+}
+
 // ---------------------------------------------------------------------------
 // Pinned decisions of both failure detectors
 // ---------------------------------------------------------------------------
