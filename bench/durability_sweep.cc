@@ -98,8 +98,9 @@ kv::StoreConfig store_cfg(std::uint64_t nkeys, const CellSpec& spec) {
   cfg.cache.storage_bytes = std::size_t{32} << 20;
   cfg.snapshot_every_us = spec.snapshot_every_us;
   // Hold every record one server journals (at most ~2.9 MB at full
-  // scale) without a self-compaction: each compaction charges snapshot_us,
-  // so a smaller initial capacity would change the cells' virtual times.
+  // scale) without a self-compaction: each compaction charges the modelled
+  // snapshot cost, so a smaller initial capacity would change the cells'
+  // virtual times.
   cfg.journal_cap_bytes = std::size_t{8} << 20;
   return cfg;
 }

@@ -39,7 +39,7 @@ constexpr std::size_t kBytes = 1024;  // per key
 constexpr int kRounds = 3;            // passes over the hot set per reader
 constexpr int kMaxRetries = 6;
 constexpr double kBackoffUs = 4.0;
-constexpr double kBackoffFactor = 2.0;
+constexpr double kBackoffFactor = 2.0;  // CLaMPI's fixed per-retry growth
 
 struct SweepCell {
   double total_get_us = 0.0;
@@ -96,7 +96,6 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
   ccfg.storage_bytes = 256 * 1024;
   ccfg.max_retries = kMaxRetries;
   ccfg.retry_backoff_us = kBackoffUs;
-  ccfg.retry_backoff_factor = kBackoffFactor;
 
   rmasim::Engine e(engine_cfg(fail_prob, degrade_factor));
   auto cell = std::make_shared<SweepCell>();

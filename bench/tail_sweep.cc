@@ -123,7 +123,6 @@ CellOut run_cell(const CellSpec& s) {
       cfg.cache.op_deadline_us = s.deadline_us;
       cfg.cache.max_retries = 3;
       cfg.cache.retry_backoff_us = 0.5 * s.deadline_us;
-      cfg.cache.retry_backoff_factor = 2.0;
       cfg.cache.retry_jitter = 0.0;
     }
     if (s.shedding) {
@@ -134,10 +133,7 @@ CellOut run_cell(const CellSpec& s) {
       cfg.cache.shed_increase = 0.15;
       cfg.cache.shed_min_admit = 0.2;
     }
-    if (s.hedge_quantile > 0.0) {
-      cfg.hedge_quantile = s.hedge_quantile;
-      cfg.hedge_min_samples = 8;
-    }
+    cfg.hedge_quantile = s.hedge_quantile;
     kv::Store store(p, cfg);
     if (p.rank() == kClientRank) {
       CellOut& o = *out;

@@ -404,7 +404,6 @@ int main(int argc, char** argv) {
       scfg.cache.shed_increase = 0.1;
       scfg.cache.shed_min_admit = 0.2;
       scfg.hedge_quantile = 0.9;
-      scfg.hedge_min_samples = 8;
       kv::Store store(p, scfg);
       if (p.rank() == 2) {
         // Feeds the per-target latency quantiles. Get-only: a second Driver

@@ -75,6 +75,10 @@ const char* to_string(ScoreKind s) {
 }
 
 namespace {
+/// Slots an insert's breadth-first search examines before the miss counts
+/// as conflicting (Sec. III-C1 bounds the insertion steps).
+constexpr int kMaxInsertIters = 64;
+
 // Validation must precede the member constructors: a malformed config
 // (cuckoo_arity = 0, index_entries = 0) would trip the index's internals
 // before the constructor body ran.
@@ -86,7 +90,7 @@ const Config& validated(const Config& cfg) {
 
 CacheCore::CacheCore(const Config& cfg)
     : cfg_(validated(cfg)),
-      index_(cfg_.index_entries, cfg_.cuckoo_arity, cfg_.max_insert_iters, cfg_.seed,
+      index_(cfg_.index_entries, cfg_.cuckoo_arity, kMaxInsertIters, cfg_.seed,
              &ops_),
       storage_(cfg_.storage_bytes),
       rng_(cfg_.seed ^ 0xa5a5a5a5a5a5a5a5ull) {
@@ -729,7 +733,7 @@ void CacheCore::resize(std::size_t index_entries, std::size_t storage_bytes) {
   const auto& ic = index_.counters();
   counter_base_.tag_false_positives += ic.tag_false_positives;
   counter_base_.kick_steps += ic.kick_steps;
-  index_ = CuckooIndex<EntryOps>(index_entries, cfg_.cuckoo_arity, cfg_.max_insert_iters,
+  index_ = CuckooIndex<EntryOps>(index_entries, cfg_.cuckoo_arity, kMaxInsertIters,
                                  cfg_.seed, &ops_);
   storage_.rebuild(storage_bytes);
   entries_.clear();

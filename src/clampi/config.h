@@ -47,8 +47,7 @@ struct Config {
   bool adaptive = false;
 
   // --- cuckoo index (Sec. III-C1) ---
-  int cuckoo_arity = 4;       ///< p hash functions (97% utilization at p=4)
-  int max_insert_iters = 64;  ///< slots an insert's search examines before a conflict
+  int cuckoo_arity = 4;  ///< p hash functions (97% utilization at p=4)
 
   // --- eviction (Sec. III-D) ---
   int sample_size = 16;  ///< M, entries sampled per capacity eviction
@@ -79,8 +78,8 @@ struct Config {
   /// Re-issues of a network get after a *transient* fault::OpFailedError.
   /// 0 (the default) disables retrying: the error propagates to the caller.
   int max_retries = 0;
-  double retry_backoff_us = 4.0;      ///< base backoff before the 1st retry
-  double retry_backoff_factor = 2.0;  ///< exponential growth per attempt
+  /// Base backoff before the 1st retry; each further retry doubles it.
+  double retry_backoff_us = 4.0;
   /// Relative jitter in [0,1): each backoff is scaled by a deterministic
   /// draw from [1-jitter, 1+jitter] to de-synchronize retry storms.
   double retry_jitter = 0.25;
@@ -123,11 +122,9 @@ struct Config {
   int health_failure_threshold = 0;
   double health_window_us = 10000.0;  ///< per-target sliding failure window
   /// Minimum quarantine dwell before an epoch boundary re-probes the
-  /// target half-open (PROBING).
+  /// target half-open (PROBING); two consecutive successful probes then
+  /// return it to HEALTHY.
   double health_quarantine_dwell_us = 5000.0;
-  /// Consecutive successful probes that return a PROBING target to
-  /// HEALTHY.
-  int health_probe_successes = 2;
   /// Bounded-staleness degraded reads: serve still-CACHED entries for
   /// dead/quarantined/degraded targets in *any* mode (including
   /// kTransparent, where they are the only cross-epoch serve), as long as
@@ -172,9 +169,9 @@ struct Config {
 
 /// Rejects nonsensical configurations with a descriptive ContractError:
 /// zero-sized index / sample, cuckoo_arity outside [2, kMaxCuckooArity],
-/// max_insert_iters < 1, min > max bounds, adaptive starting values
-/// outside [min, max], malformed retry parameters. Called by CacheCore at
-/// window creation; exposed for direct testing.
+/// min > max bounds, adaptive starting values outside [min, max],
+/// malformed retry parameters. Called by CacheCore at window creation;
+/// exposed for direct testing.
 void validate_config(const Config& cfg);
 
 }  // namespace clampi

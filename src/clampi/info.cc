@@ -109,8 +109,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.max_retries = parse_int(key, value);
     } else if (key == "clampi_retry_backoff_us") {
       cfg.retry_backoff_us = parse_f64(key, value);
-    } else if (key == "clampi_retry_backoff_factor") {
-      cfg.retry_backoff_factor = parse_f64(key, value);
     } else if (key == "clampi_retry_jitter") {
       cfg.retry_jitter = parse_f64(key, value);
     } else if (key == "clampi_epoch_retry_budget_us") {
@@ -121,8 +119,6 @@ Config config_from_info(const Info& info, Config cfg) {
       cfg.health_window_us = parse_f64(key, value);
     } else if (key == "clampi_health_quarantine_dwell_us") {
       cfg.health_quarantine_dwell_us = parse_f64(key, value);
-    } else if (key == "clampi_health_probe_successes") {
-      cfg.health_probe_successes = parse_int(key, value);
     } else if (key == "clampi_degraded_reads") {
       cfg.degraded_reads = parse_bool(key, value);
     } else if (key == "clampi_degraded_max_staleness_us") {
@@ -179,9 +175,6 @@ void validate_config(const Config& cfg) {
   CLAMPI_REQUIRE(cfg.cuckoo_arity >= 2 && cfg.cuckoo_arity <= kMaxCuckooArity,
                  "config: cuckoo_arity must be in [2, " + std::to_string(kMaxCuckooArity) +
                      "]");
-  // A search bound below 1 would turn every conflicting access into a
-  // failing one.
-  CLAMPI_REQUIRE(cfg.max_insert_iters >= 1, "config: max_insert_iters must be >= 1");
   CLAMPI_REQUIRE(cfg.sample_size >= 1, "config: eviction sample_size must be >= 1");
   CLAMPI_REQUIRE(cfg.min_index_entries <= cfg.max_index_entries,
                  "config: min_index_entries exceeds max_index_entries");
@@ -200,8 +193,6 @@ void validate_config(const Config& cfg) {
   }
   CLAMPI_REQUIRE(cfg.max_retries >= 0, "config: max_retries must be >= 0");
   CLAMPI_REQUIRE(cfg.retry_backoff_us >= 0.0, "config: negative retry_backoff_us");
-  CLAMPI_REQUIRE(cfg.retry_backoff_factor >= 1.0,
-                 "config: retry_backoff_factor must be >= 1");
   CLAMPI_REQUIRE(cfg.retry_jitter >= 0.0 && cfg.retry_jitter < 1.0,
                  "config: retry_jitter must be in [0, 1)");
   CLAMPI_REQUIRE(cfg.epoch_retry_budget_us >= 0.0,
@@ -227,8 +218,6 @@ void validate_config(const Config& cfg) {
     CLAMPI_REQUIRE(cfg.health_window_us > 0.0, "config: health_window_us must be > 0");
     CLAMPI_REQUIRE(cfg.health_quarantine_dwell_us >= 0.0,
                    "config: negative health_quarantine_dwell_us");
-    CLAMPI_REQUIRE(cfg.health_probe_successes >= 1,
-                   "config: health_probe_successes must be >= 1");
   }
   CLAMPI_REQUIRE(cfg.degraded_max_staleness_us >= 0.0,
                  "config: negative degraded_max_staleness_us");

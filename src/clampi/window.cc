@@ -9,9 +9,14 @@ namespace clampi {
 
 namespace {
 
+/// Consecutive successful probes that return a PROBING target to HEALTHY.
+constexpr int kHealthProbeSuccesses = 2;
+/// Growth of the retry backoff per attempt (exponential backoff).
+constexpr double kRetryBackoffFactor = 2.0;
+
 HealthMonitor::Config health_config(const Config& cfg) {
   return {cfg.health_failure_threshold, cfg.health_window_us,
-          cfg.health_quarantine_dwell_us, cfg.health_probe_successes};
+          cfg.health_quarantine_dwell_us, kHealthProbeSuccesses};
 }
 
 LoadShedder::Config shedder_config(const Config& cfg) {
@@ -144,7 +149,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
         throw;
       }
       double backoff = cfg_.retry_backoff_us;
-      for (int i = 0; i < attempt; ++i) backoff *= cfg_.retry_backoff_factor;
+      for (int i = 0; i < attempt; ++i) backoff *= kRetryBackoffFactor;
       if (cfg_.retry_jitter > 0.0) {
         backoff *= 1.0 + cfg_.retry_jitter * (2.0 * retry_rng_.uniform() - 1.0);
       }
@@ -338,23 +343,17 @@ TargetStatus CachedWindow::target_status(int target) const {
   return ts;
 }
 
-void CachedWindow::reset_after_crash(bool wipe_cache, bool wipe_health, bool wipe_tail) {
-  if (wipe_cache) {
-    // The engine's wipe already discarded this rank's in-flight
-    // completions, so the registered copy-ins/outs will never fire.
-    pending_.clear();
-    core_->invalidate();
-    ++epoch_;
-    epoch_open_us_ = p_->now_us();
-  }
-  if (wipe_health) {
-    health_ = HealthMonitor(health_config(cfg_));
-  }
-  if (wipe_tail) {
-    if (shedder_ != nullptr) shedder_ = std::make_unique<LoadShedder>(shedder_config(cfg_));
-    extern_deadline_us_ = -1.0;
-    deadline_abs_ = -1.0;
-  }
+void CachedWindow::reset_after_crash() {
+  // The engine's wipe already discarded this rank's in-flight
+  // completions, so the registered copy-ins/outs will never fire.
+  pending_.clear();
+  core_->invalidate();
+  ++epoch_;
+  epoch_open_us_ = p_->now_us();
+  health_ = HealthMonitor(health_config(cfg_));
+  if (shedder_ != nullptr) shedder_ = std::make_unique<LoadShedder>(shedder_config(cfg_));
+  extern_deadline_us_ = -1.0;
+  deadline_abs_ = -1.0;
 }
 
 void CachedWindow::record_target_outcome(int target, bool success, bool fatal) {

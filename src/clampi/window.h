@@ -185,13 +185,12 @@ class CachedWindow {
   /// client-side state a wiped-memory crash of *this* rank destroys. The
   /// engine has already zeroed the rank's exposed window segments and
   /// discarded its in-flight completions (the runtime-level wipe); this
-  /// clears what lives in host memory above the runtime. Flags follow the
-  /// kv::StoreConfig wipe scope: the cache contents (index + storage +
-  /// pending copy bookkeeping), the per-target health machine, and the
-  /// tail-latency state (AIMD shedder + deadline overrides). Stats
-  /// deliberately survive — they model external observability, not the
-  /// crashed rank's memory.
-  void reset_after_crash(bool wipe_cache, bool wipe_health, bool wipe_tail);
+  /// clears what lives in host memory above the runtime: the cache
+  /// contents (index + storage + pending copy bookkeeping), the per-target
+  /// health machine, and the tail-latency state (AIMD shedder + deadline
+  /// overrides). Stats deliberately survive — they model external
+  /// observability, not the crashed rank's memory.
+  void reset_after_crash();
 
   // --- tail-latency robustness (docs/FAULTS.md §8) ---
   /// Override the per-op deadline with an absolute virtual-time instant:

@@ -33,10 +33,10 @@ namespace clampi::kv {
 /// "No overflow bucket" chain link.
 inline constexpr std::uint32_t kNoBucket = 0xffffffffu;
 
-/// Shard geometry knobs; identical on every rank (clients must compute the
-/// same displacements the owners used).
+/// Shard geometry; identical on every rank (clients must compute the same
+/// displacements the owners used).
 struct Layout {
-  std::uint32_t slots_per_bucket = 4;
+  static constexpr std::uint32_t slots_per_bucket = 4;
   std::uint32_t value_capacity = 64;  ///< payload bytes reserved per slot
 
   static constexpr std::size_t kHeaderBytes = 16;

@@ -11,6 +11,17 @@ namespace clampi::kv {
 
 namespace {
 
+/// Ring points per server.
+constexpr int kVnodes = 64;
+/// Shard headroom over the uniform share (absorbs ring imbalance).
+constexpr double kBalanceSlack = 1.3;
+/// Lifetime per-target samples before the latency estimate arms hedging.
+constexpr std::uint32_t kHedgeMinSamples = 8;
+// Modelled device latencies (docs/DURABILITY.md).
+constexpr double kJournalAppendUs = 0.5;  ///< buffered append
+constexpr double kJournalSyncUs = 5.0;    ///< group-commit sync
+constexpr double kSnapshotUs = 50.0;      ///< snapshot / compaction
+
 void validate(const StoreConfig& cfg, int nranks) {
   CLAMPI_REQUIRE(cfg.nkeys >= 1, "kv: nkeys must be >= 1");
   CLAMPI_REQUIRE(cfg.nservers >= 1 && cfg.nservers <= nranks,
@@ -18,12 +29,10 @@ void validate(const StoreConfig& cfg, int nranks) {
   CLAMPI_REQUIRE(cfg.replication >= 1 &&
                      cfg.replication <= std::min(cfg.nservers, kMaxReplicas),
                  "kv: replication must be in [1, min(nservers, kMaxReplicas)]");
-  CLAMPI_REQUIRE(cfg.layout.slots_per_bucket >= 1, "kv: slots_per_bucket must be >= 1");
   CLAMPI_REQUIRE(cfg.layout.value_capacity >= 1, "kv: value_capacity must be >= 1");
   CLAMPI_REQUIRE(cfg.initial_value_len <= cfg.layout.value_capacity,
                  "kv: initial_value_len exceeds value_capacity");
   CLAMPI_REQUIRE(cfg.load_factor > 0.0, "kv: load_factor must be > 0");
-  CLAMPI_REQUIRE(cfg.balance_slack >= 1.0, "kv: balance_slack must be >= 1");
   CLAMPI_REQUIRE(cfg.overflow_frac >= 0.0, "kv: overflow_frac must be >= 0");
   // Transparent mode would invalidate the whole cache at every per-target
   // flush; the KV layer owns epoch invalidation (Listing 1), so insist on it.
@@ -38,16 +47,11 @@ void validate(const StoreConfig& cfg, int nranks) {
   if (cfg.hedge_quantile > 0.0) {
     CLAMPI_REQUIRE(cfg.replication >= 2,
                    "kv: hedged reads require replication >= 2");
-    CLAMPI_REQUIRE(cfg.hedge_min_samples >= 1,
-                   "kv: hedge_min_samples must be >= 1");
     CLAMPI_REQUIRE(cfg.hedge_window_us > 0.0, "kv: hedge_window_us must be > 0");
   }
   CLAMPI_REQUIRE(cfg.group_commit_n >= 1, "kv: group_commit_n must be >= 1");
   CLAMPI_REQUIRE(cfg.snapshot_every_us >= 0.0,
                  "kv: snapshot_every_us must be >= 0");
-  CLAMPI_REQUIRE(cfg.journal_append_us >= 0.0 && cfg.journal_sync_us >= 0.0 &&
-                     cfg.snapshot_us >= 0.0,
-                 "kv: journal/snapshot latencies must be >= 0");
   if (cfg.devices != nullptr) {
     CLAMPI_REQUIRE(cfg.devices->per_rank.size() ==
                        static_cast<std::size_t>(cfg.nservers),
@@ -63,7 +67,7 @@ void validate(const StoreConfig& cfg, int nranks) {
 }  // namespace
 
 Store::Store(rmasim::Process& p, const StoreConfig& cfg)
-    : p_(&p), cfg_(cfg), ring_(cfg.nservers, cfg.vnodes, cfg.seed) {
+    : p_(&p), cfg_(cfg), ring_(cfg.nservers, kVnodes, cfg.seed) {
   validate(cfg_, p.nranks());
 
   // Shard geometry, identical on every rank: room for this server's share
@@ -72,7 +76,7 @@ Store::Store(rmasim::Process& p, const StoreConfig& cfg)
   // for the chains. load_factor > 1 deliberately undersizes the main array
   // to exercise chain follows.
   const double share = static_cast<double>(cfg_.nkeys) * cfg_.replication /
-                       cfg_.nservers * cfg_.balance_slack;
+                       cfg_.nservers * kBalanceSlack;
   const double per_bucket = cfg_.layout.slots_per_bucket * cfg_.load_factor;
   main_buckets_ = static_cast<std::size_t>(std::ceil(share / per_bucket));
   if (main_buckets_ < 1) main_buckets_ = 1;
@@ -195,7 +199,7 @@ void Store::insert_local(std::uint64_t key) {
       continue;
     }
     CLAMPI_REQUIRE(overflow_cursor_ < nbuckets_,
-                   "kv: overflow pool exhausted; raise overflow_frac or balance_slack");
+                   "kv: overflow pool exhausted; raise overflow_frac");
     h.chain = overflow_cursor_++;
     store_header(bk, h);
     b = h.chain;
@@ -254,7 +258,7 @@ bool Store::maybe_hedge(int server, GetMeta* m) {
   const double t_p = win_->outstanding_wait_us(server);
   const double wait = t_p > now ? t_p - now : 0.0;
   auto& est = lat_est_[static_cast<std::size_t>(server)];
-  if (est.samples() < cfg_.hedge_min_samples || wait <= est.quantile()) {
+  if (est.samples() < kHedgeMinSamples || wait <= est.quantile()) {
     est.add(wait, now);
     return false;
   }
@@ -848,9 +852,9 @@ void Store::journal_write(int server, std::uint64_t key, std::uint32_t seq,
   // the full sync latency, the rest the cheap buffered append. Charged on
   // the writing client's clock — the baton serializes device access, so
   // the charge is equivalent to the server charging it before the ack.
-  double cost = r.synced ? cfg_.journal_sync_us : cfg_.journal_append_us;
-  if (r.compacted) cost += cfg_.snapshot_us;
-  if (cost > 0.0) p_->compute_us(cost);
+  double cost = r.synced ? kJournalSyncUs : kJournalAppendUs;
+  if (r.compacted) cost += kSnapshotUs;
+  p_->compute_us(cost);
 }
 
 std::byte* Store::local_slot(std::uint64_t key) {
@@ -871,15 +875,12 @@ std::byte* Store::local_slot(std::uint64_t key) {
 }
 
 void Store::wipe_volatile() {
-  win_->reset_after_crash(cfg_.wipe_cache_on_crash, cfg_.wipe_health_on_crash,
-                          cfg_.wipe_tail_on_crash);
-  if (cfg_.wipe_cache_on_crash) {
-    // Hint queues are host memory like the cache: a reboot loses them
-    // (the writes they buffered stay recoverable via anti-entropy).
-    for (auto& q : hints_) q.clear();
-    std::fill(drain_ready_.begin(), drain_ready_.end(), 0);
-  }
-  if (cfg_.wipe_tail_on_crash && !lat_est_.empty()) {
+  win_->reset_after_crash();
+  // Hint queues are host memory like the cache: a reboot loses them
+  // (the writes they buffered stay recoverable via anti-entropy).
+  for (auto& q : hints_) q.clear();
+  std::fill(drain_ready_.begin(), drain_ready_.end(), 0);
+  if (!lat_est_.empty()) {
     lat_est_.clear();
     for (int s = 0; s < cfg_.nservers; ++s) {
       lat_est_.emplace_back(cfg_.hedge_quantile, cfg_.hedge_window_us);
@@ -978,15 +979,14 @@ void Store::recover_server(int due) {
     win_->core().mutable_stats().kv_torn_records_dropped += rep.dropped;
     suspects = rep.suspect_keys;
     const double replay_cost =
-        cfg_.journal_append_us *
-        static_cast<double>(rep.applied.size() + rep.dropped);
+        kJournalAppendUs * static_cast<double>(rep.applied.size() + rep.dropped);
     if (replay_cost > 0.0) p_->compute_us(replay_cost);
   }
 
   // Close the gaps the checksums opened: pull each rejected record's key
   // from live peer replicas and keep the freshest image. Keys parsed out
   // of desynced garbage locate no slot and are skipped.
-  if (!suspects.empty() && cfg_.recovery_peer_repair && cfg_.replication > 1) {
+  if (!suspects.empty() && cfg_.replication > 1) {
     std::sort(suspects.begin(), suspects.end());
     suspects.erase(std::unique(suspects.begin(), suspects.end()), suspects.end());
     int reps[kMaxReplicas];
@@ -1024,7 +1024,7 @@ void Store::recover_server(int due) {
   if (dev != nullptr) {
     dev->snapshots.save(base_, shard_bytes_, ++snap_stamp_);
     dev->journal.truncate();
-    if (cfg_.snapshot_us > 0.0) p_->compute_us(cfg_.snapshot_us);
+    p_->compute_us(kSnapshotUs);
     last_snapshot_us_ = p_->now_us();
   }
   crashes_handled_ = due;
@@ -1038,7 +1038,7 @@ void Store::maybe_snapshot() {
   if (now - last_snapshot_us_ < cfg_.snapshot_every_us) return;
   dev->snapshots.save(base_, shard_bytes_, ++snap_stamp_);
   dev->journal.truncate();
-  if (cfg_.snapshot_us > 0.0) p_->compute_us(cfg_.snapshot_us);
+  p_->compute_us(kSnapshotUs);
   last_snapshot_us_ = now;
 }
 

@@ -52,9 +52,7 @@ struct StoreConfig {
   std::uint64_t nkeys = std::uint64_t{1} << 20;  ///< dense ranks [0, nkeys)
   int nservers = 4;       ///< window-comm ranks [0, nservers) hold shards
   int replication = 1;    ///< replicas per key (1..min(nservers, kMaxReplicas))
-  int vnodes = 64;        ///< ring points per server
   double load_factor = 0.7;    ///< target main-bucket occupancy (> 1 forces chains)
-  double balance_slack = 1.3;  ///< shard headroom over the uniform share
   double overflow_frac = 0.4;  ///< overflow buckets per main bucket
   Layout layout;
   /// 0 = deterministic per-key length in [min(8, cap), cap]; otherwise
@@ -91,8 +89,6 @@ struct StoreConfig {
   /// is discarded. 0 disables; must be in (0, 1) otherwise, and requires
   /// replication >= 2 (there must be a replica to race).
   double hedge_quantile = 0.0;
-  /// Lifetime per-target samples before the estimate arms hedging.
-  std::uint32_t hedge_min_samples = 8;
   /// Virtual-time window of the estimator (a straggler epoch that ends
   /// stops inflating the threshold within two windows).
   double hedge_window_us = 50000.0;
@@ -110,25 +106,13 @@ struct StoreConfig {
   /// more than half of it the capacity doubles (journal.h). Must hold at
   /// least one max-size record.
   std::size_t journal_cap_bytes = std::size_t{1} << 20;
-  /// Group-commit batch: every Nth append pays journal_sync_us, the rest
-  /// pay journal_append_us. Batches only the modelled latency — every
-  /// append is durable on return (journal.h).
+  /// Group-commit batch: every Nth append pays the modelled sync cost,
+  /// the rest the cheap buffered append (docs/DURABILITY.md). Batches only
+  /// the modelled latency — every append is durable on return (journal.h).
   std::uint32_t group_commit_n = 8;
   /// Snapshot period in virtual time; a snapshot compacts the journal to
   /// zero. 0 = snapshots only at recovery end.
   double snapshot_every_us = 0.0;
-  double journal_append_us = 0.5;  ///< modelled buffered-append cost
-  double journal_sync_us = 5.0;    ///< modelled group-commit sync cost
-  double snapshot_us = 50.0;       ///< modelled snapshot/compaction cost
-  /// Wipe scope of a crash_rank restart: which volatile client-side state
-  /// the reboot destroys (the exposed window memory and in-flight ops are
-  /// always wiped by the runtime).
-  bool wipe_cache_on_crash = true;   ///< CacheCore contents + kv hint queues
-  bool wipe_health_on_crash = true;  ///< per-target health machine
-  bool wipe_tail_on_crash = true;    ///< shedder, deadlines, hedge estimators
-  /// After replay, pull records the checksums rejected from live peer
-  /// replicas (needs replication >= 2 to ever find one).
-  bool recovery_peer_repair = true;
 };
 
 /// How a get was served (one op may touch several buckets: chain follows
@@ -238,8 +222,8 @@ class Store {
   /// Crash-boundary processing; call from the rank's main loop (servers:
   /// every tick, so recovery starts promptly) — get/put/anti_entropy_step
   /// also call it. When this rank's next crash restart has passed:
-  ///   clients  wipe their volatile state (cache/health/tail per the wipe
-  ///            flags) and resume;
+  ///   clients  wipe their volatile state (cache, hint queues, health
+  ///            history, shedder, deadlines, hedge estimators) and resume;
   ///   servers  enter RECOVERING (ops against them fast-fail kRecovering),
   ///            apply the crash's persistence faults (torn tail, cold bit
   ///            rot), restore the latest valid snapshot — or the
@@ -369,7 +353,9 @@ class Store {
                      const std::byte* value, std::uint32_t len);
   /// Walk this server's own shard for `key`'s slot; nullptr when absent.
   std::byte* local_slot(std::uint64_t key);
-  /// Drop the volatile state a reboot destroys (per the wipe flags).
+  /// Drop the volatile state a reboot destroys: the cache, hint queues,
+  /// health history and tail-latency state (the exposed window memory and
+  /// in-flight ops are wiped by the runtime).
   void wipe_volatile();
   /// The full server-side recovery protocol (crash_tick's slow path).
   void recover_server(int due);

@@ -130,7 +130,7 @@ WorkloadReport Driver::run(rmasim::Process& p) {
         if (m.degraded) ++r.degraded_serves;
         if (m.rerouted) ++r.rerouted;
         r.read_repairs += static_cast<std::uint64_t>(m.read_repairs);
-        if (cfg_.validate && !validate_get(key, m, value.data())) ++r.mismatches;
+        if (!validate_get(key, m, value.data())) ++r.mismatches;
       }
     } else {
       ++r.puts;

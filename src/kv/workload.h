@@ -42,7 +42,6 @@ struct WorkloadConfig {
   std::uint32_t put_len_min = 16;   ///< put value sizes, uniform in
   std::uint32_t put_len_max = 64;   ///<   [min, max] (clamped to capacity)
   bool use_cache = true;          ///< false = get_nocache baseline
-  bool validate = true;           ///< run the shadow check on every get
   std::uint64_t seed = 0x6b76u;
   /// Open-loop arrivals: op i is *due* at t0 + i * period. A client ahead
   /// of schedule idles until the arrival; one behind schedule (overload)

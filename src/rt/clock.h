@@ -27,8 +27,7 @@ enum class TimePolicy {
 
 class VirtualClock {
  public:
-  explicit VirtualClock(TimePolicy policy = TimePolicy::kModeled, double scale = 1.0)
-      : policy_(policy), scale_(scale) {}
+  explicit VirtualClock(TimePolicy policy = TimePolicy::kModeled) : policy_(policy) {}
 
   double now_us() const { return now_us_; }
   TimePolicy policy() const { return policy_; }
@@ -50,7 +49,7 @@ class VirtualClock {
   void enter_runtime() {
     if (depth_++ == 0 && policy_ == TimePolicy::kMeasured && anchored_) {
       const double elapsed = thread_cpu_us() - anchor_us_;
-      if (elapsed > 0.0) now_us_ += elapsed * scale_;
+      if (elapsed > 0.0) now_us_ += elapsed;
     }
   }
 
@@ -85,7 +84,6 @@ class VirtualClock {
  private:
   double now_us_ = 0.0;
   TimePolicy policy_;
-  double scale_;
   int depth_ = 0;
   double anchor_us_ = 0.0;
   bool anchored_ = false;

@@ -59,7 +59,7 @@ Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   if (cfg_.injector) cfg_.injector->prepare(cfg_.nranks);
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r) {
-    ranks_.push_back(std::make_unique<RankCtx>(cfg_.time_policy, cfg_.measured_scale));
+    ranks_.push_back(std::make_unique<RankCtx>(cfg_.time_policy));
     ranks_.back()->rank = r;
   }
   pending_.resize(static_cast<std::size_t>(cfg_.nranks));

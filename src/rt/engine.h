@@ -255,7 +255,6 @@ class Engine {
     int nranks = 2;
     std::shared_ptr<const net::Model> model;  ///< required
     TimePolicy time_policy = TimePolicy::kModeled;
-    double measured_scale = 1.0;  ///< scale factor on measured CPU time
     /// Model NIC injection serialization: transfers touching the same
     /// target rank queue behind each other instead of overlapping
     /// perfectly (a node has one NIC). Off by default — the paper's
@@ -323,7 +322,7 @@ class Engine {
     std::thread thread;
     double final_time_us = 0.0;
 
-    explicit RankCtx(TimePolicy p, double scale) : clock(p, scale) {}
+    explicit RankCtx(TimePolicy p) : clock(p) {}
   };
 
   struct LockState {

@@ -202,7 +202,6 @@ TEST(CacheCore, ConflictingAccessEvictsFromPath) {
   Config cfg = small_cfg();
   cfg.index_entries = 16;  // tiny index: cuckoo conflicts are inevitable
   cfg.cuckoo_arity = 2;
-  cfg.max_insert_iters = 8;
   cfg.storage_bytes = 1024 * 1024;  // storage never the bottleneck
   CacheCore c(cfg);
   std::vector<std::uint8_t> buf(64, 2);

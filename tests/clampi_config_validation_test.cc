@@ -34,10 +34,8 @@ TEST(ConfigValidation, RejectsZeroSizedKnobs) {
 }
 
 TEST(ConfigValidation, RejectsOutOfRangeCuckooKnobs) {
-  // Arity outside [2, kMaxCuckooArity] and a search bound below 1 are
-  // refused where the config is checked, not later inside index
-  // construction (arity) or never (a zero search bound turned every
-  // conflicting access into a failing one).
+  // Arity outside [2, kMaxCuckooArity] is refused where the config is
+  // checked, not later inside index construction.
   for (const int arity : {-1, 0, 1, kMaxCuckooArity + 1, 64}) {
     Config c;
     c.cuckoo_arity = arity;
@@ -50,16 +48,6 @@ TEST(ConfigValidation, RejectsOutOfRangeCuckooKnobs) {
     EXPECT_NO_THROW(validate_config(c)) << arity;
     EXPECT_NO_THROW(CacheCore{c}) << arity;
   }
-  for (const int bad : {0, -1}) {
-    Config c;
-    c.max_insert_iters = bad;
-    EXPECT_THROW(validate_config(c), util::ContractError) << bad;
-    EXPECT_THROW(CacheCore{c}, util::ContractError) << bad;
-  }
-  Config one;
-  one.max_insert_iters = 1;
-  EXPECT_NO_THROW(CacheCore{one});
-
   // The info key: out-of-range values fail at parse or at validation, and
   // a value past INT_MAX no longer wraps into range (2^32 + 2 used to
   // become arity 2).
@@ -116,10 +104,6 @@ TEST(ConfigValidation, RejectsMalformedRetryPolicy) {
   d.retry_backoff_us = -1.0;
   EXPECT_THROW(validate_config(d), util::ContractError);
 
-  Config e;
-  e.retry_backoff_factor = 0.5;  // must not shrink
-  EXPECT_THROW(validate_config(e), util::ContractError);
-
   Config f;
   f.retry_jitter = 1.0;  // must stay below 1 (backoff must stay positive)
   EXPECT_THROW(validate_config(f), util::ContractError);
@@ -133,7 +117,6 @@ TEST(ConfigValidation, RejectsMalformedRetryPolicy) {
   Config ok;
   ok.max_retries = 8;
   ok.retry_backoff_us = 2.0;
-  ok.retry_backoff_factor = 1.5;
   ok.retry_jitter = 0.5;
   ok.epoch_retry_budget_us = 1000.0;
   EXPECT_NO_THROW(validate_config(ok));
@@ -179,7 +162,6 @@ TEST(ConfigValidation, RejectsMalformedHealthKnobs) {
   Config off;
   off.health_window_us = -1.0;
   off.health_quarantine_dwell_us = -5.0;
-  off.health_probe_successes = 0;
   EXPECT_NO_THROW(validate_config(off));
 
   Config on;
@@ -191,9 +173,6 @@ TEST(ConfigValidation, RejectsMalformedHealthKnobs) {
   on.health_quarantine_dwell_us = -1.0;
   EXPECT_THROW(validate_config(on), util::ContractError);
   on.health_quarantine_dwell_us = 5000.0;
-  on.health_probe_successes = 0;
-  EXPECT_THROW(validate_config(on), util::ContractError);
-  on.health_probe_successes = 2;
   EXPECT_NO_THROW(validate_config(on));
 
   // The staleness bound is validated independently of the detector.
@@ -285,14 +264,12 @@ TEST(ConfigValidation, HealthInfoKeysParse) {
   const Info info{{"clampi_health_failure_threshold", "3"},
                   {"clampi_health_window_us", "20000"},
                   {"clampi_health_quarantine_dwell_us", "8000"},
-                  {"clampi_health_probe_successes", "3"},
                   {"clampi_degraded_reads", "true"},
                   {"clampi_degraded_max_staleness_us", "250000"}};
   const Config cfg = config_from_info(info);
   EXPECT_EQ(cfg.health_failure_threshold, 3);
   EXPECT_DOUBLE_EQ(cfg.health_window_us, 20000.0);
   EXPECT_DOUBLE_EQ(cfg.health_quarantine_dwell_us, 8000.0);
-  EXPECT_EQ(cfg.health_probe_successes, 3);
   EXPECT_TRUE(cfg.degraded_reads);
   EXPECT_DOUBLE_EQ(cfg.degraded_max_staleness_us, 250000.0);
   EXPECT_NO_THROW(validate_config(cfg));
@@ -323,14 +300,12 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
   const Info info{{"clampi_mode", "always_cache"},
                   {"clampi_max_retries", "8"},
                   {"clampi_retry_backoff_us", "2.5"},
-                  {"clampi_retry_backoff_factor", "1.5"},
                   {"clampi_retry_jitter", "0.1"},
                   {"clampi_epoch_retry_budget_us", "500"}};
   const Config cfg = config_from_info(info);
   EXPECT_EQ(cfg.mode, Mode::kAlwaysCache);
   EXPECT_EQ(cfg.max_retries, 8);
   EXPECT_DOUBLE_EQ(cfg.retry_backoff_us, 2.5);
-  EXPECT_DOUBLE_EQ(cfg.retry_backoff_factor, 1.5);
   EXPECT_DOUBLE_EQ(cfg.retry_jitter, 0.1);
   EXPECT_DOUBLE_EQ(cfg.epoch_retry_budget_us, 500.0);
   EXPECT_NO_THROW(validate_config(cfg));
@@ -339,14 +314,17 @@ TEST(ConfigValidation, ResilienceInfoKeysParse) {
 TEST(ConfigValidation, RemovedKnobsAreUnknownKeys) {
   // Deleted knobs fail like any other unknown key: the unbounded cache
   // fallback (degraded_reads covers it), the shard count (the core is
-  // one partition) and the three knobs of the retired health suspicion
-  // estimator. Keys after the first are spelled in two pieces so that a
-  // search for a deleted knob finds no live use of it.
+  // one partition), the three knobs of the retired health suspicion
+  // estimator, the retry backoff growth (fixed at x2) and the probe
+  // streak that recloses a target (fixed at 2). Keys after the first are
+  // spelled in two pieces so that a search for a deleted knob finds no
+  // live use of it.
   const std::string health = "clampi_health_";
   for (const std::string& key :
        {std::string("clampi_cache_fallback"), std::string("clampi_cache_") + "shards",
         health + "ewma_alpha", health + "ewma_halflife_us",
-        health + "suspect_threshold"}) {
+        health + "suspect_threshold", std::string("clampi_retry_") + "backoff_factor",
+        health + "probe_successes"}) {
     try {
       (void)config_from_info({{key, "1"}});
       ADD_FAILURE() << key << " was accepted";

@@ -139,7 +139,6 @@ TEST(CacheEdge, AdversarialSameSlotStreamKeepsInvariants) {
   cfg.mode = Mode::kAlwaysCache;
   cfg.index_entries = 16;
   cfg.cuckoo_arity = 2;
-  cfg.max_insert_iters = 8;
   cfg.storage_bytes = 2048;
   CacheCore c(cfg);
   clampi::util::Xoshiro256 rng(5);

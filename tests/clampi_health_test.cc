@@ -157,9 +157,8 @@ TEST(HealthWindow, RetryBudgetIsPerTarget) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
   ccfg.max_retries = 100;
   ccfg.retry_backoff_us = 10.0;
-  ccfg.retry_backoff_factor = 1.0;
   ccfg.retry_jitter = 0.0;
-  ccfg.epoch_retry_budget_us = 35.0;  // room for 3 x 10us per target
+  ccfg.epoch_retry_budget_us = 75.0;  // room for 10 + 20 + 40us per target
 
   Engine e(ecfg(3, std::make_shared<fault::Injector>(plan)));
   e.run([ccfg](Process& p) {
@@ -175,9 +174,9 @@ TEST(HealthWindow, RetryBudgetIsPerTarget) {
       EXPECT_EQ(st.retries, 6u);        // 3 per target, not 3 total
       EXPECT_EQ(st.retry_giveups, 2u);  // each target exhausts its own pool
       EXPECT_EQ(st.injected_faults, 8u);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(1), 30.0);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(2), 30.0);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(), 60.0);  // summed accessor
+      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(1), 70.0);
+      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(2), 70.0);
+      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(), 140.0);  // summed accessor
       win.flush_all();  // epoch boundary resets every pool
       EXPECT_DOUBLE_EQ(win.epoch_backoff_us(), 0.0);
       win.unlock_all();
@@ -430,7 +429,6 @@ TEST(HealthWindow, ReviveRankReclosesThroughProbing) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
   ccfg.health_failure_threshold = 1;
   ccfg.health_quarantine_dwell_us = 1500.0;
-  ccfg.health_probe_successes = 2;
 
   Engine e(ecfg(2, std::make_shared<fault::Injector>(plan)));
   e.run([ccfg](Process& p) {
@@ -673,7 +671,6 @@ std::uint64_t detector_decisions_digest(std::uint64_t seed, Stats* total) {
   ccfg.health_failure_threshold = 2;
   ccfg.health_window_us = 1000.0;
   ccfg.health_quarantine_dwell_us = 300.0;
-  ccfg.health_probe_successes = 2;
   ccfg.degraded_reads = true;  // a down target's cached entries still serve
   ccfg.degraded_max_staleness_us = 2000.0;
   ccfg.breaker_failure_threshold = 2;

@@ -336,4 +336,111 @@ TEST(CrashRestart, KvSnapshotBoundsReplayAndRestores) {
   EXPECT_EQ(probe->restarts_handled, 1);
 }
 
+TEST(CrashRestart, ClientRestartWipesVolatileState) {
+  // A client reboot loses everything it kept in host memory: the cache,
+  // the hint queues, the health history and the tail-latency state. The
+  // client arms all of them against a dead server 2 before it crashes.
+  const double kKillUs = 1000.0, kCrashUs = 20000.0, kRestartUs = 30000.0;
+  constexpr int kClient = 3;
+  fault::Plan plan;
+  plan.kill_rank(2, kKillUs);
+  plan.crash_rank(kClient, kCrashUs, kRestartUs);
+  Engine e(engine_cfg(4, std::make_shared<fault::Injector>(plan)));
+  e.run([&](Process& p) {
+    kv::StoreConfig cfg;
+    cfg.nkeys = 64;
+    cfg.nservers = 3;
+    cfg.replication = 2;
+    cfg.cache.mode = Mode::kUserDefined;
+    cfg.cache.index_entries = 4096;
+    cfg.cache.storage_bytes = 8 << 20;
+    cfg.cache.health_failure_threshold = 1;
+    cfg.cache.health_quarantine_dwell_us = 1e9;  // never re-probed here
+    cfg.cache.op_deadline_us = 1000.0;
+    cfg.cache.load_shedding = true;
+    cfg.hinted_handoff = true;
+    cfg.hedge_quantile = 0.9;
+    kv::Store store(p, cfg);
+    if (p.rank() == kClient) {
+      CachedWindow& win = store.window();
+      std::vector<std::byte> buf(cfg.layout.value_capacity);
+      // Keys whose primary is live: `cached` is warmed, the others miss
+      // their deadline. `hinted` has the dead server among its replicas.
+      std::vector<std::uint64_t> live;
+      std::uint64_t hinted = 0;
+      bool have_hinted = false;
+      for (std::uint64_t i = 0; i < cfg.nkeys; ++i) {
+        const std::uint64_t key = store.key_at(i);
+        int reps[kv::kMaxReplicas];
+        store.ring().replicas(key, cfg.replication, reps);
+        if (reps[0] == 2 || reps[1] == 2) {
+          if (!have_hinted && reps[0] != 2) {
+            hinted = key;
+            have_hinted = true;
+          }
+          continue;
+        }
+        live.push_back(key);
+      }
+      ASSERT_TRUE(have_hinted);
+      ASSERT_GE(live.size(), 4u);
+      const std::uint64_t cached = live[0];
+
+      win.lock_all();
+      kv::GetMeta gm;
+      ASSERT_TRUE(store.get(cached, buf.data(), &gm));
+      ASSERT_TRUE(store.get(cached, buf.data(), &gm));
+      EXPECT_GE(gm.cached_hits, 1);
+
+      // Server 2 is dead: the put is applied once, hinted once, and the
+      // fatal failure quarantines the target.
+      advance_to(p, 2 * kKillUs);
+      kv::fill_value(hinted, 1, 32, buf.data());
+      kv::PutMeta pm;
+      ASSERT_TRUE(store.put(hinted, 1, buf.data(), 32, &pm));
+      EXPECT_EQ(pm.applied, 1);
+      EXPECT_EQ(pm.hinted, 1);
+
+      // A shed window in which every admitted get misses its (already
+      // spent) deadline, then one more get to close it: the shedder halves
+      // the admitted fraction.
+      p.compute_us(2.0 * cfg.cache.shed_window_us);
+      std::size_t misses = 0;
+      for (std::size_t i = 1; i < live.size(); ++i) {
+        (void)store.get(live[i], buf.data(), &gm, p.now_us());
+        if (gm.deadline) ++misses;
+      }
+      EXPECT_GT(misses, 0u);
+      p.compute_us(2.0 * cfg.cache.shed_window_us);
+      (void)store.get(live[1], buf.data(), &gm);
+      win.unlock_all();
+
+      ASSERT_GT(store.hints_pending(), 0u);
+      ASSERT_EQ(win.target_status(2).state, HealthState::kQuarantined);
+      ASSERT_LT(win.admit_fraction(), 1.0);
+      ASSERT_LT(p.now_us(), kCrashUs);
+
+      advance_to(p, kRestartUs + 1000.0);
+      store.crash_tick();
+      EXPECT_EQ(store.crash_restarts_handled(), 1);
+      EXPECT_EQ(store.hints_pending(), 0u);
+      for (int t = 0; t < cfg.nservers; ++t) {
+        EXPECT_EQ(win.target_status(t).state, HealthState::kHealthy) << t;
+      }
+      EXPECT_EQ(win.admit_fraction(), 1.0);
+
+      // The cache is gone: the warmed key misses and reads correct bytes.
+      win.lock_all();
+      ASSERT_TRUE(store.get(cached, buf.data(), &gm));
+      EXPECT_EQ(gm.cached_hits, 0);
+      EXPECT_GE(gm.bucket_reads, 1);
+      EXPECT_EQ(gm.seq, 0u);
+      EXPECT_TRUE(kv::check_value(cached, gm.seq, gm.len, buf.data()));
+      win.unlock_all();
+    }
+    p.barrier();
+    store.free_window();
+  });
+}
+
 }  // namespace

@@ -99,7 +99,6 @@ TEST(FaultResilience, TransientFailuresAreRetriedAway) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
   ccfg.max_retries = 16;
   ccfg.retry_backoff_us = 4.0;
-  ccfg.retry_backoff_factor = 2.0;
   ccfg.retry_jitter = 0.25;
 
   const RunResult clean =
@@ -142,9 +141,8 @@ TEST(FaultResilience, EpochRetryBudgetCapsBackoff) {
   Config ccfg = cache_cfg(Mode::kAlwaysCache);
   ccfg.max_retries = 100;
   ccfg.retry_backoff_us = 10.0;
-  ccfg.retry_backoff_factor = 1.0;
   ccfg.retry_jitter = 0.0;
-  ccfg.epoch_retry_budget_us = 35.0;  // room for 3 x 10us backoffs
+  ccfg.epoch_retry_budget_us = 75.0;  // room for 10 + 20 + 40us, not + 80
 
   const RunResult r = run_reader(std::make_shared<fault::Injector>(plan), ccfg,
                                  /*ngets=*/1);

@@ -1,0 +1,221 @@
+#!/usr/bin/env python3
+"""Knob audit: every settable config field needs a caller.
+
+Lists the data members of the five user-facing config structs and fails
+on any field that no file outside its own layer and tests/ assigns
+(`.field = ...`, `->field = ...` or `.field.sub = ...`; `==` does not
+count), or whose every such assignment writes the field's default value.
+The callers searched are bench/, examples/, perfbench/src/ and every other
+src/ layer. A field that only tests (or nothing) set is a constant in
+disguise: it multiplies the configurations the tests would have to cover
+and no run exercises. Writes are matched by field name, so a same-named
+field of another struct counts as a caller: the audit errs toward passing.
+
+Fields kept on purpose live in ALLOWLIST, each with its reason. An entry
+that names no field, or a field that has since gained a caller, fails the
+audit too, so the list cannot go stale.
+
+Usage: knob_audit.py [REPO_ROOT]   (default: the checkout holding this file)
+"""
+
+import functools
+import pathlib
+import re
+import sys
+
+# (struct, header, layer that owns it). The struct is found by its
+# `struct <name> {` line; Engine::Config is the only `struct Config` in
+# engine.h.
+STRUCTS = [
+    ("clampi::Config", "src/clampi/config.h", "Config", "clampi"),
+    ("kv::StoreConfig", "src/kv/store.h", "StoreConfig", "kv"),
+    ("kv::Layout", "src/kv/bucket.h", "Layout", "kv"),
+    ("kv::WorkloadConfig", "src/kv/workload.h", "WorkloadConfig", "kv"),
+    ("rmasim::Engine::Config", "src/rt/engine.h", "Config", "rt"),
+]
+
+_ADAPTIVE = "paper Sec. III-E adaptive tuning parameter; kept as the paper's knob"
+ALLOWLIST = {
+    "clampi::Config.conflict_threshold": _ADAPTIVE,
+    "clampi::Config.capacity_threshold": _ADAPTIVE,
+    "clampi::Config.stable_threshold": _ADAPTIVE,
+    "clampi::Config.sparsity_threshold": _ADAPTIVE,
+    "clampi::Config.free_threshold": _ADAPTIVE,
+    "clampi::Config.shrink_patience": _ADAPTIVE,
+    "clampi::Config.index_increase_factor": _ADAPTIVE,
+    "clampi::Config.index_decrease_factor": _ADAPTIVE,
+    "clampi::Config.memory_increase_factor": _ADAPTIVE,
+    "clampi::Config.memory_decrease_factor": _ADAPTIVE,
+    "clampi::Config.health_window_us":
+        "HealthWindow.DetectorDecisionsArePinned pins the detector at 1000 us",
+    "clampi::Config.breaker_halfopen_successes":
+        "HealthWindow.DetectorDecisionsArePinned pins the breaker at 2 probes",
+    "kv::StoreConfig.hedge_window_us":
+        "HedgedReads.BackupWinsAgainstAStragglingPrimary needs a 1e9 us window",
+}
+
+CALLER_DIRS = ["bench", "examples", "perfbench/src"]
+SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
+
+
+def strip_comments(text):
+    text = re.sub(r"/\*.*?\*/", " ", text, flags=re.S)
+    return re.sub(r"//[^\n]*", " ", text)
+
+
+def struct_body(text, name):
+    m = re.search(r"\bstruct\s+" + name + r"\s*\{", text)
+    if m is None:
+        raise SystemExit(f"knob_audit: struct {name} not found")
+    depth, i = 1, m.end()
+    start = i
+    while depth:
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return text[start:i - 1]
+
+
+def skip_block(body, i):
+    """Index just past the brace block that opens at body[i]."""
+    depth = 0
+    while True:
+        depth += {"{": 1, "}": -1}.get(body[i], 0)
+        i += 1
+        if depth == 0:
+            return i
+
+
+def statements(body):
+    """Top-level member statements, with function bodies and nested types
+    dropped and brace initializers kept."""
+    out, cur, i = [], "", 0
+    while i < len(body):
+        c = body[i]
+        if c == "{":
+            head = cur.strip()
+            if re.search(r"(\)|\bconst|\bnoexcept|\boverride)$", head) or re.match(
+                    r"(struct|class|enum|union)\b", head):
+                i = skip_block(body, i)
+                if re.match(r"(struct|class|enum|union)\b", head):
+                    while i < len(body) and body[i] != ";":
+                        i += 1
+                    i += 1
+                cur = ""
+                continue
+            j = skip_block(body, i)
+            cur += body[i:j]
+            i = j
+            continue
+        if c == ";":
+            out.append(cur.strip())
+            cur = ""
+        else:
+            cur += c
+        i += 1
+    return out
+
+
+def fields(header_text, name):
+    """(field, default expression or None) for every non-static data member."""
+    result = []
+    for st in statements(struct_body(strip_comments(header_text), name)):
+        st = re.sub(r"^(public|private|protected)\s*:", "", st).strip()
+        if not st or re.match(r"(static|using|friend|typedef|template)\b", st):
+            continue
+        decl, _, init = st.partition("=")
+        bare = decl
+        while re.search(r"<[^<>]*>", bare):
+            bare = re.sub(r"<[^<>]*>", "", bare)
+        if "(" in bare:
+            continue  # a member function declaration
+        m = re.search(r"(\w+)\s*$", bare)
+        if m:
+            result.append((m.group(1), init.strip() or None))
+    return result
+
+
+def normalize(expr, constants):
+    expr = expr.strip()
+    if expr in constants:
+        expr = constants[expr]
+    try:
+        return repr(float(expr.rstrip("uUlLfF")))
+    except ValueError:
+        return expr
+
+
+@functools.lru_cache(maxsize=None)
+def source(path):
+    """A caller file's text without comments, and its named constants."""
+    text = strip_comments(path.read_text(errors="replace"))
+    return text, dict(re.findall(r"\b(k\w+)\s*=\s*([^;,]+?)\s*;", text))
+
+
+def caller_files(root, own_layer):
+    files = []
+    for d in CALLER_DIRS:
+        files += [p for p in (root / d).rglob("*") if p.suffix in SOURCE_SUFFIXES]
+    for layer in sorted((root / "src").iterdir()):
+        if layer.is_dir() and layer.name != own_layer:
+            files += [p for p in layer.rglob("*") if p.suffix in SOURCE_SUFFIXES]
+    return files
+
+
+def assignments(files, field):
+    """Right-hand sides of `.field = rhs;` / `->field = rhs;`, with each
+    file's named constants for resolving an identifier right-hand side. A
+    write to a member of a struct-typed field (`.cache.mode = ...`) counts
+    as a write to the field."""
+    pat = re.compile(r"(?:\.|->)\s*" + field + r"((?:\.\w+)*)\s*=(?!=)\s*([^;]*);")
+    found = []
+    for path in files:
+        text, consts = source(path)
+        # A member write never equals the struct's (absent) default.
+        found += [(sub + "=" + r if sub else r, consts) for sub, r in pat.findall(text)]
+    return found
+
+
+def audit(root):
+    problems, counts, seen = [], [], set()
+    for qual, header, name, layer in STRUCTS:
+        flist = fields((root / header).read_text(), name)
+        counts.append(f"{qual}: {len(flist)}")
+        files = caller_files(root, layer)
+        for field, default in flist:
+            key = f"{qual}.{field}"
+            seen.add(key)
+            rhs = assignments(files, field)
+            if not rhs:
+                why = "no caller outside src/" + layer + " and tests/ assigns it"
+            elif default is not None and all(
+                    normalize(r, c) == normalize(default, {}) for r, c in rhs):
+                why = f"every caller assigns its default ({default})"
+            else:
+                why = None
+            if key in ALLOWLIST:
+                if why is None:
+                    problems.append(f"{key}: stale allowlist entry, it has a caller")
+            elif why is not None:
+                problems.append(f"{key}: {why}")
+    for key in sorted(set(ALLOWLIST) - seen):
+        problems.append(f"{key}: stale allowlist entry, no such field")
+    return problems, counts
+
+
+def main():
+    here = pathlib.Path(__file__).resolve().parent.parent
+    root = pathlib.Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else here
+    problems, counts = audit(root)
+    print("settable fields: " + "; ".join(counts))
+    for p in problems:
+        print("knob_audit: " + p)
+    if problems:
+        print(f"knob_audit: FAIL ({len(problems)} field(s) need a caller, "
+              "a constant or an allowlist reason)")
+        return 1
+    print(f"knob_audit: OK ({len(ALLOWLIST)} allowlisted)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

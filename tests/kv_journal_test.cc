@@ -256,11 +256,6 @@ TEST(KvDurabilityConfig, RejectsInvalidDurabilitySettings) {
       EXPECT_THROW(kv::Store store(p, cfg), util::ContractError);
     }
     {
-      kv::StoreConfig cfg = base;
-      cfg.journal_sync_us = -0.5;
-      EXPECT_THROW(kv::Store store(p, cfg), util::ContractError);
-    }
-    {
       // A device set sized for the wrong server count.
       kv::StoreConfig cfg = base;
       kv::StoreConfig two = base;

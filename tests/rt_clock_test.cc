@@ -68,22 +68,6 @@ TEST(VirtualClock, NestedRuntimeSectionsAccrueOnce) {
   EXPECT_DOUBLE_EQ(c.now_us(), t0);
 }
 
-TEST(VirtualClock, MeasuredScaleMultiplies) {
-  VirtualClock fast(TimePolicy::kMeasured, /*scale=*/1.0);
-  VirtualClock slow(TimePolicy::kMeasured, /*scale=*/3.0);
-  fast.start_measurement();
-  slow.start_measurement();
-  volatile double x = 1.0;
-  for (int i = 0; i < 3000000; ++i) x = x * 1.0000001 + 0.1;
-  fast.enter_runtime();
-  slow.enter_runtime();
-  // Same real work, 3x the scale: the ratio should be ~3 (loose bounds:
-  // the two measurements bracket slightly different instants).
-  EXPECT_GT(slow.now_us(), 1.5 * fast.now_us());
-  fast.exit_runtime();
-  slow.exit_runtime();
-}
-
 TEST(VirtualClock, NegativeAdvanceAborts) {
   VirtualClock c(TimePolicy::kModeled);
   EXPECT_DEATH(c.advance_us(-1.0), "backwards");

@@ -118,25 +118,6 @@ TEST(WindowExtra, DatatypeGetBlocksRoundTrip) {
   });
 }
 
-TEST(WindowExtra, MeasuredScaleMultipliesUserTime) {
-  auto measure = [](double scale) {
-    Engine::Config cfg = ecfg(1);
-    cfg.time_policy = rmasim::TimePolicy::kMeasured;
-    cfg.measured_scale = scale;
-    Engine e(cfg);
-    auto t = std::make_shared<double>(0.0);
-    e.run([t](Process& p) {
-      volatile double x = 1.0;
-      for (int i = 0; i < 3000000; ++i) x = x * 1.0000001 + 0.5;
-      *t = p.now_us();
-    });
-    return *t;
-  };
-  const double t1 = measure(1.0);
-  const double t4 = measure(4.0);
-  EXPECT_GT(t4, 2.0 * t1);  // loose: the two loops take similar real time
-}
-
 TEST(WindowExtra, PutGetDisjointRegionsSameEpoch) {
   // MPI allows puts and gets in one epoch when they target disjoint
   // regions; verify both complete and land correctly.

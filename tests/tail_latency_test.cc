@@ -178,7 +178,6 @@ TEST(Deadline, RetryBackoffStopsAtTheBudget) {
     ccfg.storage_bytes = 256 * 1024;
     ccfg.max_retries = 8;
     ccfg.retry_backoff_us = 100.0;
-    ccfg.retry_backoff_factor = 2.0;
     ccfg.retry_jitter = 0.0;
     ccfg.op_deadline_us = 150.0;
     void* base = nullptr;
@@ -337,7 +336,6 @@ TEST(HedgedReads, BackupWinsAgainstAStragglingPrimary) {
     cfg.cache.index_entries = 4096;
     cfg.cache.storage_bytes = 8 << 20;
     cfg.hedge_quantile = 0.9;
-    cfg.hedge_min_samples = 8;
     cfg.hedge_window_us = 1e9;
     kv::Store store(p, cfg);
     if (p.rank() == 2) {
