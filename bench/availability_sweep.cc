@@ -24,15 +24,14 @@
 // dead-target availability above zero while the uncached baseline is at
 // exactly zero. CI gates on this binary (see .github/workflows/ci.yml).
 //
-// Output is one JSON document, everything virtual-time modelled and
-// deterministic:
+// Output (stdout and BENCH_availability.json, or argv[1]), everything
+// virtual-time modelled and deterministic:
 //   {"bench":"availability_sweep","results":[
 //     {"dead_servers":2,"variant":"clampi-degraded","attempted_dead":...,
 //      "served_dead":...,"avail_dead":...,"served_alive":...,
 //      "degraded_hits":...,"fast_fails":...,"max_age_us":...,
-//      "goodput_mb_per_s":...,"violations":0}, ...]}
-#include <cstdio>
-#include <cstring>
+//      "goodput_mb_per_s":...,"violations":0}, ...],
+//    "acceptance":{"violations":0,"pass":true}}
 #include <memory>
 #include <vector>
 
@@ -63,6 +62,14 @@ void fill_pattern(void* base, std::size_t n, int rank) {
   auto* b = static_cast<std::uint8_t*>(base);
   for (std::size_t i = 0; i < n; ++i) b[i] = pattern_at(i, rank);
 }
+
+enum class Variant { kDegraded, kClampi, kNone };
+constexpr const char* kVariantNames[] = {"clampi-degraded", "clampi", "none"};
+
+struct Spec {
+  int dead_servers;
+  Variant variant;
+};
 
 struct Cell {
   long attempted_dead = 0;
@@ -246,57 +253,57 @@ Cell run_uncached(int dead_servers) {
   return *cell;
 }
 
-void emit(bool first, int dead_servers, const char* variant, const Cell& c) {
-  std::printf("%s\n    {\"dead_servers\":%d,\"variant\":\"%s\","
-              "\"attempted_dead\":%ld,\"served_dead\":%ld,\"avail_dead\":%.4f,"
-              "\"attempted_alive\":%ld,\"served_alive\":%ld,"
-              "\"degraded_hits\":%ld,\"fast_fails\":%ld,\"max_age_us\":%.1f,"
-              "\"goodput_mb_per_s\":%.3f,\"violations\":%ld}",
-              first ? "" : ",", dead_servers, variant, c.attempted_dead,
-              c.served_dead, c.avail_dead(), c.attempted_alive, c.served_alive,
-              c.degraded_hits, c.fast_fails, c.max_age_us, c.goodput_mb_per_s(),
-              c.violations);
-}
-
 }  // namespace
 
-int main() {
-  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
-  benchx::bench_scale();
-  const int dead_counts[] = {0, 1, 2, 4};
-
-  long violations = 0;
-  bool acceptance_failed = false;
-  std::printf("{\"bench\":\"availability_sweep\",\"results\":[");
-  bool first = true;
-  for (const int dead : dead_counts) {
-    const Cell with = run_clampi(dead, /*degraded=*/true);
-    const Cell without = run_clampi(dead, /*degraded=*/false);
-    const Cell none = run_uncached(dead);
-    emit(first, dead, "clampi-degraded", with);
-    first = false;
-    emit(first, dead, "clampi", without);
-    emit(first, dead, "none", none);
-    violations += with.violations + without.violations + none.violations;
-    if (dead > 0) {
-      // Headline acceptance: degraded reads keep dead-target availability
-      // above zero; the uncached baseline (and the degraded-off cache in
-      // transparent mode) drop to exactly zero.
-      if (with.avail_dead() <= 0.0) acceptance_failed = true;
-      if (none.served_dead != 0) acceptance_failed = true;
-      if (without.served_dead != 0) acceptance_failed = true;
+int main(int argc, char** argv) {
+  benchx::Sweep sweep("availability_sweep", "BENCH_availability.json", argc, argv);
+  std::vector<Spec> specs;
+  for (const int dead : {0, 1, 2, 4}) {
+    for (const Variant v : {Variant::kDegraded, Variant::kClampi, Variant::kNone}) {
+      specs.push_back({dead, v});
     }
   }
-  std::printf("\n]}\n");
-  if (violations > 0) {
-    std::fprintf(stderr, "availability_sweep: %ld staleness/coverage violations\n",
-                 violations);
-    return 1;
-  }
-  if (acceptance_failed) {
-    std::fprintf(stderr,
-                 "availability_sweep: degraded-read availability acceptance failed\n");
-    return 1;
-  }
-  return 0;
+
+  long violations = 0;
+  sweep.cells(
+      specs,
+      [](const Spec& s) {
+        return s.variant == Variant::kNone
+                   ? run_uncached(s.dead_servers)
+                   : run_clampi(s.dead_servers, s.variant == Variant::kDegraded);
+      },
+      [&](const Spec& s, const Cell& c) {
+        const char* variant = kVariantNames[static_cast<int>(s.variant)];
+        sweep.row(benchx::Fields()
+                      .num("dead_servers", s.dead_servers)
+                      .str("variant", variant)
+                      .num("attempted_dead", c.attempted_dead)
+                      .num("served_dead", c.served_dead)
+                      .num("avail_dead", "%.4f", c.avail_dead())
+                      .num("attempted_alive", c.attempted_alive)
+                      .num("served_alive", c.served_alive)
+                      .num("degraded_hits", c.degraded_hits)
+                      .num("fast_fails", c.fast_fails)
+                      .num("max_age_us", "%.1f", c.max_age_us)
+                      .num("goodput_mb_per_s", "%.3f", c.goodput_mb_per_s())
+                      .num("violations", c.violations));
+        sweep.gate(c.violations == 0,
+                   "dead_servers=%d %s: %ld staleness/coverage violations",
+                   s.dead_servers, variant, c.violations);
+        violations += c.violations;
+        if (s.dead_servers == 0) return;
+        // Headline acceptance: degraded reads keep dead-target availability
+        // above zero; the uncached baseline (and the degraded-off cache in
+        // transparent mode) drop to exactly zero.
+        if (s.variant == Variant::kDegraded) {
+          sweep.gate(c.avail_dead() > 0.0,
+                     "dead_servers=%d %s: no dead-target get served", s.dead_servers,
+                     variant);
+        } else {
+          sweep.gate(c.served_dead == 0,
+                     "dead_servers=%d %s: %ld dead-target gets served", s.dead_servers,
+                     variant, c.served_dead);
+        }
+      });
+  return sweep.finish(benchx::Fields().num("violations", violations));
 }

@@ -30,16 +30,16 @@
 //                     divergence).
 //   overhead_on/off   no crash: the same write+read workload with devices
 //                     on vs off — the journaling cost for docs/PERF.md.
+//                     GATE: zero loss.
 //
-// The process exits nonzero if any gate fails. CI runs this with
-// CLAMPI_BENCH_SCALE for smoke and uploads the JSON.
+// The process exits nonzero if any gate fails; each failed gate names its
+// cell on stderr. CI runs this with CLAMPI_BENCH_SCALE for smoke and
+// uploads the JSON.
 //
 // Output: one JSON document on stdout, also written to
 // BENCH_kv_durability.json (or argv[1]).
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -163,8 +163,8 @@ CellResult run_cell(std::uint64_t nkeys, const CellSpec& spec) {
         p.compute_us(500.0);
         store.crash_tick();
       }
-    } else if (p.now_us() < end_us) {
-      p.compute_us(end_us - p.now_us());
+    } else {
+      benchx::advance_to(p, end_us);
     }
     p.barrier();  // outage over, the crashed server recovered
 
@@ -240,184 +240,93 @@ CellResult run_cell(std::uint64_t nkeys, const CellSpec& spec) {
   return r;
 }
 
-void emit_cell(std::string& json, const CellSpec& spec, std::uint64_t nkeys,
-               const CellResult& r, bool first) {
-  char buf[768];
-  std::snprintf(
-      buf, sizeof buf,
-      "%s\n    {\"cell\":\"%s\",\"replication\":%d,\"nkeys\":%llu,"
-      "\"crash\":%s,\"torn_write_prob\":%.2f,\"journal_corrupt_prob\":%.6f,"
-      "\"snapshot_every_us\":%.0f,\"acked\":%llu,\"lost\":%llu,"
-      "\"unreachable\":%llu,\"journal_appends\":%llu,\"journal_replayed\":%llu,"
-      "\"torn_records_dropped\":%llu,\"snapshot_loads\":%llu,"
-      "\"recovery_repairs\":%llu,\"ae_repairs\":%llu,\"restarts_handled\":%d,"
-      "\"keys_divergent\":%llu,\"keys_checked\":%llu,"
-      "\"write_elapsed_us\":%.1f}",
-      first ? "" : ",", spec.name, spec.replication,
-      static_cast<unsigned long long>(nkeys), spec.crash ? "true" : "false",
-      spec.torn_prob, spec.corrupt_prob, spec.snapshot_every_us,
-      static_cast<unsigned long long>(r.acked),
-      static_cast<unsigned long long>(r.lost),
-      static_cast<unsigned long long>(r.unreachable),
-      static_cast<unsigned long long>(r.appends),
-      static_cast<unsigned long long>(r.replayed),
-      static_cast<unsigned long long>(r.torn_dropped),
-      static_cast<unsigned long long>(r.snapshot_loads),
-      static_cast<unsigned long long>(r.recovery_repairs),
-      static_cast<unsigned long long>(r.ae_repairs), r.restarts_handled,
-      static_cast<unsigned long long>(r.conv.keys_divergent),
-      static_cast<unsigned long long>(r.conv.keys_checked), r.write_elapsed_us);
-  json += buf;
-}
-
-bool fail(const char* cell, const char* why) {
-  std::fprintf(stderr, "durability_sweep: %s: %s\n", cell, why);
-  return false;
-}
-
-/// Shared preconditions of every crash cell: the schedule held (writes
-/// acked before the crash), writes exist, recovery ran exactly once, and
-/// every key stayed reachable afterwards.
-bool gate_common(const CellSpec& spec, const CellResult& r) {
-  bool ok = true;
-  if (r.schedule_violated) ok = fail(spec.name, "writes overran the crash instant");
-  if (r.acked == 0) ok = fail(spec.name, "no acknowledged writes");
-  if (r.unreachable != 0) ok = fail(spec.name, "keys unreachable after recovery");
-  if (r.restarts_handled != 1) ok = fail(spec.name, "recovery did not run exactly once");
-  return ok;
+/// The gates of one cell, chosen by what its spec turns on.
+void gate_cell(benchx::Sweep& sweep, const CellSpec& spec, const CellResult& r) {
+  const char* cell = spec.name;
+  if (spec.crash) {
+    // Shared preconditions of every crash cell: the schedule held (writes
+    // acked before the crash), writes exist, recovery ran exactly once,
+    // and every key stayed reachable afterwards.
+    sweep.gate(!r.schedule_violated, "%s: writes overran the crash instant", cell);
+    sweep.gate(r.acked > 0, "%s: no acknowledged writes", cell);
+    sweep.gate(r.unreachable == 0, "%s: keys unreachable after recovery", cell);
+    sweep.gate(r.restarts_handled == 1, "%s: recovery did not run exactly once", cell);
+  }
+  if (spec.crash && !spec.devices) {
+    // Journaling off: the crash must provably destroy acks, or the
+    // schedule never put anything at risk and the other gates are void.
+    sweep.gate(r.lost > 0, "%s: no loss with journaling off", cell);
+  } else {
+    sweep.gate(r.lost == 0, "%s: acknowledged writes lost", cell);
+  }
+  if (spec.torn_prob > 0.0) {  // replay alone must save every ack
+    sweep.gate(r.appends > 0, "%s: no journal appends", cell);
+    sweep.gate(r.replayed > 0, "%s: no journal replay", cell);
+    sweep.gate(r.torn_dropped > 0, "%s: torn tail never discarded", cell);
+  }
+  if (spec.snapshot_every_us > 0.0) {
+    sweep.gate(r.snapshot_loads > 0, "%s: no snapshot restored", cell);
+  }
+  if (spec.corrupt_prob > 0.0) {  // the recovered shard must agree with its peer
+    sweep.gate(r.recovery_repairs > 0, "%s: no peer repairs", cell);
+    sweep.gate(r.conv.keys_checked > 0, "%s: convergence never checked", cell);
+    sweep.gate(r.conv.keys_divergent == 0 && r.conv.keys_unreachable == 0,
+               "%s: recovered replica diverges from peer", cell);
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_kv_durability.json";
+  benchx::Sweep sweep("durability_sweep", "BENCH_kv_durability.json", argc, argv);
   const std::uint64_t nkeys = benchx::scaled(std::uint64_t{1} << 15, 2048);
+  sweep.header(benchx::Fields()
+                   .num("nkeys", nkeys)
+                   .num("rounds", kRounds)
+                   .num("clients", kClients)
+                   .num("servers", kServers));
 
-  const CellSpec journal{"journal", 1, /*devices=*/true, /*crash=*/true,
-                         /*torn=*/1.0, /*corrupt=*/0.0, /*snap=*/0.0};
-  const CellSpec snapshot{"journal_snapshot", 1, true, true, 0.0, 0.0,
-                          /*snap=*/5000.0};
-  const CellSpec control{"control", 1, /*devices=*/false, true, 0.0, 0.0, 0.0};
-  // Sparse rot: the Corruptor draws per BYTE, so 2e-5 over a ~1 MB
-  // journal is a few dozen rotted records — dense enough to exercise the
-  // checksum/resync/repair machinery, sparse enough that the live peer
-  // still holds a clean copy of everything.
-  const CellSpec corrupt{"journal_corrupt", 2, true, true, 0.0,
-                         /*corrupt=*/2e-5, 0.0};
-  const CellSpec ovh_on{"overhead_on", 1, true, /*crash=*/false, 0.0, 0.0, 0.0};
-  const CellSpec ovh_off{"overhead_off", 1, false, /*crash=*/false, 0.0, 0.0, 0.0};
-
-  std::string json = "{\"bench\":\"durability_sweep\",\"nkeys\":" +
-                     std::to_string(nkeys) + ",\"rounds\":" +
-                     std::to_string(kRounds) + ",\"clients\":" +
-                     std::to_string(kClients) + ",\"servers\":" +
-                     std::to_string(kServers) + ",\"results\":[";
-
-  bool pass = true;
-  bool first = true;
-
-  // journal: replication 1 + torn tail — replay alone must save every ack.
-  {
-    const CellResult r = run_cell(nkeys, journal);
-    emit_cell(json, journal, nkeys, r, first);
-    first = false;
-    if (!gate_common(journal, r)) pass = false;
-    if (r.lost != 0) pass = fail("journal", "acknowledged writes lost");
-    if (r.appends == 0) pass = fail("journal", "no journal appends");
-    if (r.replayed == 0) pass = fail("journal", "no journal replay");
-    if (r.torn_dropped == 0) pass = fail("journal", "torn tail never discarded");
-    std::fprintf(stderr,
-                 "durability_sweep: journal acked=%llu lost=%llu replayed=%llu "
-                 "torn_dropped=%llu\n",
-                 static_cast<unsigned long long>(r.acked),
-                 static_cast<unsigned long long>(r.lost),
-                 static_cast<unsigned long long>(r.replayed),
-                 static_cast<unsigned long long>(r.torn_dropped));
-  }
-
-  // journal_snapshot: recovery restores the image, replay covers the tail.
-  {
-    const CellResult r = run_cell(nkeys, snapshot);
-    emit_cell(json, snapshot, nkeys, r, false);
-    if (!gate_common(snapshot, r)) pass = false;
-    if (r.lost != 0) pass = fail("journal_snapshot", "acknowledged writes lost");
-    if (r.snapshot_loads == 0) pass = fail("journal_snapshot", "no snapshot restored");
-    std::fprintf(stderr,
-                 "durability_sweep: journal_snapshot acked=%llu lost=%llu "
-                 "snapshot_loads=%llu replayed=%llu\n",
-                 static_cast<unsigned long long>(r.acked),
-                 static_cast<unsigned long long>(r.lost),
-                 static_cast<unsigned long long>(r.snapshot_loads),
-                 static_cast<unsigned long long>(r.replayed));
-  }
-
-  // control: journaling off — the crash must provably destroy acks, or
-  // the schedule never put anything at risk and the gates above are void.
-  {
-    const CellResult r = run_cell(nkeys, control);
-    emit_cell(json, control, nkeys, r, false);
-    if (!gate_common(control, r)) pass = false;
-    if (r.lost == 0) pass = fail("control", "no loss with journaling off");
-    std::fprintf(stderr, "durability_sweep: control acked=%llu lost=%llu\n",
-                 static_cast<unsigned long long>(r.acked),
-                 static_cast<unsigned long long>(r.lost));
-  }
-
-  // journal_corrupt: bit rot rejected by checksums, repaired from the
-  // peer replica; the recovered shard must agree with its peer exactly.
-  {
-    const CellResult r = run_cell(nkeys, corrupt);
-    emit_cell(json, corrupt, nkeys, r, false);
-    if (!gate_common(corrupt, r)) pass = false;
-    if (r.lost != 0) pass = fail("journal_corrupt", "acknowledged writes lost");
-    if (r.recovery_repairs == 0) pass = fail("journal_corrupt", "no peer repairs");
-    if (r.conv.keys_checked == 0) pass = fail("journal_corrupt", "convergence never checked");
-    if (r.conv.keys_divergent != 0 || r.conv.keys_unreachable != 0) {
-      pass = fail("journal_corrupt", "recovered replica diverges from peer");
-    }
-    std::fprintf(stderr,
-                 "durability_sweep: journal_corrupt acked=%llu lost=%llu "
-                 "repairs=%llu divergent=%llu\n",
-                 static_cast<unsigned long long>(r.acked),
-                 static_cast<unsigned long long>(r.lost),
-                 static_cast<unsigned long long>(r.recovery_repairs),
-                 static_cast<unsigned long long>(r.conv.keys_divergent));
-  }
-
-  // overhead: the journaling cost with no fault in sight (docs/PERF.md).
-  {
-    const CellResult on = run_cell(nkeys, ovh_on);
-    const CellResult off = run_cell(nkeys, ovh_off);
-    emit_cell(json, ovh_on, nkeys, on, false);
-    emit_cell(json, ovh_off, nkeys, off, false);
-    if (on.lost != 0 || off.lost != 0) {
-      pass = fail("overhead", "loss without any crash");
-    }
-    const double ratio =
-        off.write_elapsed_us > 0.0 ? on.write_elapsed_us / off.write_elapsed_us : 0.0;
-    std::fprintf(stderr,
-                 "durability_sweep: overhead journal_on=%.0fus journal_off=%.0fus "
-                 "(x%.3f)\n",
-                 on.write_elapsed_us, off.write_elapsed_us, ratio);
-  }
-
-  char tail[128];
-  std::snprintf(tail, sizeof tail, "\n  ],\n  \"acceptance\":{\"pass\":%s}}\n",
-                pass ? "true" : "false");
-  json += tail;
-
-  std::fputs(json.c_str(), stdout);
-  if (FILE* f = std::fopen(out_path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "durability_sweep: wrote %s\n", out_path);
-  } else {
-    std::fprintf(stderr, "durability_sweep: cannot write %s\n", out_path);
-    return 1;
-  }
-  if (!pass) {
-    std::fprintf(stderr, "durability_sweep: ACCEPTANCE FAILED\n");
-    return 1;
-  }
-  return 0;
+  const CellSpec cells[] = {
+      // replication 1 + torn tail: replay alone must save every ack.
+      {"journal", 1, /*devices=*/true, /*crash=*/true, /*torn=*/1.0, /*corrupt=*/0.0,
+       /*snap=*/0.0},
+      // recovery restores the image, replay covers the tail.
+      {"journal_snapshot", 1, true, true, 0.0, 0.0, /*snap=*/5000.0},
+      {"control", 1, /*devices=*/false, true, 0.0, 0.0, 0.0},
+      // Sparse rot: the Corruptor draws per BYTE, so 2e-5 over a ~1 MB
+      // journal is a few dozen rotted records — dense enough to exercise
+      // the checksum/resync/repair machinery, sparse enough that the live
+      // peer still holds a clean copy of everything.
+      {"journal_corrupt", 2, true, true, 0.0, /*corrupt=*/2e-5, 0.0},
+      // The journaling cost with no fault in sight (docs/PERF.md).
+      {"overhead_on", 1, true, /*crash=*/false, 0.0, 0.0, 0.0},
+      {"overhead_off", 1, false, /*crash=*/false, 0.0, 0.0, 0.0},
+  };
+  sweep.cells(
+      cells, [&](const CellSpec& s) { return run_cell(nkeys, s); },
+      [&](const CellSpec& s, const CellResult& r) {
+        sweep.row(benchx::Fields()
+                      .str("cell", s.name)
+                      .num("replication", s.replication)
+                      .num("nkeys", nkeys)
+                      .flag("crash", s.crash)
+                      .num("torn_write_prob", "%.2f", s.torn_prob)
+                      .num("journal_corrupt_prob", "%.6f", s.corrupt_prob)
+                      .num("snapshot_every_us", "%.0f", s.snapshot_every_us)
+                      .num("acked", r.acked)
+                      .num("lost", r.lost)
+                      .num("unreachable", r.unreachable)
+                      .num("journal_appends", r.appends)
+                      .num("journal_replayed", r.replayed)
+                      .num("torn_records_dropped", r.torn_dropped)
+                      .num("snapshot_loads", r.snapshot_loads)
+                      .num("recovery_repairs", r.recovery_repairs)
+                      .num("ae_repairs", r.ae_repairs)
+                      .num("restarts_handled", r.restarts_handled)
+                      .num("keys_divergent", r.conv.keys_divergent)
+                      .num("keys_checked", r.conv.keys_checked)
+                      .num("write_elapsed_us", "%.1f", r.write_elapsed_us));
+        gate_cell(sweep, s, r);
+      });
+  return sweep.finish();
 }

@@ -8,17 +8,17 @@
 // touch the network, degraded target or not); the uncached variant issues
 // raw rmasim gets with the same manual retry loop.
 //
-// Output is a single JSON document:
+// Output (stdout and BENCH_fault.json, or argv[1]):
 //   {"bench":"fault_sweep","results":[
 //     {"fail_prob":0.1,"degrade_factor":4,"cache":"clampi",
-//      "avg_get_us":...,"served":...,"retries":...,"giveups":...}, ...]}
+//      "avg_get_us":...,"served":...,"retries":...,"giveups":...}, ...],
+//    "acceptance":{"mismatches":0,"pass":true}}
 //
 // Everything is virtual-time modelled, so the numbers are deterministic
 // across runs and machines. Rank 0's window holds a known pattern and every
-// served get is checked against it; any mismatch is reported on stderr and
-// makes the binary exit nonzero.
+// served get is checked against it; any mismatch fails the gate and makes
+// the binary exit nonzero.
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -41,7 +41,13 @@ constexpr int kMaxRetries = 6;
 constexpr double kBackoffUs = 4.0;
 constexpr double kBackoffFactor = 2.0;  // CLaMPI's fixed per-retry growth
 
-struct SweepCell {
+struct Spec {
+  double fail_prob;
+  double degrade_factor;
+  bool cached;
+};
+
+struct Cell {
   double total_get_us = 0.0;
   long served = 0;
   long retries = 0;
@@ -63,7 +69,10 @@ void fill_pattern(void* base) {
   for (std::size_t i = 0; i < kKeys * kBytes; ++i) bytes[i] = pattern_at(i);
 }
 
-void check_served(const std::vector<std::uint8_t>& buf, std::size_t disp, SweepCell* cell) {
+void record_served(const std::vector<std::uint8_t>& buf, std::size_t disp, double us,
+                   Cell* cell) {
+  cell->total_get_us += us;
+  ++cell->served;
   for (std::size_t j = 0; j < buf.size(); ++j) {
     if (buf[j] != pattern_at(disp + j)) {
       ++cell->mismatches;
@@ -72,24 +81,19 @@ void check_served(const std::vector<std::uint8_t>& buf, std::size_t disp, SweepC
   }
 }
 
-fault::Plan make_plan(double fail_prob, double degrade_factor) {
+rmasim::Engine::Config engine_cfg(const Spec& s) {
   fault::Plan plan;
-  if (fail_prob > 0.0) plan.fail_everywhere(fail_prob);
-  if (degrade_factor > 1.0) {
-    plan.degrade_rank(0, degrade_factor, 0.0, fault::kForever);
+  if (s.fail_prob > 0.0) plan.fail_everywhere(s.fail_prob);
+  if (s.degrade_factor > 1.0) {
+    plan.degrade_rank(0, s.degrade_factor, 0.0, fault::kForever);
   }
-  return plan;
-}
-
-rmasim::Engine::Config engine_cfg(double fail_prob, double degrade_factor) {
   rmasim::Engine::Config cfg = benchx::modeled_engine(kRanks);
-  cfg.injector =
-      std::make_shared<fault::Injector>(make_plan(fail_prob, degrade_factor));
+  cfg.injector = std::make_shared<fault::Injector>(plan);
   return cfg;
 }
 
 /// CLaMPI readers: kAlwaysCache + retry policy in the window.
-SweepCell run_cached(double fail_prob, double degrade_factor) {
+Cell run_cached(const Spec& s) {
   Config ccfg;
   ccfg.mode = Mode::kAlwaysCache;
   ccfg.index_entries = 512;
@@ -97,8 +101,8 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
   ccfg.max_retries = kMaxRetries;
   ccfg.retry_backoff_us = kBackoffUs;
 
-  rmasim::Engine e(engine_cfg(fail_prob, degrade_factor));
-  auto cell = std::make_shared<SweepCell>();
+  rmasim::Engine e(engine_cfg(s));
+  auto cell = std::make_shared<Cell>();
   e.run([ccfg, cell](Process& p) {
     void* base = nullptr;
     auto win = CachedWindow::allocate(p, kKeys * kBytes, &base, ccfg);
@@ -114,9 +118,7 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
           try {
             win.get(buf.data(), kBytes, 0, disp);
             win.flush_all();
-            cell->total_get_us += p.now_us() - t0;
-            ++cell->served;
-            check_served(buf, disp, cell.get());
+            record_served(buf, disp, p.now_us() - t0, cell.get());
           } catch (const fault::OpFailedError&) {
             ++cell->giveups;
           }
@@ -132,9 +134,9 @@ SweepCell run_cached(double fail_prob, double degrade_factor) {
 }
 
 /// Baseline: raw rmasim gets with the same retry loop done by hand.
-SweepCell run_uncached(double fail_prob, double degrade_factor) {
-  rmasim::Engine e(engine_cfg(fail_prob, degrade_factor));
-  auto cell = std::make_shared<SweepCell>();
+Cell run_uncached(const Spec& s) {
+  rmasim::Engine e(engine_cfg(s));
+  auto cell = std::make_shared<Cell>();
   e.run([cell](Process& p) {
     void* base = nullptr;
     const rmasim::Window w = p.win_allocate(kKeys * kBytes, &base);
@@ -161,9 +163,7 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
             }
           }
           if (ok) {
-            cell->total_get_us += p.now_us() - t0;
-            ++cell->served;
-            check_served(buf, disp, cell.get());
+            record_served(buf, disp, p.now_us() - t0, cell.get());
           } else {
             ++cell->giveups;
           }
@@ -176,40 +176,36 @@ SweepCell run_uncached(double fail_prob, double degrade_factor) {
   return *cell;
 }
 
-/// Print one result row; returns the cell's mismatches (reported on
-/// stderr, so stdout carries only the JSON document).
-long emit(bool first, double fail_prob, double degrade_factor, const char* cache,
-          const SweepCell& c) {
-  if (c.mismatches > 0) {
-    std::fprintf(stderr, "fault_sweep: fail_prob=%g degrade_factor=%g cache=%s: %ld "
-                 "served gets returned wrong bytes\n",
-                 fail_prob, degrade_factor, cache, c.mismatches);
-  }
-  std::printf("%s\n    {\"fail_prob\":%g,\"degrade_factor\":%g,\"cache\":\"%s\","
-              "\"avg_get_us\":%.3f,\"served\":%ld,\"retries\":%ld,\"giveups\":%ld}",
-              first ? "" : ",", fail_prob, degrade_factor, cache, c.avg_get_us(),
-              c.served, c.retries, c.giveups);
-  return c.mismatches;
-}
-
 }  // namespace
 
-int main() {
-  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
-  benchx::bench_scale();
-  const double fail_probs[] = {0.0, 0.05, 0.1, 0.2, 0.4};
-  const double degrade_factors[] = {1.0, 4.0, 16.0};
-
-  std::printf("{\"bench\":\"fault_sweep\",\"results\":[");
-  bool first = true;
-  long mismatches = 0;
-  for (const double df : degrade_factors) {
-    for (const double fp : fail_probs) {
-      mismatches += emit(first, fp, df, "clampi", run_cached(fp, df));
-      first = false;
-      mismatches += emit(first, fp, df, "none", run_uncached(fp, df));
+int main(int argc, char** argv) {
+  benchx::Sweep sweep("fault_sweep", "BENCH_fault.json", argc, argv);
+  std::vector<Spec> specs;
+  for (const double df : {1.0, 4.0, 16.0}) {
+    for (const double fp : {0.0, 0.05, 0.1, 0.2, 0.4}) {
+      specs.push_back({fp, df, /*cached=*/true});
+      specs.push_back({fp, df, /*cached=*/false});
     }
   }
-  std::printf("\n]}\n");
-  return mismatches > 0 ? 1 : 0;
+
+  long mismatches = 0;
+  sweep.cells(
+      specs, [](const Spec& s) { return s.cached ? run_cached(s) : run_uncached(s); },
+      [&](const Spec& s, const Cell& c) {
+        const char* cache = s.cached ? "clampi" : "none";
+        sweep.row(benchx::Fields()
+                      .num("fail_prob", "%g", s.fail_prob)
+                      .num("degrade_factor", "%g", s.degrade_factor)
+                      .str("cache", cache)
+                      .num("avg_get_us", "%.3f", c.avg_get_us())
+                      .num("served", c.served)
+                      .num("retries", c.retries)
+                      .num("giveups", c.giveups));
+        sweep.gate(c.mismatches == 0,
+                   "fail_prob=%g degrade_factor=%g cache=%s: %ld served gets "
+                   "returned wrong bytes",
+                   s.fail_prob, s.degrade_factor, cache, c.mismatches);
+        mismatches += c.mismatches;
+      });
+  return sweep.finish(benchx::Fields().num("mismatches", mismatches));
 }

@@ -10,17 +10,17 @@
 // With verification on, escapes must be zero at every swept rate; the
 // binary exits nonzero otherwise so CI can gate on it.
 //
-// Output is a single JSON document:
+// Output (stdout and BENCH_integrity.json, or argv[1]):
 //   {"bench":"integrity_sweep","results":[
 //     {"bitflip_prob":1e-4,"breaker_threshold":4,"gets":...,
 //      "hit_ratio":...,"bitflips":...,"detected":...,"self_heals":...,
 //      "scrub_scanned":...,"scrub_corruptions":...,"trips":...,
 //      "recloses":...,"passthrough_gets":...,"time_in_open_us":...,
-//      "corruption_escapes":0,"avg_get_us":...}, ...]}
+//      "corruption_escapes":0,"avg_get_us":...}, ...],
+//    "acceptance":{"corruption_escapes":0,"pass":true}}
 //
 // Everything is virtual-time modelled, so the numbers are deterministic
 // across runs and machines.
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -38,6 +38,11 @@ using rmasim::Process;
 constexpr int kKeys = 32;            // hot-set size
 constexpr std::size_t kBytes = 512;  // per key
 constexpr int kRounds = 30;          // passes over the hot set
+
+struct Spec {
+  double bitflip_prob;
+  int breaker_threshold;
+};
 
 struct Cell {
   long gets = 0;
@@ -59,9 +64,9 @@ std::uint8_t pattern_at(std::size_t i, int rank) {
   return static_cast<std::uint8_t>((i * 7 + static_cast<std::size_t>(rank) * 13) & 0xff);
 }
 
-Cell run_cell(double bitflip_prob, int breaker_threshold) {
+Cell run_cell(const Spec& spec) {
   fault::Plan plan;
-  plan.corrupt_storage(bitflip_prob);
+  plan.corrupt_storage(spec.bitflip_prob);
   rmasim::Engine::Config ecfg = benchx::modeled_engine(2);
   ecfg.injector = std::make_shared<fault::Injector>(plan);
 
@@ -71,7 +76,7 @@ Cell run_cell(double bitflip_prob, int breaker_threshold) {
   ccfg.storage_bytes = 256 * 1024;
   ccfg.verify_every_n = 1;          // verify every hit: escapes must be zero
   ccfg.scrub_entries_per_epoch = 4;
-  ccfg.breaker_failure_threshold = breaker_threshold;
+  ccfg.breaker_failure_threshold = spec.breaker_threshold;
   ccfg.breaker_window_us = 20000.0;
   ccfg.breaker_open_us = 2000.0;
   ccfg.breaker_probe_every_n = 4;
@@ -114,50 +119,39 @@ Cell run_cell(double bitflip_prob, int breaker_threshold) {
   return *cell;
 }
 
-void emit(bool first, double bitflip_prob, int breaker_threshold, const Cell& c) {
-  const Stats& s = c.stats;
-  std::printf(
-      "%s\n    {\"bitflip_prob\":%g,\"breaker_threshold\":%d,\"gets\":%ld,"
-      "\"hit_ratio\":%.3f,\"bitflips\":%llu,\"detected\":%llu,"
-      "\"self_heals\":%llu,\"scrub_scanned\":%llu,\"scrub_corruptions\":%llu,"
-      "\"trips\":%llu,\"recloses\":%llu,\"passthrough_gets\":%llu,"
-      "\"time_in_open_us\":%.1f,\"corruption_escapes\":%ld,\"avg_get_us\":%.3f}",
-      first ? "" : ",", bitflip_prob, breaker_threshold, c.gets, c.hit_ratio(),
-      static_cast<unsigned long long>(s.storage_bitflips),
-      static_cast<unsigned long long>(s.corruption_detected),
-      static_cast<unsigned long long>(s.self_heals),
-      static_cast<unsigned long long>(s.scrub_entries_scanned),
-      static_cast<unsigned long long>(s.scrub_corruptions),
-      static_cast<unsigned long long>(s.breaker_trips),
-      static_cast<unsigned long long>(s.breaker_recloses),
-      static_cast<unsigned long long>(s.breaker_passthrough_gets),
-      c.time_in_open_us, c.escapes, c.avg_get_us());
-}
-
 }  // namespace
 
-int main() {
-  // The sizes are fixed, but a malformed CLAMPI_BENCH_SCALE still exits 2.
-  benchx::bench_scale();
-  const double bitflip_probs[] = {0.0, 1e-5, 1e-4, 1e-3};
-  const int breaker_thresholds[] = {0, 16, 64};  // 0 = breaker disabled
+int main(int argc, char** argv) {
+  benchx::Sweep sweep("integrity_sweep", "BENCH_integrity.json", argc, argv);
+  std::vector<Spec> specs;
+  for (const int bt : {0, 16, 64}) {  // 0 = breaker disabled
+    for (const double bp : {0.0, 1e-5, 1e-4, 1e-3}) specs.push_back({bp, bt});
+  }
 
   long escapes = 0;
-  std::printf("{\"bench\":\"integrity_sweep\",\"results\":[");
-  bool first = true;
-  for (const int bt : breaker_thresholds) {
-    for (const double bp : bitflip_probs) {
-      const Cell c = run_cell(bp, bt);
-      emit(first, bp, bt, c);
-      first = false;
-      escapes += c.escapes;
-    }
-  }
-  std::printf("\n]}\n");
-  if (escapes > 0) {
-    std::fprintf(stderr, "integrity_sweep: %ld corrupted gets escaped verification\n",
-                 escapes);
-    return 1;
-  }
-  return 0;
+  sweep.cells(specs, run_cell, [&](const Spec& spec, const Cell& c) {
+    const Stats& s = c.stats;
+    sweep.row(benchx::Fields()
+                  .num("bitflip_prob", "%g", spec.bitflip_prob)
+                  .num("breaker_threshold", spec.breaker_threshold)
+                  .num("gets", c.gets)
+                  .num("hit_ratio", "%.3f", c.hit_ratio())
+                  .num("bitflips", s.storage_bitflips)
+                  .num("detected", s.corruption_detected)
+                  .num("self_heals", s.self_heals)
+                  .num("scrub_scanned", s.scrub_entries_scanned)
+                  .num("scrub_corruptions", s.scrub_corruptions)
+                  .num("trips", s.breaker_trips)
+                  .num("recloses", s.breaker_recloses)
+                  .num("passthrough_gets", s.breaker_passthrough_gets)
+                  .num("time_in_open_us", "%.1f", c.time_in_open_us)
+                  .num("corruption_escapes", c.escapes)
+                  .num("avg_get_us", "%.3f", c.avg_get_us()));
+    sweep.gate(c.escapes == 0,
+               "bitflip_prob=%g breaker_threshold=%d: %ld corrupted gets escaped "
+               "verification",
+               spec.bitflip_prob, spec.breaker_threshold, c.escapes);
+    escapes += c.escapes;
+  });
+  return sweep.finish(benchx::Fields().num("corruption_escapes", escapes));
 }

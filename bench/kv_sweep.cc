@@ -29,12 +29,11 @@
 // CI runs this with CLAMPI_BENCH_SCALE for smoke and uploads the JSON.
 //
 // Output: one JSON document on stdout, also written to BENCH_kv.json
-// (or argv[1]).
+// (or argv[1]); a gated cell that misses its bound names itself on
+// stderr.
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -47,6 +46,7 @@
 namespace {
 
 using namespace clampi;
+using benchx::ClientOut;
 using rmasim::Process;
 
 constexpr int kServers = 4;
@@ -54,75 +54,28 @@ constexpr int kClients = 2;
 constexpr int kRanks = kServers + kClients;
 constexpr double kDeathUs = 20000.0;
 
-struct ClientOut {
-  kv::WorkloadReport rep;
-  Stats stats;
+/// One engine run of the workload.
+struct RunSpec {
+  double skew;
+  double get_ratio;
+  std::uint32_t cap;
+  bool use_cache = true;
+  int replication = 1;
+  bool death = false;  ///< server rank 1 dies mid-run
+  bool resilient = false;
 };
 
-/// One engine run: build the store, drive both clients, harvest reports.
-struct RunResult {
-  std::uint64_t attempted = 0, served = 0, mismatches = 0;
-  std::uint64_t bucket_reads = 0, chain_follows = 0, cached_hits = 0;
-  std::uint64_t version_rereads = 0, degraded = 0, rerouted = 0;
-  std::uint64_t put_applied = 0, put_skipped = 0;
-  std::uint64_t kv_bucket_reads = 0, kv_chain_reads = 0, kv_version_rereads = 0;
-  std::uint64_t put_invalidation_ops = 0;
-  double elapsed_us = 0.0, p50_us = 0.0, p99_us = 0.0;
-
-  double availability() const {
-    return attempted == 0 ? 1.0
-                          : static_cast<double>(served) / static_cast<double>(attempted);
-  }
-  double kops_per_s() const {
-    return elapsed_us <= 0.0
-               ? 0.0
-               : static_cast<double>(attempted) * 1e3 / elapsed_us;
-  }
-  double hit_frac() const {
-    return bucket_reads == 0
-               ? 0.0
-               : static_cast<double>(cached_hits) / static_cast<double>(bucket_reads);
-  }
-  double chain_frac() const {
-    return bucket_reads == 0
-               ? 0.0
-               : static_cast<double>(chain_follows) / static_cast<double>(bucket_reads);
-  }
-
-  void absorb(const ClientOut& c) {
-    attempted += c.rep.attempted;
-    served += c.rep.served;
-    mismatches += c.rep.mismatches;
-    bucket_reads += c.rep.bucket_reads;
-    chain_follows += c.rep.chain_follows;
-    cached_hits += c.rep.cached_hits;
-    version_rereads += c.rep.version_rereads;
-    degraded += c.rep.degraded_serves;
-    rerouted += c.rep.rerouted;
-    put_applied += c.rep.put_replicas_applied;
-    put_skipped += c.rep.put_replicas_skipped;
-    kv_bucket_reads += c.stats.kv_bucket_reads;
-    kv_chain_reads += c.stats.kv_chain_reads;
-    kv_version_rereads += c.stats.kv_version_rereads;
-    put_invalidation_ops += c.stats.put_invalidation_ops;
-    elapsed_us = std::max(elapsed_us, c.rep.elapsed_us);
-    p50_us = std::max(p50_us, c.rep.p50_us);
-    p99_us = std::max(p99_us, c.rep.p99_us);
-  }
-};
-
-kv::StoreConfig store_cfg(std::uint64_t nkeys, int replication, std::uint32_t cap,
-                          bool resilient) {
+kv::StoreConfig store_cfg(std::uint64_t nkeys, const RunSpec& s) {
   kv::StoreConfig scfg;
   scfg.nkeys = nkeys;
   scfg.nservers = kServers;
-  scfg.replication = replication;
-  scfg.layout.value_capacity = cap;
+  scfg.replication = s.replication;
+  scfg.layout.value_capacity = s.cap;
   scfg.cache.mode = Mode::kUserDefined;
   scfg.cache.adaptive = false;
   scfg.cache.index_entries = std::size_t{1} << 17;
   scfg.cache.storage_bytes = std::size_t{64} << 20;
-  if (resilient) {
+  if (s.resilient) {
     scfg.cache.health_failure_threshold = 3;
     scfg.cache.degraded_reads = true;
     scfg.cache.degraded_max_staleness_us = 1e9;  // covers the whole run
@@ -130,11 +83,10 @@ kv::StoreConfig store_cfg(std::uint64_t nkeys, int replication, std::uint32_t ca
   return scfg;
 }
 
-RunResult run_cell(std::uint64_t nkeys, std::uint64_t ops, double skew,
-                   double get_ratio, std::uint32_t cap, bool use_cache,
-                   int replication, bool death, bool resilient) {
+/// Build the store, drive both clients, sum their reports.
+ClientOut run(std::uint64_t nkeys, std::uint64_t ops, const RunSpec& s) {
   rmasim::Engine::Config ecfg = benchx::modeled_engine(kRanks);
-  if (death) {
+  if (s.death) {
     fault::Plan plan;
     plan.kill_rank(/*rank=*/1, kDeathUs);
     ecfg.injector = std::make_shared<fault::Injector>(plan);
@@ -142,199 +94,167 @@ RunResult run_cell(std::uint64_t nkeys, std::uint64_t ops, double skew,
   rmasim::Engine e(ecfg);
   auto outs = std::make_shared<std::vector<ClientOut>>(kRanks);
   e.run([=, &outs](Process& p) {
-    kv::Store store(p, store_cfg(nkeys, replication, cap, resilient));
+    kv::Store store(p, store_cfg(nkeys, s));
     if (p.rank() >= kServers) {
       const int client = p.rank() - kServers;
-      if (death) {
-        // Warm the hot set while every server is alive, then cross the
-        // death instant with no epoch open and serve through it.
-        kv::WorkloadConfig warm;
-        warm.ops = std::min<std::uint64_t>(nkeys, 8000);
-        warm.get_ratio = 1.0;
-        warm.zipf_s = skew;
-        warm.epoch_ops = warm.ops + 1;
-        warm.use_cache = use_cache;
-        warm.seed = 0x7761726dull;
-        kv::Driver warmer(store, warm, client, kClients);
-        kv::WorkloadReport wr = warmer.run(p);
-        (*outs)[static_cast<std::size_t>(p.rank())].rep.mismatches += wr.mismatches;
-        const double target = kDeathUs + 2000.0;
-        if (p.now_us() < target) p.compute_us(target - p.now_us());
+      ClientOut& out = (*outs)[static_cast<std::size_t>(p.rank())];
+      std::uint64_t warm_mm = 0;
+      if (s.death) {
+        warm_mm = benchx::warm_then_cross(p, store, client, kClients, s.skew, s.use_cache,
+                                          kDeathUs + 2000.0);
       }
       kv::WorkloadConfig wcfg;
       wcfg.ops = ops;
-      wcfg.get_ratio = get_ratio;
-      wcfg.zipf_s = skew;
+      wcfg.get_ratio = s.get_ratio;
+      wcfg.zipf_s = s.skew;
       // Perf cells: one serving epoch (see header comment); death cells
       // also exercise the Listing-1 invalidation while the rank is down.
-      wcfg.epoch_ops = death ? std::max<std::uint64_t>(ops / 2, 1) : ops + 1;
-      wcfg.put_len_min = cap / 2 == 0 ? 1 : cap / 2;
-      wcfg.put_len_max = cap;
-      wcfg.use_cache = use_cache;
+      wcfg.epoch_ops = s.death ? std::max<std::uint64_t>(ops / 2, 1) : ops + 1;
+      wcfg.put_len_min = s.cap / 2 == 0 ? 1 : s.cap / 2;
+      wcfg.put_len_max = s.cap;
+      wcfg.use_cache = s.use_cache;
       kv::Driver driver(store, wcfg, client, kClients);
-      ClientOut& out = (*outs)[static_cast<std::size_t>(p.rank())];
-      const kv::WorkloadReport warm_rep = out.rep;  // keep warm mismatches
       out.rep = driver.run(p);
-      out.rep.mismatches += warm_rep.mismatches;
+      out.rep.mismatches += warm_mm;
       out.stats = store.window().stats();
     }
     p.barrier();
     store.free_window();
   });
-  RunResult r;
-  for (int c = kServers; c < kRanks; ++c) r.absorb((*outs)[static_cast<std::size_t>(c)]);
+  ClientOut r;
+  for (int c = kServers; c < kRanks; ++c) {
+    benchx::absorb(r, (*outs)[static_cast<std::size_t>(c)]);
+  }
   return r;
 }
 
-struct PerfCell {
-  double skew;
-  double get_ratio;
-  std::uint32_t cap;
-  bool gated;  ///< subject to the 2x cached-vs-uncached acceptance gate
-};
-
-void emit_run(std::string& json, const char* cell, const char* variant,
-              double skew, double get_ratio, std::uint32_t cap, int replication,
-              std::uint64_t nkeys, const RunResult& r, bool first) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "%s\n    {\"cell\":\"%s\",\"variant\":\"%s\",\"skew\":%.2f,"
-      "\"get_ratio\":%.2f,\"value_capacity\":%u,\"replication\":%d,"
-      "\"nkeys\":%llu,\"attempted\":%llu,\"served\":%llu,"
-      "\"availability\":%.6f,\"kops_per_s\":%.2f,\"elapsed_us\":%.1f,"
-      "\"p50_us\":%.3f,\"p99_us\":%.3f,\"hit_frac\":%.4f,"
-      "\"chain_frac\":%.4f,\"version_rereads\":%llu,\"degraded\":%llu,"
-      "\"rerouted\":%llu,\"put_replicas_applied\":%llu,"
-      "\"put_replicas_skipped\":%llu,\"kv_bucket_reads\":%llu,"
-      "\"kv_chain_reads\":%llu,\"put_invalidation_ops\":%llu,"
-      "\"mismatches\":%llu}",
-      first ? "" : ",", cell, variant, skew, get_ratio, cap, replication,
-      static_cast<unsigned long long>(nkeys),
-      static_cast<unsigned long long>(r.attempted),
-      static_cast<unsigned long long>(r.served), r.availability(),
-      r.kops_per_s(), r.elapsed_us, r.p50_us, r.p99_us, r.hit_frac(),
-      r.chain_frac(), static_cast<unsigned long long>(r.version_rereads),
-      static_cast<unsigned long long>(r.degraded),
-      static_cast<unsigned long long>(r.rerouted),
-      static_cast<unsigned long long>(r.put_applied),
-      static_cast<unsigned long long>(r.put_skipped),
-      static_cast<unsigned long long>(r.kv_bucket_reads),
-      static_cast<unsigned long long>(r.kv_chain_reads),
-      static_cast<unsigned long long>(r.put_invalidation_ops),
-      static_cast<unsigned long long>(r.mismatches));
-  json += buf;
+double kops_per_s(const ClientOut& r) {
+  return r.rep.elapsed_us <= 0.0
+             ? 0.0
+             : static_cast<double>(r.rep.attempted) * 1e3 / r.rep.elapsed_us;
 }
+
+benchx::Fields result_row(const char* cell, const char* variant, std::uint64_t nkeys,
+                          const RunSpec& s, const ClientOut& r) {
+  const kv::WorkloadReport& w = r.rep;
+  const double chain_frac =
+      w.bucket_reads == 0
+          ? 0.0
+          : static_cast<double>(w.chain_follows) / static_cast<double>(w.bucket_reads);
+  return benchx::Fields()
+      .str("cell", cell)
+      .str("variant", variant)
+      .num("skew", "%.2f", s.skew)
+      .num("get_ratio", "%.2f", s.get_ratio)
+      .num("value_capacity", s.cap)
+      .num("replication", s.replication)
+      .num("nkeys", nkeys)
+      .num("attempted", w.attempted)
+      .num("served", w.served)
+      .num("availability", "%.6f", w.availability())
+      .num("kops_per_s", "%.2f", kops_per_s(r))
+      .num("elapsed_us", "%.1f", w.elapsed_us)
+      .num("p50_us", "%.3f", w.p50_us)
+      .num("p99_us", "%.3f", w.p99_us)
+      .num("hit_frac", "%.4f", w.hit_frac())
+      .num("chain_frac", "%.4f", chain_frac)
+      .num("version_rereads", w.version_rereads)
+      .num("degraded", w.degraded_serves)
+      .num("rerouted", w.rerouted)
+      .num("put_replicas_applied", w.put_replicas_applied)
+      .num("put_replicas_skipped", w.put_replicas_skipped)
+      .num("kv_bucket_reads", r.stats.kv_bucket_reads)
+      .num("kv_chain_reads", r.stats.kv_chain_reads)
+      .num("put_invalidation_ops", r.stats.put_invalidation_ops)
+      .num("mismatches", w.mismatches);
+}
+
+/// A perf cell runs cached and uncached; `gated` cells must show >= 2x.
+struct PerfCell {
+  RunSpec run;
+  bool gated;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_kv.json";
+  benchx::Sweep sweep("kv_sweep", "BENCH_kv.json", argc, argv);
   const std::uint64_t nkeys = benchx::scaled(std::uint64_t{1} << 20, 4096);
   // The 2x gate needs the serving epoch to actually warm the Zipf head:
   // at skew 0.99 the hit fraction is coverage-bound, so the op count per
   // client stays >= 8000 even under CLAMPI_BENCH_SCALE smoke runs.
   const std::uint64_t ops = benchx::scaled(250000, 8000);
+  sweep.header(benchx::Fields()
+                   .num("nkeys", nkeys)
+                   .num("ops_per_client", ops)
+                   .num("clients", kClients)
+                   .num("servers", kServers));
+  const auto run_spec = [&](const RunSpec& s) { return run(nkeys, ops, s); };
 
   // Gated cells run at a 95% get ratio (the acceptance bound is ">= 90%"):
   // at skew 0.99 over 1M keys the hit fraction tops out near 0.65, and the
   // put tail costs ~1.5 gets on both sides, so 90/10 sits right at 2.0x
   // while 95/5 clears it with margin. The 90/10 and 50/50 mixes stay in
   // the grid ungated to show the sensitivity.
-  const PerfCell cells[] = {
-      {0.5, 0.95, 32, false},  {0.99, 0.95, 32, true}, {1.2, 0.95, 32, true},
-      {0.99, 0.9, 32, false},  {0.99, 0.5, 32, false}, {0.99, 0.95, 96, true},
+  const PerfCell perf[] = {
+      {{0.5, 0.95, 32}, false},  {{0.99, 0.95, 32}, true}, {{1.2, 0.95, 32}, true},
+      {{0.99, 0.9, 32}, false},  {{0.99, 0.5, 32}, false}, {{0.99, 0.95, 96}, true},
   };
-
-  std::string json = "{\"bench\":\"kv_sweep\",\"nkeys\":" + std::to_string(nkeys) +
-                     ",\"ops_per_client\":" + std::to_string(ops) +
-                     ",\"clients\":" + std::to_string(kClients) +
-                     ",\"servers\":" + std::to_string(kServers) + ",\"results\":[";
   std::uint64_t mismatches = 0;
-  long gate_failures = 0;
-  double gated_speedup_min = 1e30;
-  bool first = true;
+  double gated_speedup_min = 0.0;
+  bool any_gated = false;
+  sweep.cells(
+      perf,
+      [&](const PerfCell& c) {
+        RunSpec uncached = c.run;
+        uncached.use_cache = false;
+        return std::pair{run_spec(c.run), run_spec(uncached)};
+      },
+      [&](const PerfCell& c, const std::pair<ClientOut, ClientOut>& r) {
+        const auto& [cached, uncached] = r;
+        sweep.row(result_row("perf", "cached", nkeys, c.run, cached));
+        sweep.row(result_row("perf", "uncached", nkeys, c.run, uncached));
+        mismatches += cached.rep.mismatches + uncached.rep.mismatches;
+        if (!c.gated) return;
+        const double speedup =
+            kops_per_s(uncached) <= 0.0 ? 0.0 : kops_per_s(cached) / kops_per_s(uncached);
+        gated_speedup_min = any_gated ? std::min(gated_speedup_min, speedup) : speedup;
+        any_gated = true;
+        sweep.gate(speedup >= 2.0, "perf skew=%.2f get=%.2f cap=%u: speedup %.2fx < 2x",
+                   c.run.skew, c.run.get_ratio, c.run.cap, speedup);
+      });
 
-  for (const PerfCell& c : cells) {
-    const RunResult cached = run_cell(nkeys, ops, c.skew, c.get_ratio, c.cap,
-                                      /*use_cache=*/true, /*replication=*/1,
-                                      /*death=*/false, /*resilient=*/false);
-    const RunResult uncached = run_cell(nkeys, ops, c.skew, c.get_ratio, c.cap,
-                                        /*use_cache=*/false, /*replication=*/1,
-                                        /*death=*/false, /*resilient=*/false);
-    emit_run(json, "perf", "cached", c.skew, c.get_ratio, c.cap, 1, nkeys, cached,
-             first);
-    first = false;
-    emit_run(json, "perf", "uncached", c.skew, c.get_ratio, c.cap, 1, nkeys,
-             uncached, false);
-    mismatches += cached.mismatches + uncached.mismatches;
-    const double speedup =
-        uncached.kops_per_s() <= 0.0 ? 0.0 : cached.kops_per_s() / uncached.kops_per_s();
-    std::fprintf(stderr,
-                 "kv_sweep: perf skew=%.2f get=%.2f cap=%u  cached=%.1f kops/s "
-                 "(hit %.1f%%)  uncached=%.1f kops/s  speedup=%.2fx%s\n",
-                 c.skew, c.get_ratio, c.cap, cached.kops_per_s(),
-                 100.0 * cached.hit_frac(), uncached.kops_per_s(), speedup,
-                 c.gated ? " [gated >= 2x]" : "");
-    if (c.gated) {
-      gated_speedup_min = std::min(gated_speedup_min, speedup);
-      if (speedup < 2.0) ++gate_failures;
+  // Death cells: the resilient config must hide the death completely,
+  // the fragile one must visibly lose ops.
+  RunSpec resilient{0.99, 0.9, 64, /*use_cache=*/true, /*replication=*/2,
+                    /*death=*/true, /*resilient=*/true};
+  RunSpec fragile = resilient;
+  fragile.replication = 1;
+  fragile.resilient = false;
+  const RunSpec death[] = {resilient, fragile};
+  double resilient_avail = 0.0, fragile_avail = 0.0;
+  std::uint64_t resilient_moved = 0;
+  sweep.cells(death, run_spec, [&](const RunSpec& s, const ClientOut& r) {
+    sweep.row(result_row("death", s.resilient ? "resilient" : "fragile", nkeys, s, r));
+    mismatches += r.rep.mismatches;
+    if (s.resilient) {
+      resilient_avail = r.rep.availability();
+      resilient_moved = r.rep.degraded_serves + r.rep.rerouted;
+      sweep.gate(resilient_avail == 1.0, "death resilient: availability %.6f < 1",
+                 resilient_avail);
+      sweep.gate(resilient_moved > 0, "death resilient: no degraded or rerouted serve");
+    } else {
+      fragile_avail = r.rep.availability();
+      sweep.gate(fragile_avail < 1.0, "death fragile: availability did not drop");
     }
-  }
+  });
 
-  // Death cells: the resilient config must hide the death completely.
-  const RunResult resilient =
-      run_cell(nkeys, ops, 0.99, 0.9, 64, /*use_cache=*/true, /*replication=*/2,
-               /*death=*/true, /*resilient=*/true);
-  const RunResult fragile =
-      run_cell(nkeys, ops, 0.99, 0.9, 64, /*use_cache=*/true, /*replication=*/1,
-               /*death=*/true, /*resilient=*/false);
-  emit_run(json, "death", "resilient", 0.99, 0.9, 64, 2, nkeys, resilient, false);
-  emit_run(json, "death", "fragile", 0.99, 0.9, 64, 1, nkeys, fragile, false);
-  mismatches += resilient.mismatches + fragile.mismatches;
-  std::fprintf(stderr,
-               "kv_sweep: death resilient avail=%.4f (degraded=%llu rerouted=%llu)  "
-               "fragile avail=%.4f\n",
-               resilient.availability(),
-               static_cast<unsigned long long>(resilient.degraded),
-               static_cast<unsigned long long>(resilient.rerouted),
-               fragile.availability());
-  const bool resilient_ok = resilient.availability() == 1.0 &&
-                            resilient.degraded + resilient.rerouted > 0;
-  const bool fragile_ok = fragile.availability() < 1.0;
-
-  const bool pass =
-      mismatches == 0 && gate_failures == 0 && resilient_ok && fragile_ok;
-  char tail[512];
-  std::snprintf(tail, sizeof tail,
-                "\n  ],\n  \"acceptance\":{\"mismatches\":%llu,"
-                "\"gated_speedup_min\":%.3f,\"resilient_availability\":%.6f,"
-                "\"resilient_degraded_or_rerouted\":%llu,"
-                "\"fragile_availability\":%.6f,\"pass\":%s}}\n",
-                static_cast<unsigned long long>(mismatches),
-                gated_speedup_min == 1e30 ? 0.0 : gated_speedup_min,
-                resilient.availability(),
-                static_cast<unsigned long long>(resilient.degraded + resilient.rerouted),
-                fragile.availability(), pass ? "true" : "false");
-  json += tail;
-
-  std::fputs(json.c_str(), stdout);
-  if (FILE* f = std::fopen(out_path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "kv_sweep: wrote %s\n", out_path);
-  } else {
-    std::fprintf(stderr, "kv_sweep: cannot write %s\n", out_path);
-    return 1;
-  }
-
-  if (!pass) {
-    std::fprintf(stderr,
-                 "kv_sweep: ACCEPTANCE FAILED (mismatches=%llu gate_failures=%ld "
-                 "resilient_ok=%d fragile_ok=%d)\n",
-                 static_cast<unsigned long long>(mismatches), gate_failures,
-                 resilient_ok, fragile_ok);
-    return 1;
-  }
-  return 0;
+  sweep.gate(mismatches == 0, "%llu shadow-check mismatches",
+             static_cast<unsigned long long>(mismatches));
+  return sweep.finish(benchx::Fields()
+                          .num("mismatches", mismatches)
+                          .num("gated_speedup_min", "%.3f", gated_speedup_min)
+                          .num("resilient_availability", "%.6f", resilient_avail)
+                          .num("resilient_degraded_or_rerouted", resilient_moved)
+                          .num("fragile_availability", "%.6f", fragile_avail));
 }

@@ -36,9 +36,7 @@
 // Output: one JSON document on stdout, also written to
 // BENCH_kv_recovery.json (or argv[1]).
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -61,22 +59,19 @@ constexpr double kHealUs = 60000.0;    ///< revival / first partition heal
 constexpr double kSecondFaultUs = 30000.0;  ///< second partition onset
 constexpr double kSecondHealUs = 70000.0;   ///< second partition heal
 
+struct Spec {
+  bool partition;    ///< else death + revival
+  bool convergence;  ///< else the control
+};
+
 struct CellResult {
-  std::uint64_t attempted = 0, served = 0, mismatches = 0;
-  std::uint64_t degraded = 0, rerouted = 0;
-  std::uint64_t put_applied = 0, put_skipped = 0, put_hinted = 0;
-  std::uint64_t hints_queued = 0, hints_drained = 0, hints_dropped = 0;
-  std::uint64_t read_repairs = 0, ae_repairs = 0;
+  benchx::ClientOut sum;  ///< both clients' reports and Stats
   std::uint64_t hints_leftover = 0, ae_steps = 0;
   kv::Store::ConvergenceReport conv;
-  double elapsed_us = 0.0;
 
-  double availability() const {
-    return attempted == 0 ? 1.0
-                          : static_cast<double>(served) / static_cast<double>(attempted);
-  }
   std::uint64_t repair_activity() const {
-    return hints_drained + read_repairs + ae_repairs;
+    return sum.stats.kv_hints_drained + sum.stats.kv_read_repairs +
+           sum.stats.kv_antientropy_repairs;
   }
 };
 
@@ -121,11 +116,10 @@ void await_recovery(kv::Store& store) {
   }
 }
 
-CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
-                    bool convergence) {
+CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, const Spec& spec) {
   rmasim::Engine::Config ecfg = benchx::modeled_engine(kRanks);
   fault::Plan plan;
-  if (partition) {
+  if (spec.partition) {
     // Asymmetric split-brain: each client loses a different server for an
     // overlapping epoch; every server stays reachable for everyone else.
     plan.partition_pair(/*origin=*/kServers + 0, /*target=*/1, kFaultUs, kHealUs);
@@ -137,35 +131,17 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
   }
   ecfg.injector = std::make_shared<fault::Injector>(plan);
   rmasim::Engine e(ecfg);
-
-  struct ClientOut {
-    kv::WorkloadReport rep;
-    Stats stats;
-    std::uint64_t ae_steps = 0;
-    std::uint64_t hints_leftover = 0;
-    kv::Store::ConvergenceReport conv;
-  };
-  auto outs = std::make_shared<std::vector<ClientOut>>(kRanks);
+  auto outs = std::make_shared<std::vector<CellResult>>(kRanks);
 
   e.run([=, &outs](Process& p) {
-    kv::Store store(p, store_cfg(nkeys, convergence));
+    kv::Store store(p, store_cfg(nkeys, spec.convergence));
+    CellResult& out = (*outs)[static_cast<std::size_t>(p.rank())];
     if (p.rank() >= kServers) {
       const int client = p.rank() - kServers;
-      ClientOut& out = (*outs)[static_cast<std::size_t>(p.rank())];
-
       // Warm the hot set while every pair is reachable, then cross the
       // fault onset with no epoch open and serve through it.
-      kv::WorkloadConfig warm;
-      warm.ops = std::min<std::uint64_t>(nkeys, 8000);
-      warm.get_ratio = 1.0;
-      warm.zipf_s = 0.99;
-      warm.epoch_ops = warm.ops + 1;
-      warm.seed = 0x7761726dull;
-      kv::Driver warmer(store, warm, client, kClients);
-      out.rep.mismatches += warmer.run(p).mismatches;
-      if (p.now_us() < kFaultUs + 2000.0) {
-        p.compute_us(kFaultUs + 2000.0 - p.now_us());
-      }
+      const std::uint64_t warm_mm = benchx::warm_then_cross(
+          p, store, client, kClients, 0.99, /*use_cache=*/true, kFaultUs + 2000.0);
 
       kv::WorkloadConfig wcfg;
       wcfg.ops = ops;
@@ -173,15 +149,12 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
       wcfg.zipf_s = 0.99;
       wcfg.epoch_ops = std::max<std::uint64_t>(ops / 4, 1);  // AE ticks mid-run
       kv::Driver driver(store, wcfg, client, kClients);
-      const std::uint64_t warm_mm = out.rep.mismatches;
-      out.rep = driver.run(p);
-      out.rep.mismatches += warm_mm;
+      out.sum.rep = driver.run(p);
+      out.sum.rep.mismatches += warm_mm;
 
       // Post-heal convergence epoch: recover the health machines, replay
       // the hint queues, and run the background scan over the keyspace.
-      if (p.now_us() < kSecondHealUs + 2000.0) {
-        p.compute_us(kSecondHealUs + 2000.0 - p.now_us());
-      }
+      benchx::advance_to(p, kSecondHealUs + 2000.0);
       store.window().lock_all();
       await_recovery(store);
       store.drain_hints();
@@ -199,183 +172,85 @@ CellResult run_cell(std::uint64_t nkeys, std::uint64_t ops, bool partition,
     p.barrier();  // all repair traffic quiesced before the ground truth
     if (p.rank() == kServers) {
       store.window().lock_all();
-      (*outs)[kServers].conv = store.verify_convergence();
+      out.conv = store.verify_convergence();
       store.window().unlock_all();
     }
-    if (p.rank() >= kServers) {
-      (*outs)[static_cast<std::size_t>(p.rank())].stats = store.window().stats();
-    }
+    if (p.rank() >= kServers) out.sum.stats = store.window().stats();
     p.barrier();
     store.free_window();
   });
 
   CellResult r;
   for (int c = kServers; c < kRanks; ++c) {
-    const ClientOut& o = (*outs)[static_cast<std::size_t>(c)];
-    r.attempted += o.rep.attempted;
-    r.served += o.rep.served;
-    r.mismatches += o.rep.mismatches;
-    r.degraded += o.rep.degraded_serves;
-    r.rerouted += o.rep.rerouted;
-    r.put_applied += o.rep.put_replicas_applied;
-    r.put_skipped += o.rep.put_replicas_skipped;
-    r.put_hinted += o.rep.put_replicas_hinted;
-    r.hints_queued += o.stats.kv_hints_queued;
-    r.hints_drained += o.stats.kv_hints_drained;
-    r.hints_dropped += o.stats.kv_hints_dropped;
-    r.read_repairs += o.stats.kv_read_repairs;
-    r.ae_repairs += o.stats.kv_antientropy_repairs;
+    const CellResult& o = (*outs)[static_cast<std::size_t>(c)];
+    benchx::absorb(r.sum, o.sum);
     r.hints_leftover += o.hints_leftover;
     r.ae_steps += o.ae_steps;
-    r.elapsed_us = std::max(r.elapsed_us, o.rep.elapsed_us);
   }
   r.conv = (*outs)[kServers].conv;
   return r;
 }
 
-void emit_cell(std::string& json, const char* cell, const char* variant,
-               std::uint64_t nkeys, const CellResult& r, bool first) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "%s\n    {\"cell\":\"%s\",\"variant\":\"%s\",\"nkeys\":%llu,"
-      "\"attempted\":%llu,\"served\":%llu,\"availability\":%.6f,"
-      "\"mismatches\":%llu,\"degraded\":%llu,\"rerouted\":%llu,"
-      "\"put_replicas_applied\":%llu,\"put_replicas_skipped\":%llu,"
-      "\"put_replicas_hinted\":%llu,\"hints_queued\":%llu,"
-      "\"hints_drained\":%llu,\"hints_dropped\":%llu,\"hints_leftover\":%llu,"
-      "\"read_repairs\":%llu,\"antientropy_repairs\":%llu,\"ae_steps\":%llu,"
-      "\"keys_checked\":%llu,\"keys_divergent\":%llu,"
-      "\"keys_unreachable\":%llu,\"max_seq_spread\":%llu,"
-      "\"elapsed_us\":%.1f}",
-      first ? "" : ",", cell, variant, static_cast<unsigned long long>(nkeys),
-      static_cast<unsigned long long>(r.attempted),
-      static_cast<unsigned long long>(r.served), r.availability(),
-      static_cast<unsigned long long>(r.mismatches),
-      static_cast<unsigned long long>(r.degraded),
-      static_cast<unsigned long long>(r.rerouted),
-      static_cast<unsigned long long>(r.put_applied),
-      static_cast<unsigned long long>(r.put_skipped),
-      static_cast<unsigned long long>(r.put_hinted),
-      static_cast<unsigned long long>(r.hints_queued),
-      static_cast<unsigned long long>(r.hints_drained),
-      static_cast<unsigned long long>(r.hints_dropped),
-      static_cast<unsigned long long>(r.hints_leftover),
-      static_cast<unsigned long long>(r.read_repairs),
-      static_cast<unsigned long long>(r.ae_repairs),
-      static_cast<unsigned long long>(r.ae_steps),
-      static_cast<unsigned long long>(r.conv.keys_checked),
-      static_cast<unsigned long long>(r.conv.keys_divergent),
-      static_cast<unsigned long long>(r.conv.keys_unreachable),
-      static_cast<unsigned long long>(r.conv.max_seq_spread), r.elapsed_us);
-  json += buf;
-}
-
-/// Gate one convergence cell; prints the reason for any failure.
-bool gate_convergence(const char* cell, const CellResult& r) {
-  bool ok = true;
-  if (r.mismatches != 0) {
-    std::fprintf(stderr, "recovery_sweep: %s/convergence: %llu mismatches\n", cell,
-                 static_cast<unsigned long long>(r.mismatches));
-    ok = false;
-  }
-  if (r.availability() < 1.0) {
-    std::fprintf(stderr, "recovery_sweep: %s/convergence: availability %.6f < 1\n",
-                 cell, r.availability());
-    ok = false;
-  }
-  if (r.conv.keys_divergent != 0 || r.conv.keys_unreachable != 0) {
-    std::fprintf(stderr,
-                 "recovery_sweep: %s/convergence: %llu divergent, %llu "
-                 "unreachable keys after repair\n",
-                 cell, static_cast<unsigned long long>(r.conv.keys_divergent),
-                 static_cast<unsigned long long>(r.conv.keys_unreachable));
-    ok = false;
-  }
-  if (r.hints_leftover != 0) {
-    std::fprintf(stderr, "recovery_sweep: %s/convergence: %llu hints left\n", cell,
-                 static_cast<unsigned long long>(r.hints_leftover));
-    ok = false;
-  }
-  if (r.repair_activity() == 0) {
-    std::fprintf(stderr, "recovery_sweep: %s/convergence: no repair activity\n",
-                 cell);
-    ok = false;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_kv_recovery.json";
+  benchx::Sweep sweep("recovery_sweep", "BENCH_kv_recovery.json", argc, argv);
   const std::uint64_t nkeys = benchx::scaled(std::uint64_t{1} << 16, 2048);
   const std::uint64_t ops = benchx::scaled(100000, 6000);
+  sweep.header(benchx::Fields()
+                   .num("nkeys", nkeys)
+                   .num("ops_per_client", ops)
+                   .num("clients", kClients)
+                   .num("servers", kServers));
 
-  std::string json = "{\"bench\":\"recovery_sweep\",\"nkeys\":" +
-                     std::to_string(nkeys) + ",\"ops_per_client\":" +
-                     std::to_string(ops) + ",\"clients\":" +
-                     std::to_string(kClients) + ",\"servers\":" +
-                     std::to_string(kServers) + ",\"results\":[";
-
-  bool pass = true;
-  bool first = true;
+  const Spec specs[] = {{false, true}, {false, false}, {true, true}, {true, false}};
   std::uint64_t mismatches = 0;
-  for (const bool partition : {false, true}) {
-    const char* cell = partition ? "partition" : "death";
-    const CellResult conv = run_cell(nkeys, ops, partition, /*convergence=*/true);
-    const CellResult ctrl = run_cell(nkeys, ops, partition, /*convergence=*/false);
-    emit_cell(json, cell, "convergence", nkeys, conv, first);
-    first = false;
-    emit_cell(json, cell, "control", nkeys, ctrl, false);
-    mismatches += conv.mismatches + ctrl.mismatches;
-
-    std::fprintf(stderr,
-                 "recovery_sweep: %s convergence avail=%.4f divergent=%llu "
-                 "(hinted=%llu drained=%llu rr=%llu ae=%llu)  control "
-                 "avail=%.4f divergent=%llu\n",
-                 cell, conv.availability(),
-                 static_cast<unsigned long long>(conv.conv.keys_divergent),
-                 static_cast<unsigned long long>(conv.put_hinted),
-                 static_cast<unsigned long long>(conv.hints_drained),
-                 static_cast<unsigned long long>(conv.read_repairs),
-                 static_cast<unsigned long long>(conv.ae_repairs),
-                 ctrl.availability(),
-                 static_cast<unsigned long long>(ctrl.conv.keys_divergent));
-
-    if (!gate_convergence(cell, conv)) pass = false;
-    if (ctrl.mismatches != 0) {
-      std::fprintf(stderr, "recovery_sweep: %s/control: %llu mismatches\n", cell,
-                   static_cast<unsigned long long>(ctrl.mismatches));
-      pass = false;
-    }
-    if (ctrl.conv.keys_divergent == 0) {
-      // The control must stay divergent, or the schedule never actually
-      // staled a replica and the convergence cell proved nothing.
-      std::fprintf(stderr, "recovery_sweep: %s/control: no divergence\n", cell);
-      pass = false;
-    }
-  }
-
-  char tail[256];
-  std::snprintf(tail, sizeof tail,
-                "\n  ],\n  \"acceptance\":{\"mismatches\":%llu,\"pass\":%s}}\n",
-                static_cast<unsigned long long>(mismatches),
-                pass ? "true" : "false");
-  json += tail;
-
-  std::fputs(json.c_str(), stdout);
-  if (FILE* f = std::fopen(out_path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "recovery_sweep: wrote %s\n", out_path);
-  } else {
-    std::fprintf(stderr, "recovery_sweep: cannot write %s\n", out_path);
-    return 1;
-  }
-  if (!pass) {
-    std::fprintf(stderr, "recovery_sweep: ACCEPTANCE FAILED\n");
-    return 1;
-  }
-  return 0;
+  sweep.cells(
+      specs, [&](const Spec& s) { return run_cell(nkeys, ops, s); },
+      [&](const Spec& s, const CellResult& r) {
+        const char* cell = s.partition ? "partition" : "death";
+        const char* variant = s.convergence ? "convergence" : "control";
+        const kv::WorkloadReport& w = r.sum.rep;
+        const Stats& st = r.sum.stats;
+        sweep.row(benchx::Fields()
+                      .str("cell", cell)
+                      .str("variant", variant)
+                      .num("nkeys", nkeys)
+                      .num("attempted", w.attempted)
+                      .num("served", w.served)
+                      .num("availability", "%.6f", w.availability())
+                      .num("mismatches", w.mismatches)
+                      .num("degraded", w.degraded_serves)
+                      .num("rerouted", w.rerouted)
+                      .num("put_replicas_applied", w.put_replicas_applied)
+                      .num("put_replicas_skipped", w.put_replicas_skipped)
+                      .num("put_replicas_hinted", w.put_replicas_hinted)
+                      .num("hints_queued", st.kv_hints_queued)
+                      .num("hints_drained", st.kv_hints_drained)
+                      .num("hints_dropped", st.kv_hints_dropped)
+                      .num("hints_leftover", r.hints_leftover)
+                      .num("read_repairs", st.kv_read_repairs)
+                      .num("antientropy_repairs", st.kv_antientropy_repairs)
+                      .num("ae_steps", r.ae_steps)
+                      .num("keys_checked", r.conv.keys_checked)
+                      .num("keys_divergent", r.conv.keys_divergent)
+                      .num("keys_unreachable", r.conv.keys_unreachable)
+                      .num("max_seq_spread", r.conv.max_seq_spread)
+                      .num("elapsed_us", "%.1f", w.elapsed_us));
+        mismatches += w.mismatches;
+        sweep.gate(w.mismatches == 0, "%s/%s: shadow-check mismatches", cell, variant);
+        if (!s.convergence) {
+          // The control must stay divergent, or the schedule never actually
+          // staled a replica and the convergence cell proved nothing.
+          sweep.gate(r.conv.keys_divergent > 0, "%s/control: no divergence", cell);
+          return;
+        }
+        sweep.gate(w.availability() == 1.0, "%s/convergence: availability %.6f < 1", cell,
+                   w.availability());
+        sweep.gate(r.conv.keys_divergent == 0 && r.conv.keys_unreachable == 0,
+                   "%s/convergence: divergent or unreachable keys after repair", cell);
+        sweep.gate(r.hints_leftover == 0, "%s/convergence: hints left", cell);
+        sweep.gate(r.repair_activity() > 0, "%s/convergence: no repair activity", cell);
+      });
+  return sweep.finish(benchx::Fields().num("mismatches", mismatches));
 }

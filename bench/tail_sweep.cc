@@ -43,10 +43,7 @@
 // Output: one JSON document on stdout, also written to BENCH_tail.json
 // (or argv[1]).
 #include <algorithm>
-#include <cstdio>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "bench/bench_common.h"
 #include "fault/injector.h"
@@ -94,10 +91,6 @@ struct CellOut {
                : static_cast<double>(rep.served) * 1e6 / rep.elapsed_us;
   }
 };
-
-void advance_to(Process& p, double t_us) {
-  if (p.now_us() < t_us) p.compute_us(t_us - p.now_us());
-}
 
 CellOut run_cell(const CellSpec& s) {
   rmasim::Engine::Config ecfg = benchx::modeled_engine(kRanks);
@@ -150,7 +143,7 @@ CellOut run_cell(const CellSpec& s) {
         CLAMPI_REQUIRE(p.now_us() < s.straggle_from_us,
                        "tail_sweep: calm phase overran the straggler onset");
       }
-      advance_to(p, s.straggle_from_us + 1.0);
+      benchx::advance_to(p, s.straggle_from_us + 1.0);
 
       kv::WorkloadConfig w;
       w.ops = s.ops;
@@ -171,56 +164,51 @@ CellOut run_cell(const CellSpec& s) {
   return *out;
 }
 
-void emit_cell(std::string& json, const char* cell, const char* variant,
-               const CellSpec& s, const CellOut& o, bool first) {
-  char buf[1024];
-  std::snprintf(
-      buf, sizeof buf,
-      "%s\n    {\"cell\":\"%s\",\"variant\":\"%s\",\"ops\":%llu,"
-      "\"deadline_us\":%.1f,\"arrival_period_us\":%.3f,"
-      "\"attempted\":%llu,\"served\":%llu,\"availability\":%.6f,"
-      "\"goodput_per_sec\":%.1f,\"p50_us\":%.2f,\"p99_us\":%.2f,"
-      "\"max_us\":%.2f,\"hedged_gets\":%llu,\"hedge_wins\":%llu,"
-      "\"hedge_wasted\":%llu,\"deadline_misses\":%llu,\"ops_shed\":%llu,"
-      "\"slow_observations\":%llu,\"quarantines\":%llu,"
-      "\"admit_fraction\":%.3f,\"mismatches\":%llu,\"elapsed_us\":%.1f}",
-      first ? "" : ",", cell, variant, static_cast<unsigned long long>(s.ops),
-      s.deadline_us, s.arrival_period_us,
-      static_cast<unsigned long long>(o.rep.attempted),
-      static_cast<unsigned long long>(o.rep.served), o.rep.availability(),
-      o.goodput_per_sec(), o.rep.p50_us, o.rep.p99_us, o.rep.max_us,
-      static_cast<unsigned long long>(o.stats.kv_hedged_gets),
-      static_cast<unsigned long long>(o.stats.kv_hedge_wins),
-      static_cast<unsigned long long>(o.stats.kv_hedge_wasted),
-      static_cast<unsigned long long>(o.rep.deadline_misses),
-      static_cast<unsigned long long>(o.rep.ops_shed),
-      static_cast<unsigned long long>(o.stats.slow_observations),
-      static_cast<unsigned long long>(o.stats.health_quarantines),
-      o.admit_fraction, static_cast<unsigned long long>(o.rep.mismatches),
-      o.rep.elapsed_us);
-  json += buf;
-}
-
-bool gate(bool ok, const char* what) {
-  if (!ok) std::fprintf(stderr, "tail_sweep: GATE FAILED: %s\n", what);
-  return ok;
+benchx::Fields result_row(const char* cell, const char* variant, const CellSpec& s,
+                          const CellOut& o) {
+  return benchx::Fields()
+      .str("cell", cell)
+      .str("variant", variant)
+      .num("ops", s.ops)
+      .num("deadline_us", "%.1f", s.deadline_us)
+      .num("arrival_period_us", "%.3f", s.arrival_period_us)
+      .num("attempted", o.rep.attempted)
+      .num("served", o.rep.served)
+      .num("availability", "%.6f", o.rep.availability())
+      .num("goodput_per_sec", "%.1f", o.goodput_per_sec())
+      .num("p50_us", "%.2f", o.rep.p50_us)
+      .num("p99_us", "%.2f", o.rep.p99_us)
+      .num("max_us", "%.2f", o.rep.max_us)
+      .num("hedged_gets", o.stats.kv_hedged_gets)
+      .num("hedge_wins", o.stats.kv_hedge_wins)
+      .num("hedge_wasted", o.stats.kv_hedge_wasted)
+      .num("deadline_misses", o.rep.deadline_misses)
+      .num("ops_shed", o.rep.ops_shed)
+      .num("slow_observations", o.stats.slow_observations)
+      .num("quarantines", o.stats.health_quarantines)
+      .num("admit_fraction", "%.3f", o.admit_fraction)
+      .num("mismatches", o.rep.mismatches)
+      .num("elapsed_us", "%.1f", o.rep.elapsed_us);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_tail.json";
+  benchx::Sweep sweep("tail_sweep", "BENCH_tail.json", argc, argv);
   const std::uint64_t nkeys = benchx::scaled(std::uint64_t{1} << 15, 2048);
   const std::uint64_t calm_ops = benchx::scaled(4000, 512);
   const std::uint64_t ops = benchx::scaled(50000, 4000);
-
-  std::string json = "{\"bench\":\"tail_sweep\",\"nkeys\":" +
-                     std::to_string(nkeys) + ",\"ops\":" + std::to_string(ops) +
-                     ",\"servers\":" + std::to_string(kServers) +
-                     ",\"straggle_factor\":" + std::to_string(kStraggleFactor) +
-                     ",\"results\":[";
-  bool pass = true;
+  sweep.header(benchx::Fields()
+                   .num("nkeys", nkeys)
+                   .num("ops", ops)
+                   .num("servers", kServers)
+                   .num("straggle_factor", "%f", kStraggleFactor));
   std::uint64_t mismatches = 0;
+  const auto row = [&](const char* cell, const char* variant, const CellSpec& s,
+                       const CellOut& o) {
+    sweep.row(result_row(cell, variant, s, o));
+    mismatches += o.rep.mismatches;
+  };
 
   // --- hedge cell: hedged vs unhedged under the straggler epoch ---
   CellSpec hs;
@@ -234,29 +222,20 @@ int main(int argc, char** argv) {
   CellSpec us = hs;
   us.hedge_quantile = 0.0;
   const CellOut unhedged = run_cell(us);
-  emit_cell(json, "hedge", "hedged", hs, hedged, /*first=*/true);
-  emit_cell(json, "hedge", "unhedged", us, unhedged, false);
-  mismatches += hedged.rep.mismatches + unhedged.rep.mismatches;
-
-  std::fprintf(stderr,
-               "tail_sweep: hedge p99 %.1fus vs unhedged %.1fus (hedged=%llu "
-               "wins=%llu wasted=%llu)\n",
-               hedged.rep.p99_us, unhedged.rep.p99_us,
-               static_cast<unsigned long long>(hedged.stats.kv_hedged_gets),
-               static_cast<unsigned long long>(hedged.stats.kv_hedge_wins),
-               static_cast<unsigned long long>(hedged.stats.kv_hedge_wasted));
-  pass &= gate(hedged.stats.kv_hedged_gets > 0, "hedge: no hedges fired");
-  pass &= gate(hedged.stats.kv_hedge_wins > 0, "hedge: no hedge ever won");
-  pass &= gate(hedged.rep.p99_us <= 0.5 * unhedged.rep.p99_us,
-               "hedge: hedged p99 > 0.5x unhedged p99");
-  pass &= gate(static_cast<double>(hedged.stats.kv_hedge_wasted) <=
-                   0.25 * static_cast<double>(hedged.stats.kv_hedged_gets),
-               "hedge: waste > 0.25x hedged gets");
-  pass &= gate(hedged.stats.slow_observations > 0,
-               "hedge: straggler epoch never observed as SLOW");
-  pass &= gate(hedged.stats.health_quarantines == 0 &&
-                   unhedged.stats.health_quarantines == 0,
-               "hedge: a straggler epoch caused a quarantine");
+  row("hedge", "hedged", hs, hedged);
+  row("hedge", "unhedged", us, unhedged);
+  sweep.gate(hedged.stats.kv_hedged_gets > 0, "hedge: no hedges fired");
+  sweep.gate(hedged.stats.kv_hedge_wins > 0, "hedge: no hedge ever won");
+  sweep.gate(hedged.rep.p99_us <= 0.5 * unhedged.rep.p99_us,
+             "hedge: hedged p99 > 0.5x unhedged p99");
+  sweep.gate(static_cast<double>(hedged.stats.kv_hedge_wasted) <=
+                 0.25 * static_cast<double>(hedged.stats.kv_hedged_gets),
+             "hedge: waste > 0.25x hedged gets");
+  sweep.gate(hedged.stats.slow_observations > 0,
+             "hedge: straggler epoch never observed as SLOW");
+  sweep.gate(hedged.stats.health_quarantines == 0 &&
+                 unhedged.stats.health_quarantines == 0,
+             "hedge: a straggler epoch caused a quarantine");
 
   // --- deadline cell: budget derived from a no-deadline probe ---
   CellSpec ps;
@@ -267,23 +246,15 @@ int main(int argc, char** argv) {
   ds.deadline_us = std::max(0.6 * probe.rep.p99_us, 1.0);
   ds.fail_prob = 0.5;  // transients on the slow server arm the backoff path
   const CellOut dl = run_cell(ds);
-  emit_cell(json, "deadline", "probe", ps, probe, false);
-  emit_cell(json, "deadline", "deadline", ds, dl, false);
-  mismatches += probe.rep.mismatches + dl.rep.mismatches;
-
-  std::fprintf(stderr,
-               "tail_sweep: deadline budget %.1fus misses=%llu max=%.1fus "
-               "(probe max %.1fus)\n",
-               ds.deadline_us,
-               static_cast<unsigned long long>(dl.rep.deadline_misses),
-               dl.rep.max_us, probe.rep.max_us);
-  pass &= gate(dl.rep.deadline_misses > 0, "deadline: no misses observed");
-  pass &= gate(dl.rep.served > 0, "deadline: nothing served at all");
+  row("deadline", "probe", ps, probe);
+  row("deadline", "deadline", ds, dl);
+  sweep.gate(dl.rep.deadline_misses > 0, "deadline: no misses observed");
+  sweep.gate(dl.rep.served > 0, "deadline: nothing served at all");
   // Check-before-issue invariant: once past the last deadline check an op
   // charges at most one more op's latency, so no op may exceed the budget
   // by more than the probe's worst single op.
-  pass &= gate(dl.rep.max_us <= ds.deadline_us + 1.05 * probe.rep.max_us + 1.0,
-               "deadline: an op exceeded its budget by more than one op");
+  sweep.gate(dl.rep.max_us <= ds.deadline_us + 1.05 * probe.rep.max_us + 1.0,
+             "deadline: an op exceeded its budget by more than one op");
 
   // --- shed cell: 2x overload, shedding vs control ---
   // The deadline cell is the closed-loop 1x baseline: its attempt rate is
@@ -298,49 +269,16 @@ int main(int argc, char** argv) {
   CellSpec cs = ss;
   cs.shedding = false;
   const CellOut ctrl = run_cell(cs);
-  emit_cell(json, "shed", "baseline", ds, dl, false);
-  emit_cell(json, "shed", "shed", ss, shed, false);
-  emit_cell(json, "shed", "control", cs, ctrl, false);
-  mismatches += shed.rep.mismatches + ctrl.rep.mismatches;
+  sweep.row(result_row("shed", "baseline", ds, dl));  // counted in the deadline cell
+  row("shed", "shed", ss, shed);
+  row("shed", "control", cs, ctrl);
+  sweep.gate(shed.rep.ops_shed > 0, "shed: AIMD never shed an op");
+  sweep.gate(shed.goodput_per_sec() >= 0.9 * dl.goodput_per_sec(),
+             "shed: goodput fell more than 10%% below the sustainable rate");
+  sweep.gate(shed.rep.deadline_misses < ctrl.rep.deadline_misses,
+             "shed: no fewer deadline misses than the no-shedding control");
 
-  std::fprintf(stderr,
-               "tail_sweep: shed goodput %.1f/s (baseline %.1f/s, control "
-               "%.1f/s) shed=%llu admit=%.2f\n",
-               shed.goodput_per_sec(), dl.goodput_per_sec(),
-               ctrl.goodput_per_sec(),
-               static_cast<unsigned long long>(shed.rep.ops_shed),
-               shed.admit_fraction);
-  pass &= gate(shed.rep.ops_shed > 0, "shed: AIMD never shed an op");
-  pass &= gate(shed.goodput_per_sec() >= 0.9 * dl.goodput_per_sec(),
-               "shed: goodput fell more than 10% below the sustainable rate");
-  pass &= gate(shed.rep.deadline_misses < ctrl.rep.deadline_misses,
-               "shed: no fewer deadline misses than the no-shedding control");
-
-  if (mismatches != 0) {
-    std::fprintf(stderr, "tail_sweep: %llu shadow-check mismatches\n",
-                 static_cast<unsigned long long>(mismatches));
-    pass = false;
-  }
-
-  char tail[256];
-  std::snprintf(tail, sizeof tail,
-                "\n  ],\n  \"acceptance\":{\"mismatches\":%llu,\"pass\":%s}}\n",
-                static_cast<unsigned long long>(mismatches),
-                pass ? "true" : "false");
-  json += tail;
-
-  std::fputs(json.c_str(), stdout);
-  if (FILE* f = std::fopen(out_path, "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::fprintf(stderr, "tail_sweep: wrote %s\n", out_path);
-  } else {
-    std::fprintf(stderr, "tail_sweep: cannot write %s\n", out_path);
-    return 1;
-  }
-  if (!pass) {
-    std::fprintf(stderr, "tail_sweep: ACCEPTANCE FAILED\n");
-    return 1;
-  }
-  return 0;
+  sweep.gate(mismatches == 0, "%llu shadow-check mismatches",
+             static_cast<unsigned long long>(mismatches));
+  return sweep.finish(benchx::Fields().num("mismatches", mismatches));
 }

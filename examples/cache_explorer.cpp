@@ -20,12 +20,6 @@
 #include "clampi/health.h"
 #include "clampi/info.h"
 #include "clampi/trace.h"
-#include "fault/injector.h"
-#include "fault/plan.h"
-#include "kv/store.h"
-#include "kv/workload.h"
-#include "netmodel/model.h"
-#include "rt/engine.h"
 #include "util/rng.h"
 
 using namespace clampi;
@@ -153,296 +147,5 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(ist.corruption_detected),
       static_cast<unsigned long long>(ist.self_heals),
       static_cast<unsigned long long>(ist.scrub_corruptions));
-
-  // KV preview: the bucket-read shape a kv::Store workload would push
-  // through these counters (docs/KV.md). A small in-simulator run — one
-  // server pair, a few thousand Zipf ops — is enough to show bucket hits
-  // vs chain follows and the put invalidation fan-out next to the trace
-  // numbers above.
-  {
-    rmasim::Engine::Config ecfg;
-    ecfg.nranks = 3;
-    ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
-    ecfg.time_policy = rmasim::TimePolicy::kModeled;
-    rmasim::Engine engine(ecfg);
-    engine.run([](rmasim::Process& p) {
-      kv::StoreConfig scfg;
-      scfg.nkeys = 4000;
-      scfg.nservers = 2;
-      scfg.load_factor = 1.4;  // oversubscribed so chain follows show up
-      scfg.overflow_frac = 1.0;
-      scfg.cache.mode = Mode::kUserDefined;
-      scfg.cache.index_entries = 4096;
-      scfg.cache.storage_bytes = 8 << 20;
-      kv::Store store(p, scfg);
-      if (p.rank() == 2) {
-        kv::WorkloadConfig wcfg;
-        wcfg.ops = 8000;
-        wcfg.get_ratio = 0.9;
-        wcfg.epoch_ops = 4000;
-        kv::Driver driver(store, wcfg, /*client_index=*/0, /*nclients=*/1);
-        const kv::WorkloadReport rep = driver.run(p);
-        const Stats kst = store.window().stats();
-        const double ops = static_cast<double>(kst.put_invalidation_ops
-                                                   ? kst.put_invalidation_ops
-                                                   : 1);
-        std::printf(
-            "\nkv preview (%llu Zipf ops, 90%% gets, mid-run epoch invalidation):\n"
-            "  kv_bucket_reads %llu (hit %.1f%%), kv_chain_reads %llu, "
-            "kv_version_rereads %llu,\n"
-            "  put_invalidation_ops %llu dropping %llu entries "
-            "(fan-out %.2f/op), mismatches %llu\n",
-            static_cast<unsigned long long>(rep.attempted),
-            static_cast<unsigned long long>(kst.kv_bucket_reads),
-            100.0 * rep.hit_frac(),
-            static_cast<unsigned long long>(kst.kv_chain_reads),
-            static_cast<unsigned long long>(kst.kv_version_rereads),
-            static_cast<unsigned long long>(kst.put_invalidation_ops),
-            static_cast<unsigned long long>(kst.put_invalidations),
-            static_cast<double>(kst.put_invalidations) / ops,
-            static_cast<unsigned long long>(rep.mismatches));
-      }
-      p.barrier();
-      store.free_window();
-    });
-  }
-
-  // Convergence preview: the repair counters a faulted kv::Store run
-  // pushes (docs/KV.md "Repair & convergence"). One client loses one of
-  // the two replica servers for a window mid-run, so puts hint, then the
-  // hint drain and anti-entropy scan reconcile the stale replica after
-  // the partition heals (docs/FAULTS.md §7).
-  {
-    rmasim::Engine::Config ecfg;
-    ecfg.nranks = 3;
-    ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
-    ecfg.time_policy = rmasim::TimePolicy::kModeled;
-    fault::Plan plan;
-    plan.partition_pair(/*origin=*/2, /*target=*/1, 20000.0, 50000.0);
-    ecfg.injector = std::make_shared<fault::Injector>(plan);
-    rmasim::Engine engine(ecfg);
-    engine.run([](rmasim::Process& p) {
-      kv::StoreConfig scfg;
-      scfg.nkeys = 2000;
-      scfg.nservers = 2;
-      scfg.replication = 2;
-      scfg.cache.mode = Mode::kUserDefined;
-      scfg.cache.index_entries = 4096;
-      scfg.cache.storage_bytes = 8 << 20;
-      scfg.cache.health_failure_threshold = 3;
-      scfg.cache.degraded_reads = true;
-      scfg.cache.degraded_max_staleness_us = 1e9;
-      scfg.hinted_handoff = true;
-      scfg.hint_queue_cap = 2000;
-      scfg.read_repair_every_n = 4;
-      scfg.antientropy_keys_per_epoch = 500;
-      kv::Store store(p, scfg);
-      if (p.rank() == 2) {
-        kv::WorkloadConfig wcfg;
-        wcfg.ops = 12000;
-        wcfg.get_ratio = 0.8;
-        wcfg.epoch_ops = 3000;
-        kv::Driver driver(store, wcfg, /*client_index=*/0, /*nclients=*/1);
-        const kv::WorkloadReport rep = driver.run(p);
-        if (p.now_us() < 52000.0) p.compute_us(52000.0 - p.now_us());
-        store.window().lock_all();
-        std::vector<std::byte> v(scfg.layout.value_capacity);
-        for (std::uint64_t i = 0; i < 400; ++i) {
-          kv::GetMeta m;
-          store.get_uncached(store.key_at(i % scfg.nkeys), v.data(), &m);
-          const clampi::TargetStatus ts = store.window().target_status(1);
-          if (ts.usable && ts.state == clampi::HealthState::kHealthy) break;
-        }
-        store.drain_hints();
-        for (int pass = 0; pass < 2 * 4; ++pass) store.anti_entropy_step();
-        const kv::Store::ConvergenceReport conv = store.verify_convergence();
-        store.window().unlock_all();
-        const Stats kst = store.window().stats();
-        std::printf(
-            "\nconvergence preview (%llu ops, partition 20-50ms, hinted "
-            "handoff + read-repair + anti-entropy, mismatches %llu):\n"
-            "  kv_hints_queued %llu, kv_hints_drained %llu, "
-            "kv_hints_dropped %llu,\n"
-            "  kv_read_repairs %llu, kv_antientropy_repairs %llu, "
-            "divergent after repair %llu/%llu\n",
-            static_cast<unsigned long long>(rep.attempted),
-            static_cast<unsigned long long>(rep.mismatches),
-            static_cast<unsigned long long>(kst.kv_hints_queued),
-            static_cast<unsigned long long>(kst.kv_hints_drained),
-            static_cast<unsigned long long>(kst.kv_hints_dropped),
-            static_cast<unsigned long long>(kst.kv_read_repairs),
-            static_cast<unsigned long long>(kst.kv_antientropy_repairs),
-            static_cast<unsigned long long>(conv.keys_divergent),
-            static_cast<unsigned long long>(conv.keys_checked));
-      }
-      p.barrier();
-      store.free_window();
-    });
-  }
-
-  // Durability preview: the crash-restart counters (docs/DURABILITY.md).
-  // Server 1 suffers a wiped-memory crash after every write acked (torn
-  // journal tail certain); its recovery replays the write-ahead journal
-  // and the client re-reads every acknowledged key to count real loss.
-  {
-    rmasim::Engine::Config ecfg;
-    ecfg.nranks = 3;
-    ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
-    ecfg.time_policy = rmasim::TimePolicy::kModeled;
-    fault::Plan plan;
-    plan.crash_rank(/*rank=*/1, /*at_us=*/30000.0, /*restart_us=*/50000.0);
-    plan.torn_writes(1.0);
-    ecfg.injector = std::make_shared<fault::Injector>(plan);
-    rmasim::Engine engine(ecfg);
-    kv::StoreConfig scfg;
-    scfg.nkeys = 1500;
-    scfg.nservers = 2;
-    scfg.replication = 1;
-    scfg.cache.mode = Mode::kUserDefined;
-    scfg.cache.index_entries = 4096;
-    scfg.cache.storage_bytes = 8 << 20;
-    scfg.group_commit_n = 4;
-    scfg.devices = kv::Store::make_device_set(scfg);  // ONCE, outside run
-    engine.run([scfg](rmasim::Process& p) {
-      kv::Store store(p, scfg);
-      const double end_us = 52000.0;
-      std::vector<std::byte> v(scfg.layout.value_capacity);
-      std::uint64_t acked = 0;
-      if (p.rank() == 2) {
-        store.window().lock_all();
-        for (std::uint64_t i = 0; i < scfg.nkeys; ++i) {
-          const std::uint64_t key = store.key_at(i);
-          kv::fill_value(key, /*seq=*/1, 48, v.data());
-          kv::PutMeta pm;
-          if (store.put(key, 1, v.data(), 48, &pm) && pm.applied > 0) ++acked;
-        }
-        store.window().unlock_all();
-      }
-      p.barrier();  // every write acked, strictly before the crash
-      if (p.rank() < scfg.nservers) {
-        while (p.now_us() < end_us) {  // recovery runs inside crash_tick
-          p.compute_us(500.0);
-          store.crash_tick();
-        }
-      } else if (p.now_us() < end_us) {
-        p.compute_us(end_us - p.now_us());
-      }
-      p.barrier();  // outage over, server 1 recovered
-      if (p.rank() == 2) {
-        store.window().lock_all();
-        store.invalidate_cache();
-        std::uint64_t lost = 0;
-        for (std::uint64_t i = 0; i < scfg.nkeys; ++i) {
-          const std::uint64_t key = store.key_at(i);
-          kv::GetMeta gm;
-          bool ok = false;
-          for (int a = 0; a < 10 && !ok; ++a) {
-            ok = store.get_uncached(key, v.data(), &gm);
-            if (!ok) p.compute_us(1000.0);
-          }
-          if (!ok || gm.seq < 1 || !kv::check_value(key, gm.seq, gm.len, v.data())) {
-            ++lost;
-          }
-        }
-        store.window().unlock_all();
-        std::printf(
-            "\ndurability preview (crash+restart of server 1, torn tail, "
-            "journal on):\n"
-            "  acked %llu, lost after recovery %llu, crash_invalidations "
-            "%llu\n",
-            static_cast<unsigned long long>(acked),
-            static_cast<unsigned long long>(lost),
-            static_cast<unsigned long long>(
-                store.window().stats().crash_invalidations));
-      }
-      p.barrier();
-      if (p.rank() == 1) {
-        const Stats kst = store.window().stats();
-        std::printf(
-            "  server 1: restarts_handled %d, kv_journal_replayed %llu, "
-            "kv_torn_records_dropped %llu, kv_snapshot_loads %llu\n",
-            store.crash_restarts_handled(),
-            static_cast<unsigned long long>(kst.kv_journal_replayed),
-            static_cast<unsigned long long>(kst.kv_torn_records_dropped),
-            static_cast<unsigned long long>(kst.kv_snapshot_loads));
-      }
-      p.barrier();
-      store.free_window();
-    });
-  }
-
-  // Tail-latency preview: the counters the robustness layer pushes
-  // (docs/FAULTS.md §8). Server 1 straggles 30x from 10ms with some
-  // transient failures; hedged reads race its backup, deadline budgets
-  // cut doomed retries, and the AIMD shedder reacts to the misses.
-  {
-    rmasim::Engine::Config ecfg;
-    ecfg.nranks = 3;
-    ecfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
-    ecfg.time_policy = rmasim::TimePolicy::kModeled;
-    fault::Plan plan;
-    plan.slow_rank(/*rank=*/1, /*factor=*/30.0, /*from_us=*/10000.0);
-    plan.fail_target(/*rank=*/1, 0.4);
-    ecfg.injector = std::make_shared<fault::Injector>(plan);
-    rmasim::Engine engine(ecfg);
-    engine.run([](rmasim::Process& p) {
-      kv::StoreConfig scfg;
-      scfg.nkeys = 2000;
-      scfg.nservers = 2;
-      scfg.replication = 2;
-      scfg.cache.mode = Mode::kUserDefined;
-      scfg.cache.index_entries = 4096;
-      scfg.cache.storage_bytes = 8 << 20;
-      scfg.cache.max_retries = 1;
-      scfg.cache.retry_backoff_us = 30.0;
-      scfg.cache.retry_jitter = 0.0;
-      scfg.cache.op_deadline_us = 60.0;
-      scfg.cache.load_shedding = true;
-      scfg.cache.shed_window_us = 500.0;
-      scfg.cache.shed_miss_ratio = 0.05;
-      scfg.cache.shed_decrease_factor = 0.5;
-      scfg.cache.shed_increase = 0.1;
-      scfg.cache.shed_min_admit = 0.2;
-      scfg.hedge_quantile = 0.9;
-      kv::Store store(p, scfg);
-      if (p.rank() == 2) {
-        // Feeds the per-target latency quantiles. Get-only: a second Driver
-        // starts with a fresh shadow model, so any calm-phase put would make
-        // the measured driver's exact own-key check see a seq it never wrote.
-        kv::WorkloadConfig calm;
-        calm.ops = 2000;
-        calm.get_ratio = 1.0;
-        calm.epoch_ops = 500;
-        kv::Driver warmer(store, calm, /*client_index=*/0, /*nclients=*/1);
-        warmer.run(p);
-        if (p.now_us() < 10001.0) p.compute_us(10001.0 - p.now_us());
-        kv::WorkloadConfig wcfg;
-        wcfg.ops = 3000;
-        wcfg.get_ratio = 0.8;
-        wcfg.epoch_ops = 500;
-        wcfg.seed = 0x74656cull;
-        kv::Driver driver(store, wcfg, /*client_index=*/0, /*nclients=*/1);
-        const kv::WorkloadReport rep = driver.run(p);
-        const Stats kst = store.window().stats();
-        std::printf(
-            "\ntail preview (%llu ops, 30x straggler on server 1 + 40%% "
-            "transients, 60us budgets, mismatches %llu):\n"
-            "  slow_observations %llu, kv_hedged_gets %llu "
-            "(wins %llu, wasted %llu),\n"
-            "  deadline_misses %llu, ops_shed %llu, admit fraction %.2f\n",
-            static_cast<unsigned long long>(rep.attempted),
-            static_cast<unsigned long long>(rep.mismatches),
-            static_cast<unsigned long long>(kst.slow_observations),
-            static_cast<unsigned long long>(kst.kv_hedged_gets),
-            static_cast<unsigned long long>(kst.kv_hedge_wins),
-            static_cast<unsigned long long>(kst.kv_hedge_wasted),
-            static_cast<unsigned long long>(kst.deadline_misses),
-            static_cast<unsigned long long>(kst.ops_shed),
-            store.window().admit_fraction());
-      }
-      p.barrier();
-      store.free_window();
-    });
-  }
   return 0;
 }

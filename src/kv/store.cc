@@ -22,6 +22,25 @@ constexpr double kJournalAppendUs = 0.5;  ///< buffered append
 constexpr double kJournalSyncUs = 5.0;    ///< group-commit sync
 constexpr double kSnapshotUs = 50.0;      ///< snapshot / compaction
 
+/// Installs a walk-wide deadline on the window for one get or put and
+/// removes it on every exit, exceptions included. A negative deadline
+/// installs nothing.
+class DeadlineScope {
+ public:
+  DeadlineScope(CachedWindow& win, double deadline_abs)
+      : win_(deadline_abs >= 0.0 ? &win : nullptr) {
+    if (win_ != nullptr) win_->set_deadline_us(deadline_abs);
+  }
+  ~DeadlineScope() {
+    if (win_ != nullptr) win_->set_deadline_us(-1.0);
+  }
+  DeadlineScope(const DeadlineScope&) = delete;
+  DeadlineScope& operator=(const DeadlineScope&) = delete;
+
+ private:
+  CachedWindow* win_;
+};
+
 void validate(const StoreConfig& cfg, int nranks) {
   CLAMPI_REQUIRE(cfg.nkeys >= 1, "kv: nkeys must be >= 1");
   CLAMPI_REQUIRE(cfg.nservers >= 1 && cfg.nservers <= nranks,
@@ -449,19 +468,11 @@ bool Store::get(std::uint64_t key, std::byte* value_out, GetMeta* meta,
   if (dl < 0.0 && cfg_.cache.op_deadline_us > 0.0) {
     dl = p_->now_us() + cfg_.cache.op_deadline_us;
   }
-  if (dl < 0.0) return get_impl(key, value_out, meta, /*cached=*/true);
   // One budget for the whole replica walk: retries, backoffs and replica
   // fall-throughs all spend from the same deadline, so a get can never
   // stack per-replica budgets into an unbounded tail.
-  win_->set_deadline_us(dl);
-  try {
-    const bool found = get_impl(key, value_out, meta, /*cached=*/true);
-    win_->set_deadline_us(-1.0);
-    return found;
-  } catch (...) {
-    win_->set_deadline_us(-1.0);
-    throw;
-  }
+  const DeadlineScope scope(*win_, dl);
+  return get_impl(key, value_out, meta, /*cached=*/true);
 }
 
 bool Store::get_uncached(std::uint64_t key, std::byte* value_out, GetMeta* meta) {
@@ -509,7 +520,7 @@ bool Store::put(std::uint64_t key, std::uint32_t seq, const std::byte* value,
   const double dl = cfg_.cache.op_deadline_us > 0.0
                         ? p_->now_us() + cfg_.cache.op_deadline_us
                         : -1.0;
-  if (dl >= 0.0) win_->set_deadline_us(dl);
+  const DeadlineScope scope(*win_, dl);
 
   int reps[kMaxReplicas];
   ring_.replicas(key, cfg_.replication, reps);
@@ -543,7 +554,6 @@ bool Store::put(std::uint64_t key, std::uint32_t seq, const std::byte* value,
       }
     }
   }
-  if (dl >= 0.0) win_->set_deadline_us(-1.0);
   return m->applied > 0;
 }
 
@@ -880,6 +890,8 @@ void Store::wipe_volatile() {
   // (the writes they buffered stay recoverable via anti-entropy).
   for (auto& q : hints_) q.clear();
   std::fill(drain_ready_.begin(), drain_ready_.end(), 0);
+  // So is the locator memo: a rebooted client must locate keys again.
+  for (auto& memo : loc_cache_) memo.clear();
   if (!lat_est_.empty()) {
     lat_est_.clear();
     for (int s = 0; s < cfg_.nservers; ++s) {

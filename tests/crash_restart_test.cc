@@ -338,7 +338,8 @@ TEST(CrashRestart, KvSnapshotBoundsReplayAndRestores) {
 
 TEST(CrashRestart, ClientRestartWipesVolatileState) {
   // A client reboot loses everything it kept in host memory: the cache,
-  // the hint queues, the health history and the tail-latency state. The
+  // the locator memo, the hint queues, the health history and the
+  // tail-latency state. The
   // client arms all of them against a dead server 2 before it crashes.
   const double kKillUs = 1000.0, kCrashUs = 20000.0, kRestartUs = 30000.0;
   constexpr int kClient = 3;
@@ -392,6 +393,22 @@ TEST(CrashRestart, ClientRestartWipesVolatileState) {
       ASSERT_TRUE(store.get(cached, buf.data(), &gm));
       EXPECT_GE(gm.cached_hits, 1);
 
+      // The first put of a key locates it on both replicas; the locator
+      // memo spares the next put those reads.
+      const std::uint64_t located = live.back();
+      const auto locate_reads = [&win] {
+        const Stats st = win.stats();
+        return st.kv_bucket_reads + st.kv_chain_reads;
+      };
+      std::uint64_t before = locate_reads();
+      kv::fill_value(located, 1, 32, buf.data());
+      ASSERT_TRUE(store.put(located, 1, buf.data(), 32));
+      EXPECT_GE(locate_reads() - before, 2u);
+      before = locate_reads();
+      kv::fill_value(located, 2, 32, buf.data());
+      ASSERT_TRUE(store.put(located, 2, buf.data(), 32));
+      EXPECT_EQ(locate_reads(), before);
+
       // Server 2 is dead: the put is applied once, hinted once, and the
       // fatal failure quarantines the target.
       advance_to(p, 2 * kKillUs);
@@ -436,6 +453,12 @@ TEST(CrashRestart, ClientRestartWipesVolatileState) {
       EXPECT_GE(gm.bucket_reads, 1);
       EXPECT_EQ(gm.seq, 0u);
       EXPECT_TRUE(kv::check_value(cached, gm.seq, gm.len, buf.data()));
+
+      // So is the locator memo: the next put locates its key again.
+      before = locate_reads();
+      kv::fill_value(located, 3, 32, buf.data());
+      ASSERT_TRUE(store.put(located, 3, buf.data(), 32));
+      EXPECT_GE(locate_reads() - before, 2u);
       win.unlock_all();
     }
     p.barrier();

@@ -52,6 +52,13 @@ ALLOWLIST = {
         "HealthWindow.DetectorDecisionsArePinned pins the breaker at 2 probes",
     "kv::StoreConfig.hedge_window_us":
         "HedgedReads.BackupWinsAgainstAStragglingPrimary needs a 1e9 us window",
+    "kv::StoreConfig.load_factor":
+        "KvStore.OversubscribedLoadFactorForcesChains runs 2.5 to force chains",
+    "kv::StoreConfig.overflow_frac":
+        "KvStore.OversubscribedLoadFactorForcesChains needs 2.0 to hold the chains",
+    "kv::StoreConfig.group_commit_n":
+        "perfbench/src/kv_workloads.cc writes it (its default, 8); perfbench/ "
+        "changes only with the benchmark itself, so the field stays until then",
 }
 
 CALLER_DIRS = ["bench", "examples", "perfbench/src"]

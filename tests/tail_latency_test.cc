@@ -256,6 +256,44 @@ TEST(Deadline, ExpiredBudgetStillServesCachedHits) {
 
 // --- Adaptive load shedding through the window ---
 
+TEST(Deadline, FailedPutLeavesNoDeadlineBehind) {
+  // A put that throws mid-walk must still remove its walk-wide deadline:
+  // left installed, it would fail every later window op once it expired.
+  Engine e(engine_cfg(2));
+  e.run([](Process& p) {
+    kv::StoreConfig cfg;
+    cfg.nkeys = 64;
+    cfg.nservers = 1;
+    cfg.cache.mode = Mode::kUserDefined;
+    cfg.cache.index_entries = 4096;
+    cfg.cache.storage_bytes = 8 << 20;
+    cfg.cache.op_deadline_us = 100.0;
+    kv::Store store(p, cfg);
+    if (p.rank() == 1) {
+      CachedWindow& win = store.window();
+      const auto stored = [&](std::uint64_t key) {
+        for (std::uint64_t i = 0; i < cfg.nkeys; ++i) {
+          if (store.key_at(i) == key) return true;
+        }
+        return false;
+      };
+      std::uint64_t absent = 1;
+      while (stored(absent)) ++absent;
+      std::vector<std::byte> buf(cfg.layout.value_capacity);
+      win.lock_all();
+      EXPECT_THROW(store.put(absent, 1, buf.data(), 8), util::ContractError);
+      p.compute_us(1000.0);  // well past the put's budget
+      EXPECT_NO_THROW({
+        win.get(buf.data(), 8, 0, 0);
+        win.flush(0);
+      });
+      win.unlock_all();
+    }
+    p.barrier();
+    store.free_window();
+  });
+}
+
 TEST(Shedding, OverloadShedsThenRecovers) {
   fault::Plan plan;
   plan.fail_target(1, 1.0);  // rank 1 can never meet a deadline
