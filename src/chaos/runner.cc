@@ -17,8 +17,8 @@ namespace clampi::chaos {
 namespace {
 
 /// State shared between the driver rank, the engine's op observer and the
-/// outer run() frame. Observers run on rank threads, but the scheduler is
-/// cooperative (one baton), so access is serialized.
+/// outer run() frame. Observers run on rank threads, but installing an
+/// op observer keeps the scheduler on one baton, so access is serialized.
 struct Shared {
   const Schedule* s = nullptr;
   const Options* opt = nullptr;

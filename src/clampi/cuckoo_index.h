@@ -23,9 +23,11 @@
 // Beside the slot words the index keeps a parallel array holding the
 // hash key of each slot's occupant, written wherever a slot word is
 // written. The search computes a node's children from it, so it never
-// touches the entry table. A child's slot word and key are prefetched
-// when it is queued and tested only when it is dequeued, so the loads of
-// one BFS level overlap instead of forming a chain of dependent misses.
+// touches the entry table. The search tests every slot of a BFS level
+// before it hashes any child, so an insert that finds a free slot on a
+// level pays for no deeper level. A child's slot word and key are
+// prefetched when it is queued, so the loads of one level overlap
+// instead of forming a chain of dependent misses.
 //
 // The caller's entry table is consulted through the EntryOps policy only
 // on the cold paths: erase() (locating an entry's slot) and validate()
@@ -157,15 +159,22 @@ class CuckooIndex {
     if (path != nullptr) path->clear();
     nodes_.clear();
     enqueue_candidates(hkey, static_cast<std::size_t>(-1), kRoot);
-    for (std::uint32_t head = 0; head < nodes_.size(); ++head) {
-      const std::size_t s = nodes_[head].slot;
-      const std::uint32_t word = table_[s];
-      if (word == kEmptySlot) {
-        place(hkey, id, head);
-        return true;
+    // Level by level: test the whole level, then queue its children in
+    // the same order a node-at-a-time BFS would.
+    for (std::uint32_t level = 0; level < nodes_.size();) {
+      const auto end = static_cast<std::uint32_t>(nodes_.size());
+      for (std::uint32_t n = level; n < end; ++n) {
+        const std::uint32_t word = table_[nodes_[n].slot];
+        if (word == kEmptySlot) {
+          place(hkey, id, n);
+          return true;
+        }
+        if (path != nullptr) path->push_back(word & kIdMask);
       }
-      if (path != nullptr) path->push_back(word & kIdMask);
-      enqueue_candidates(keys_[s], s, head);
+      for (std::uint32_t n = level; n < end && nodes_.size() < max_iters_; ++n) {
+        enqueue_candidates(keys_[nodes_[n].slot], nodes_[n].slot, n);
+      }
+      level = end;
     }
     return false;
   }

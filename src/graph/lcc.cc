@@ -17,12 +17,11 @@ DistributedLcc::DistributedLcc(rmasim::Process& p, std::shared_ptr<const Csr> gr
   first_ = range_first_[static_cast<std::size_t>(p.rank())];
   last_ = range_first_[static_cast<std::size_t>(p.rank()) + 1];
 
-  // Window over this rank's adjacency slice. The CSR is immutable, so
-  // exposing a pointer into the shared structure is safe.
+  // Read-only window over this rank's adjacency slice of the immutable
+  // shared CSR: nothing writes it, so the ranks may solve concurrently.
   const std::uint64_t lo = g_->offsets[first_];
   const std::uint64_t hi = g_->offsets[last_];
-  auto* base = const_cast<Vertex*>(g_->adj.data() + lo);
-  win_ = p.win_create(base, (hi - lo) * sizeof(Vertex));
+  win_ = p.win_create(g_->adj.data() + lo, (hi - lo) * sizeof(Vertex));
 
   if (cfg_.backend == LccBackend::kClampi) {
     cached_.emplace(p, win_, cfg_.clampi_cfg);

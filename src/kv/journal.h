@@ -147,8 +147,8 @@ struct Device {
 
 /// The per-server devices, indexed by server (world) rank. Created once
 /// outside the simulated ranks (Store::make_device_set) and shared by
-/// every rank's StoreConfig — the baton scheduler serializes all access,
-/// so no locking is needed.
+/// every rank's StoreConfig — kv windows are writable, so the scheduler
+/// keeps one baton and serializes all access; no locking is needed.
 struct DeviceSet {
   std::vector<Device> per_rank;
 };

@@ -71,10 +71,13 @@ class VirtualClock {
   }
 
   // CLOCK_MONOTONIC instead of the per-thread CPU clock: the scheduler
-  // runs exactly one rank thread at a time and re-anchors at every
-  // runtime exit, so wall time between runtime calls *is* this thread's
-  // compute time — and the vDSO read is ~15ns versus a ~300ns syscall,
-  // which would otherwise dominate the cache-hit costs being measured.
+  // never runs more rank threads than the process has CPUs (one at a
+  // time, or one per CPU while every window is read-only; rt/engine.h)
+  // and the clock re-anchors at every runtime exit, so wall time between
+  // runtime calls *is* this thread's compute time — and the vDSO read is
+  // ~15ns versus a ~300ns syscall, which would otherwise dominate the
+  // cache-hit costs being measured. Concurrent ranks do share caches and
+  // memory bandwidth, and that contention is charged as real cost.
   static double thread_cpu_us() {
     timespec ts{};
     clock_gettime(CLOCK_MONOTONIC, &ts);

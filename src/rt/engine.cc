@@ -5,6 +5,10 @@
 #include <cstring>
 #include <tuple>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/align.h"
 
 namespace clampi::rmasim {
@@ -53,16 +57,28 @@ double Engine::PendingCompletions::take_all(std::size_t win_id) {
 // Engine lifecycle
 // ---------------------------------------------------------------------------
 
+int usable_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return std::max(1, CPU_COUNT(&set));
+#endif
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   CLAMPI_REQUIRE(cfg_.nranks >= 1, "engine needs at least one rank");
   CLAMPI_REQUIRE(cfg_.model != nullptr, "engine needs a network model");
   if (cfg_.injector) cfg_.injector->prepare(cfg_.nranks);
+  // Faults, NIC queues and the observer's op stream all depend on how
+  // ranks interleave, so each of them keeps the single baton.
+  if (!cfg_.injector && !cfg_.serialize_injection && !cfg_.op_observer) {
+    max_batons_ = std::min(cfg_.nranks, usable_cpus());
+  }
   ranks_.reserve(static_cast<std::size_t>(cfg_.nranks));
   for (int r = 0; r < cfg_.nranks; ++r) {
     ranks_.push_back(std::make_unique<RankCtx>(cfg_.time_policy));
     ranks_.back()->rank = r;
   }
-  pending_.resize(static_cast<std::size_t>(cfg_.nranks));
   nic_free_us_.assign(static_cast<std::size_t>(cfg_.nranks), 0.0);
   crash_wipes_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
   crash_recovering_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
@@ -81,10 +97,7 @@ Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   coll_.src.resize(static_cast<std::size_t>(cfg_.nranks));
   coll_.dst.resize(static_cast<std::size_t>(cfg_.nranks));
   coll_.bytes.resize(static_cast<std::size_t>(cfg_.nranks));
-  wincreate_base_.resize(static_cast<std::size_t>(cfg_.nranks));
-  wincreate_bytes_.resize(static_cast<std::size_t>(cfg_.nranks));
-  wincreate_owned_.resize(static_cast<std::size_t>(cfg_.nranks));
-  wincreate_result_.resize(static_cast<std::size_t>(cfg_.nranks));
+  wincreate_.resize(static_cast<std::size_t>(cfg_.nranks));
 }
 
 Engine::~Engine() {
@@ -106,7 +119,7 @@ void Engine::run(const std::function<void(Process&)>& rank_main) {
   }
   {
     std::unique_lock<std::mutex> lk(mu_);
-    schedule_next(lk);  // hands the baton to rank 0 (all clocks are zero)
+    schedule_next(lk);  // no window yet: one baton, to rank 0 (all clocks are zero)
     all_done_cv_.wait(lk, [&] { return done_count_ == cfg_.nranks; });
   }
   for (auto& rc : ranks_) rc->thread.join();
@@ -173,24 +186,26 @@ void Engine::schedule_next(std::unique_lock<std::mutex>&) {
     }
     return;
   }
-  RankCtx* best = nullptr;
-  for (auto& rc : ranks_) {
-    if (rc->state != RunState::kReady) continue;
-    if (best == nullptr || rc->clock.now_us() < best->clock.now_us()) best = rc.get();
-  }
-  if (best != nullptr) {
-    current_ = best->rank;
+  int running = 0;
+  for (auto& rc : ranks_) running += rc->state == RunState::kRunning ? 1 : 0;
+  for (; running < batons_; ++running) {
+    // A ready rank is parked, so reading its clock here does not race.
+    RankCtx* best = nullptr;
+    for (auto& rc : ranks_) {
+      if (rc->state != RunState::kReady) continue;
+      if (best == nullptr || rc->clock.now_us() < best->clock.now_us()) best = rc.get();
+    }
+    if (best == nullptr) break;
     best->state = RunState::kRunning;
     best->cv.notify_all();
-    return;
   }
-  current_ = -1;
-  if (done_count_ == cfg_.nranks) return;
+  if (running > 0 || done_count_ == cfg_.nranks) return;
   bool any_blocked = false;
   for (auto& rc : ranks_) any_blocked |= rc->state == RunState::kBlocked;
   if (any_blocked) {
-    // Every live rank is blocked: the simulated program deadlocked (e.g. a
-    // rank exited while others wait in a barrier, or mismatched locks).
+    // Nothing runs and a live rank is blocked: the simulated program
+    // deadlocked (e.g. a rank exited while others wait in a barrier, or
+    // mismatched locks).
     if (!first_error_) {
       first_error_ = std::make_exception_ptr(
           util::ContractError("rmasim: deadlock — all live ranks are blocked"));
@@ -211,6 +226,20 @@ void Engine::switch_out(std::unique_lock<std::mutex>& lk, RankCtx& me, RunState 
 
 void Engine::check_abort(RankCtx& me) {
   if (aborted_ && me.state != RunState::kRunning) throw AbortError{};
+}
+
+void Engine::update_batons() {
+  // Ranks may overlap only while nothing they do can reach another rank:
+  // every live window is read-only and no communicator but the world
+  // exists (so every collective parks every rank).
+  bool any_live = false;
+  bool all_read_only = true;
+  for (const auto& w : windows_) {
+    if (!w->alive) continue;
+    any_live = true;
+    all_read_only = all_read_only && w->read_only;
+  }
+  batons_ = any_live && all_read_only && comms_.size() == 1 ? max_batons_ : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +295,9 @@ void Engine::collective(RankCtx& me, int comm_id, int kind, const void* src, voi
     // Released: the releaser already advanced our clock.
     return;
   }
-  // Last arriver: perform the data movement and release everyone.
+  // Last arriver: perform the data movement and release everyone. The
+  // released waiters take any free batons at once; with a single baton
+  // they stay ready until this rank switches out.
   complete(*ctx);
   const double release = ctx->max_arrival_us + cost_us();
   for (int w : ctx->waiters) {
@@ -278,6 +309,7 @@ void Engine::collective(RankCtx& me, int comm_id, int kind, const void* src, voi
   ctx->arrived = 0;
   ++ctx->generation;
   me.clock.advance_to_us(release);
+  schedule_next(lk);
 }
 
 namespace {
@@ -456,16 +488,14 @@ void Engine::validate_target(const WindowObj& wo, int target, std::size_t disp,
 }
 
 Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
-                            Comm comm) {
+                            bool read_only, Comm comm) {
   RankCtx& me = ctx(rank);
   const auto r = static_cast<std::size_t>(rank);
   {
     std::unique_lock<std::mutex> lk(mu_);
     check_abort(me);
   }
-  wincreate_base_[r] = base;
-  wincreate_bytes_[r] = bytes;
-  wincreate_owned_[r] = owned;
+  wincreate_[r] = {base, bytes, owned, read_only, Window{}};
   const int csize = comm_obj(comm).size();
   collective(
       me, comm.id, /*kind=*/6, nullptr, nullptr, 0,
@@ -474,6 +504,7 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
         const CommObj& co = comm_obj(comm);
         auto wo = std::make_unique<WindowObj>();
         wo->alive = true;
+        wo->read_only = wincreate_[static_cast<std::size_t>(co.members[0])].read_only;
         wo->comm_id = comm.id;
         const auto n = static_cast<std::size_t>(co.size());
         wo->base.resize(n);
@@ -483,24 +514,25 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
         wo->pscw.resize(n);
         wo->started.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-          const auto w = static_cast<std::size_t>(co.members[i]);
-          wo->base[i] = static_cast<std::byte*>(wincreate_base_[w]);
-          wo->size[i] = wincreate_bytes_[w];
-          wo->owned[i] = wincreate_owned_[w];
+          const WinStaging& st = wincreate_[static_cast<std::size_t>(co.members[i])];
+          CLAMPI_REQUIRE(st.read_only == wo->read_only,
+                         "win_create: every member must pass const memory, or none");
+          wo->base[i] = static_cast<std::byte*>(st.base);
+          wo->size[i] = st.bytes;
+          wo->owned[i] = st.owned;
         }
         windows_.push_back(std::move(wo));
+        update_batons();
         // Per-rank result slots: disjoint communicators may create
         // windows concurrently, so a single shared "last window" would
         // race between their rendezvous.
         const Window handle{static_cast<int>(windows_.size()) - 1};
-        for (const int wr : co.members) {
-          wincreate_result_[static_cast<std::size_t>(wr)] = handle;
-        }
+        for (const int wr : co.members) wincreate_[static_cast<std::size_t>(wr)].result = handle;
       },
       [this, csize] { return cfg_.model->barrier_us(csize); });
   // Safe without re-locking: this rank's slot cannot change until it has
   // entered another window-creation collective.
-  return wincreate_result_[r];
+  return wincreate_[r].result;
 }
 
 Window Process::win_allocate(std::size_t bytes, void** base, Comm comm) {
@@ -513,7 +545,8 @@ Window Process::win_allocate(std::size_t bytes, void** base, Comm comm) {
     CLAMPI_ASSERT(buf != nullptr, "window allocation failed");
     std::memset(buf, 0, rounded);
   }
-  const Window w = engine_->win_register(rank_, buf, bytes, /*owned=*/true, comm);
+  const Window w =
+      engine_->win_register(rank_, buf, bytes, /*owned=*/true, /*read_only=*/false, comm);
   if (base != nullptr) *base = buf;
   me.clock.exit_runtime();
   return w;
@@ -523,7 +556,19 @@ Window Process::win_create(void* base, std::size_t bytes, Comm comm) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   CLAMPI_REQUIRE(bytes == 0 || base != nullptr, "win_create with null memory");
-  const Window w = engine_->win_register(rank_, base, bytes, /*owned=*/false, comm);
+  const Window w =
+      engine_->win_register(rank_, base, bytes, /*owned=*/false, /*read_only=*/false, comm);
+  me.clock.exit_runtime();
+  return w;
+}
+
+Window Process::win_create(const void* base, std::size_t bytes, Comm comm) {
+  auto& me = engine_->ctx(rank_);
+  me.clock.enter_runtime();
+  CLAMPI_REQUIRE(bytes == 0 || base != nullptr, "win_create with null memory");
+  // The read_only flag keeps every write path away from this memory.
+  const Window w = engine_->win_register(rank_, const_cast<void*>(base), bytes,
+                                         /*owned=*/false, /*read_only=*/true, comm);
   me.clock.exit_runtime();
   return w;
 }
@@ -545,6 +590,7 @@ void Process::win_free(Window w) {
           wo.base[r] = nullptr;
         }
         wo.alive = false;
+        engine_->update_batons();
       },
       [this] { return engine_->model().barrier_us(engine_->nranks()); });
   me.clock.exit_runtime();
@@ -573,7 +619,8 @@ void Engine::apply_crash_wipe(int wt) {
   // memory restarts zeroed, and the completions of ops it issued itself
   // will never be confirmed (in-flight ops die with the rank).
   for (auto& w : windows_) {
-    if (w == nullptr || !w->alive) continue;
+    // Read-only memory is immutable (the const data the window exposes).
+    if (w == nullptr || !w->alive || w->read_only) continue;
     const auto& low = comms_[static_cast<std::size_t>(w->comm_id)]->local_of_world;
     if (static_cast<std::size_t>(wt) >= low.size()) continue;
     const int lr = low[static_cast<std::size_t>(wt)];
@@ -582,11 +629,9 @@ void Engine::apply_crash_wipe(int wt) {
     const std::size_t sz = w->size[static_cast<std::size_t>(lr)];
     if (base != nullptr && sz > 0) std::memset(base, 0, sz);
   }
-  auto& pend = pending_[static_cast<std::size_t>(wt)];
-  for (auto& per_target : pend.per_window_target) {
+  for (auto& per_target : ctx(wt).pending.per_window_target) {
     std::fill(per_target.begin(), per_target.end(), 0.0);
   }
-  std::fill(pend.per_window_max.begin(), pend.per_window_max.end(), 0.0);
 }
 
 bool Engine::crash_gate(int wt, double now_us) {
@@ -684,8 +729,7 @@ void Engine::complete(int origin, Window w, int target, const Admitted& a,
     free_at = std::max(t0, free_at) + xfer;
     done = free_at;
   }
-  pending_[static_cast<std::size_t>(origin)].note(static_cast<std::size_t>(w.id), target,
-                                                  done, nranks());
+  ctx(origin).pending.note(static_cast<std::size_t>(w.id), target, done, nranks());
   clock.exit_runtime();
 }
 
@@ -720,6 +764,7 @@ void Process::put(const void* origin, std::size_t bytes, int target, std::size_t
                   Window w) {
   engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(!wo.read_only, "put on a read-only window");
   engine_->validate_target(wo, target, disp, bytes);
   const auto a = engine_->admit(rank_, fault::OpKind::kPut, wo, target, disp, bytes);
   std::memcpy(wo.base[static_cast<std::size_t>(target)] + disp, origin, bytes);
@@ -750,16 +795,14 @@ double Process::pending_completion_us(int target, Window w) const {
   const auto& wo = engine_->window(w);
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),
                  "target rank out of range");
-  return engine_->pending_[static_cast<std::size_t>(rank_)].peek_target(
-      static_cast<std::size_t>(w.id), target);
+  return engine_->ctx(rank_).pending.peek_target(static_cast<std::size_t>(w.id), target);
 }
 
 double Process::discard_pending(int target, Window w) {
   const auto& wo = engine_->window(w);
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),
                  "target rank out of range");
-  return engine_->pending_[static_cast<std::size_t>(rank_)].take_target(
-      static_cast<std::size_t>(w.id), target);
+  return engine_->ctx(rank_).pending.take_target(static_cast<std::size_t>(w.id), target);
 }
 
 void Process::flush(int target, Window w) {
@@ -768,8 +811,7 @@ void Process::flush(int target, Window w) {
   const auto& wo = engine_->window(w);
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),
                  "target rank out of range");
-  const double done = engine_->pending_[static_cast<std::size_t>(rank_)].take_target(
-      static_cast<std::size_t>(w.id), target);
+  const double done = me.pending.take_target(static_cast<std::size_t>(w.id), target);
   if (const fault::Injector* inj = engine_->cfg_.injector.get();
       inj != nullptr && done > 0.0) {
     const int wt =
@@ -790,7 +832,7 @@ void Process::flush_all(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   const auto& wo = engine_->window(w);
-  auto& pend = engine_->pending_[static_cast<std::size_t>(rank_)];
+  auto& pend = me.pending;
   // World rank of the lowest unreachable target with pending ops, and why
   // it is unreachable.
   int failed_target = -1;
@@ -884,11 +926,13 @@ void Process::get_accumulate(const void* origin, void* result, std::size_t count
                              std::size_t disp, Window w) {
   engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(!wo.read_only, "accumulate on a read-only window");
   const std::size_t bytes = count * accumulate_type_size(type);
   engine_->validate_target(wo, target, disp, bytes);
   const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
-  // Element-wise atomicity is free: the scheduler serializes ranks, and
-  // accumulates (unlike put/get) are permitted to race per MPI-3.
+  // Element-wise atomicity is free: a writable window keeps the single
+  // baton, and accumulates (unlike put/get) are permitted to race per
+  // MPI-3.
   accumulate_dispatch(type, wo.base[static_cast<std::size_t>(target)] + disp, origin,
                       result, count, op);
   // Fetching variants pay a round trip (payload out + old values back).
@@ -916,6 +960,7 @@ void Process::compare_and_swap(const void* desired, const void* expected, void* 
                  "compare_and_swap requires an integer type");
   engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(!wo.read_only, "compare_and_swap on a read-only window");
   const std::size_t bytes = accumulate_type_size(type);
   engine_->validate_target(wo, target, disp, bytes);
   const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
@@ -963,6 +1008,7 @@ void Process::post(const std::vector<int>& origin_group, Window w) {
   std::unique_lock<std::mutex> lk(engine_->mu_);
   engine_->check_abort(me);
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(!wo.read_only, "PSCW on a read-only window");
   const auto& co = engine_->comm_obj(Comm{wo.comm_id});
   const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
   CLAMPI_REQUIRE(my_local >= 0, "post on a window of a foreign communicator");
@@ -991,6 +1037,7 @@ void Process::start(const std::vector<int>& target_group, Window w) {
   std::unique_lock<std::mutex> lk(engine_->mu_);
   engine_->check_abort(me);
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(!wo.read_only, "PSCW on a read-only window");
   const auto& co = engine_->comm_obj(Comm{wo.comm_id});
   const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
   CLAMPI_REQUIRE(my_local >= 0, "start on a window of a foreign communicator");
@@ -1027,8 +1074,7 @@ void Process::complete(Window w) {
   lk.unlock();
   // Complete all RMA operations of this access epoch (per target).
   for (const int t : targets) {
-    const double done = engine_->pending_[static_cast<std::size_t>(rank_)].take_target(
-        static_cast<std::size_t>(w.id), t);
+    const double done = me.pending.take_target(static_cast<std::size_t>(w.id), t);
     me.clock.advance_to_us(done);
   }
   lk.lock();
@@ -1078,6 +1124,8 @@ void Process::lock(LockType type, int target, Window w) {
   std::unique_lock<std::mutex> lk(engine_->mu_);
   engine_->check_abort(me);
   auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(type == LockType::kShared || !wo.read_only,
+                 "exclusive lock on a read-only window");
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.locks.size(),
                  "target rank out of range");
   auto& ls = wo.locks[static_cast<std::size_t>(target)];
@@ -1104,8 +1152,7 @@ void Process::unlock(int target, Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   // Unlock completes all outstanding operations to the target.
-  const double done = engine_->pending_[static_cast<std::size_t>(rank_)].take_target(
-      static_cast<std::size_t>(w.id), target);
+  const double done = me.pending.take_target(static_cast<std::size_t>(w.id), target);
   me.clock.advance_to_us(done);
   std::unique_lock<std::mutex> lk(engine_->mu_);
   engine_->check_abort(me);
@@ -1141,8 +1188,7 @@ void Process::lock_all(Window w) {
 void Process::unlock_all(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const double done = engine_->pending_[static_cast<std::size_t>(rank_)].take_all(
-      static_cast<std::size_t>(w.id));
+  const double done = me.pending.take_all(static_cast<std::size_t>(w.id));
   me.clock.advance_to_us(done);
   me.clock.exit_runtime();
 }
@@ -1150,8 +1196,7 @@ void Process::unlock_all(Window w) {
 void Process::fence(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const double done = engine_->pending_[static_cast<std::size_t>(rank_)].take_all(
-      static_cast<std::size_t>(w.id));
+  const double done = me.pending.take_all(static_cast<std::size_t>(w.id));
   me.clock.advance_to_us(done);
   const int comm_id = engine_->window(w).comm_id;
   const int csize = engine_->comm_obj(Comm{comm_id}).size();
@@ -1233,6 +1278,7 @@ Comm Process::comm_split(Comm parent, int color, int key) {
           }
           engine_->comms_.push_back(std::move(co));
         }
+        engine_->update_batons();
       },
       [this, csize] { return engine_->model().barrier_us(csize); });
   const Comm result{engine_->split_result_[static_cast<std::size_t>(rank_)]};

@@ -2,13 +2,23 @@
 //
 // This is the substrate substituting for foMPI/Piz Daint in the
 // reproduction (see DESIGN.md). Each MPI rank is an OS thread; a
-// cooperative scheduler runs exactly one rank at a time and switches only
-// at synchronization points (barriers, locks, collectives, window
+// cooperative scheduler hands out batons and switches ranks only at
+// synchronization points (barriers, locks, collectives, window
 // creation). One-sided operations execute eagerly on the shared in-process
 // memory — legal because the MPI-3 epoch model forbids conflicting
 // accesses within an epoch — while their *completion time* is taken from
 // the network cost model, so `flush` exhibits the real overlap behaviour
 // of a nonblocking get (paper Sec. I-A, Fig. 8).
+//
+// Scheduling (docs/INTERNALS.md §1): a single baton, so exactly one rank
+// runs at a time, except while the run cannot observe how ranks
+// interleave. That holds when at least one window is live and every live
+// window is read-only (created from const memory), only the world
+// communicator exists, and no injector, op_observer or
+// serialize_injection is configured. Then up to min(nranks, usable CPUs)
+// ranks run at once, each on its own CPU, so a measured clock still
+// charges each rank only its own compute. The mode changes only at window
+// and communicator collectives, where every rank is parked.
 //
 // Supported surface (MPI names translated to C++):
 //   win_allocate / win_create / win_free              (collective, per comm)
@@ -37,6 +47,7 @@
 #include "fault/injector.h"
 #include "netmodel/model.h"
 #include "rt/clock.h"
+#include "util/align.h"
 #include "util/error.h"
 
 namespace clampi::rmasim {
@@ -76,6 +87,10 @@ enum class AccumulateType { kInt32, kInt64, kUInt64, kDouble };
 
 std::size_t accumulate_type_size(AccumulateType t);
 
+/// CPUs this process may run on (its affinity mask): the most ranks the
+/// scheduler lets run at once.
+int usable_cpus();
+
 /// Per-rank facade handed to the rank main function. All methods must be
 /// called from the owning rank's thread.
 class Process {
@@ -112,6 +127,12 @@ class Process {
   Window win_allocate(std::size_t bytes, void** base, Comm comm = kCommWorld);
   /// Expose caller-owned memory.
   Window win_create(void* base, std::size_t bytes, Comm comm = kCommWorld);
+  /// Expose caller-owned memory that nothing writes through the window.
+  /// Every member must pass const memory. put, the accumulate family,
+  /// compare_and_swap, an exclusive lock and PSCW on the window throw
+  /// ContractError. While every live window is read-only, ranks may run
+  /// concurrently (see the header comment).
+  Window win_create(const void* base, std::size_t bytes, Comm comm = kCommWorld);
   void win_free(Window w);
   /// Communicator the window was created over.
   Comm win_comm(Window w) const;
@@ -271,10 +292,12 @@ class Engine {
     /// data operation (get / put / get_blocks / accumulate family) with
     /// the operation descriptor and whether it failed, and for flushes
     /// that fail against a dead, partitioned or recovering target. Runs
-    /// on the issuing rank's thread while it holds the scheduler baton,
-    /// so observers see a serialized operation stream; they must not call
-    /// back into Process. The chaos semantics oracle (src/chaos) uses this
-    /// to assert, e.g., that cache hits issue no network operations.
+    /// on the issuing rank's thread. Installing one keeps the single
+    /// baton for the whole run, read-only windows included, so observers
+    /// see a serialized operation stream and need no locking; they must
+    /// not call back into Process. The chaos semantics oracle (src/chaos)
+    /// uses this to assert, e.g., that cache hits issue no network
+    /// operations.
     std::function<void(const fault::OpDesc&, bool failed)> op_observer;
   };
 
@@ -314,10 +337,25 @@ class Engine {
 
   enum class RunState { kReady, kRunning, kBlocked, kDone };
 
-  struct RankCtx {
+  // Per-rank pending-completion times, per window, per target.
+  struct PendingCompletions {
+    // max completion time per (window id -> per-target vector)
+    std::vector<std::vector<double>> per_window_target;
+    void ensure(std::size_t win_id, int nranks);
+    void note(std::size_t win_id, int target, double t, int nranks);
+    double take_target(std::size_t win_id, int target);
+    double take_all(std::size_t win_id);
+    /// take_target without the clearing: read the completion time.
+    double peek_target(std::size_t win_id, int target) const;
+  };
+
+  // Everything the one-sided hot path writes for one rank. Cache-line
+  // aligned: ranks that run concurrently must not share a line.
+  struct alignas(util::kCacheLineBytes) RankCtx {
     int rank = -1;
     VirtualClock clock;
-    RunState state = RunState::kReady;
+    PendingCompletions pending;
+    RunState state = RunState::kReady;  // guarded by mu_
     std::condition_variable cv;
     std::thread thread;
     double final_time_us = 0.0;
@@ -349,6 +387,7 @@ class Engine {
 
   struct WindowObj {
     bool alive = false;
+    bool read_only = false;  ///< created from const memory
     int comm_id = 0;
     std::vector<std::byte*> base;
     std::vector<std::size_t> size;
@@ -358,26 +397,30 @@ class Engine {
     std::vector<std::vector<int>> started;  // per rank, as origin: targets
   };
 
-  // Per-rank pending-completion times, per window, per target.
-  struct PendingCompletions {
-    // max completion time per (window id -> per-target vector)
-    std::vector<std::vector<double>> per_window_target;
-    std::vector<double> per_window_max;
-    void ensure(std::size_t win_id, int nranks);
-    void note(std::size_t win_id, int target, double t, int nranks);
-    double take_target(std::size_t win_id, int target);
-    double take_all(std::size_t win_id);
-    /// take_target without the clearing: read the completion time.
-    double peek_target(std::size_t win_id, int target) const;
+  // One rank's contribution to a window-creation collective, written by
+  // the rank before it arrives. Plain fields, not a packed vector<bool>:
+  // ranks that run concurrently write their own entries at once.
+  struct WinStaging {
+    void* base = nullptr;
+    std::size_t bytes = 0;
+    bool owned = false;
+    bool read_only = false;
+    Window result;
   };
 
   // --- scheduler ---
   void thread_main(int rank, const std::function<void(Process&)>& rank_main);
-  // Callers hold mu_. Blocks `me` with `state` and hands the baton to the
-  // next ready rank; returns when `me` is running again.
+  // Callers hold mu_. Blocks `me` with `state` and hands its baton on;
+  // returns when `me` is running again.
   void switch_out(std::unique_lock<std::mutex>& lk, RankCtx& me, RunState state);
-  // Pick and signal the next ready rank (caller holds mu_).
+  // Hand every free baton to a ready rank, lowest virtual time first, and
+  // abort the run if nothing runs while ranks are blocked (caller holds
+  // mu_).
   void schedule_next(std::unique_lock<std::mutex>& lk);
+  // Recount the batons after a window or communicator collective changed
+  // what ranks can observe of each other (caller holds mu_, every member
+  // of the collective is parked).
+  void update_batons();
   void check_abort(RankCtx& me);
 
   // --- internals used by Process ---
@@ -396,7 +439,8 @@ class Engine {
                   const std::function<double()>& cost_us);
 
   const CommObj& comm_obj(Comm c) const;
-  Window win_register(int rank, void* base, std::size_t bytes, bool owned, Comm comm);
+  Window win_register(int rank, void* base, std::size_t bytes, bool owned, bool read_only,
+                      Comm comm);
 
   // --- The one-sided op protocol (docs/INTERNALS.md). Every data op runs
   // admit, moves its data, then runs complete; each op keeps only its
@@ -423,16 +467,19 @@ class Engine {
                                                 int wt, double now_us);
 
   // With serialize_injection: per-world-rank time at which the rank's NIC
-  // becomes free again. Guarded by the baton (single running rank).
+  // becomes free again. Guarded by the baton (serialize_injection keeps
+  // a single running rank).
   std::vector<double> nic_free_us_;
 
   // --- Crash-restart bookkeeping (docs/FAULTS.md §9). All three are
-  // guarded by the baton (single running rank), like nic_free_us_. ---
+  // guarded by the baton (an injector keeps a single running rank), like
+  // nic_free_us_. ---
   /// Consulted by every one-sided op and flush with pending work against
   /// world rank `wt`: applies any due lazy memory wipe and returns true
   /// when the op must fast-fail with FailureKind::kRecovering.
   bool crash_gate(int wt, double now_us);
-  /// Zero `wt`'s segment of every live window and drop its in-flight ops.
+  /// Zero `wt`'s segment of every live writable window and drop its
+  /// in-flight ops.
   void apply_crash_wipe(int wt);
   std::vector<int> crash_wipes_;         // restarts folded into memory
   std::vector<char> crash_recovering_;   // inside a begin/end recovery bracket
@@ -443,21 +490,21 @@ class Engine {
   std::vector<std::unique_ptr<RankCtx>> ranks_;
   std::vector<std::unique_ptr<WindowObj>> windows_;
   std::vector<std::unique_ptr<CommObj>> comms_;  // [0] = world
-  std::vector<PendingCompletions> pending_;  // per rank
   std::vector<std::unique_ptr<CollectiveCtx>> coll_by_comm_;
   CollectiveCtx coll_;  // world (kept separate: the hot path)
   std::condition_variable all_done_cv_;
-  int current_ = -1;
+  // Ranks that may run at once without the run observing their order:
+  // min(nranks, usable CPUs), or 1 when an injector, op_observer or
+  // serialize_injection is configured.
+  int max_batons_ = 1;
+  int batons_ = 1;  // max_batons_ while ranks may overlap, else 1
   int done_count_ = 0;
   bool started_ = false;
   bool aborted_ = false;
   std::exception_ptr first_error_;
 
-  // staging used by window creation collectives
-  std::vector<void*> wincreate_base_;
-  std::vector<std::size_t> wincreate_bytes_;
-  std::vector<bool> wincreate_owned_;
-  std::vector<Window> wincreate_result_;
+  // staging used by window creation collectives, per world rank
+  std::vector<WinStaging> wincreate_;
   // staging used by comm_split ((color, key) per world rank; result ids)
   std::vector<std::pair<int, int>> split_color_key_;
   std::vector<int> split_result_;

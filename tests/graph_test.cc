@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <numeric>
+#include <vector>
 
 #include "fault/injector.h"
 #include "fault/plan.h"
@@ -27,6 +28,7 @@ using graph::RmatParams;
 using graph::Vertex;
 using rmasim::Engine;
 using rmasim::Process;
+using rmasim::Window;
 
 Engine::Config engine_cfg(int nranks) {
   Engine::Config cfg;
@@ -245,6 +247,74 @@ TEST(LccDistributed, OwnershipPartitionsCoverAllVertices) {
     p.barrier();
   });
   for (const int c : *covered) EXPECT_EQ(c, 1);
+}
+
+// One CLaMPI LCC solve of an R-MAT graph under the modelled clock: what
+// each rank computed, fetched and counted, and when it finished.
+struct LccOutcome {
+  std::vector<double> coeff;
+  std::vector<std::uint64_t> remote_gets;
+  std::vector<Stats> stats;
+  std::vector<double> final_us;
+};
+
+LccOutcome solve_rmat(const std::shared_ptr<const Csr>& g, bool writable_exposure) {
+  constexpr int kRanks = 4;
+  Engine e(engine_cfg(kRanks));
+  LccOutcome out;
+  out.coeff.assign(g->num_vertices(), -1.0);
+  out.remote_gets.assign(kRanks, 0);
+  out.stats.resize(kRanks);
+  e.run([&](Process& p) {
+    // A second exposure of the same CSR. Writable, it keeps the single
+    // baton for the whole solve; read-only, the ranks solve at once. Both
+    // cost the same modelled window creation.
+    std::vector<Vertex> copy(g->adj);
+    const std::size_t bytes = copy.size() * sizeof(Vertex);
+    const Window extra = writable_exposure
+                             ? p.win_create(copy.data(), bytes)
+                             : p.win_create(static_cast<const void*>(copy.data()), bytes);
+    LccConfig cfg;
+    cfg.backend = LccBackend::kClampi;
+    cfg.clampi_cfg.mode = Mode::kAlwaysCache;
+    cfg.clampi_cfg.index_entries = 1024;
+    cfg.clampi_cfg.storage_bytes = 256 << 10;
+    cfg.clampi_cfg.adaptive = true;
+    cfg.clampi_cfg.adapt_interval = 512;
+    DistributedLcc solver(p, g, cfg);
+    const auto rep = solver.run();
+    const auto me = static_cast<std::size_t>(p.rank());
+    std::copy(solver.local_lcc().begin(), solver.local_lcc().end(),
+              out.coeff.begin() + solver.first_vertex());
+    out.remote_gets[me] = rep.remote_gets;
+    out.stats[me] = *solver.clampi_stats();
+    p.barrier();
+    p.win_free(extra);
+  });
+  for (int r = 0; r < kRanks; ++r) out.final_us.push_back(e.final_time_us(r));
+  return out;
+}
+
+TEST(LccDistributed, ConcurrentRanksMatchSingleBaton) {
+  const auto g = std::make_shared<const Csr>(
+      rmat_graph({.scale = 11, .edge_factor = 16, .seed = 61}));
+  const LccOutcome parallel = solve_rmat(g, /*writable_exposure=*/false);
+  const LccOutcome baton = solve_rmat(g, /*writable_exposure=*/true);
+  const auto want = lcc_reference(*g);
+  for (std::size_t v = 0; v < want.size(); ++v) {
+    ASSERT_EQ(parallel.coeff[v], baton.coeff[v]) << "vertex " << v;
+    ASSERT_NEAR(parallel.coeff[v], want[v], 1e-12) << "vertex " << v;
+  }
+  for (std::size_t r = 0; r < parallel.stats.size(); ++r) {
+    EXPECT_GT(parallel.remote_gets[r], 0u) << "rank " << r;
+    EXPECT_EQ(parallel.remote_gets[r], baton.remote_gets[r]) << "rank " << r;
+    for (const StatsField& f : kStatsFields) {
+      EXPECT_EQ(parallel.stats[r].*f.member, baton.stats[r].*f.member)
+          << "rank " << r << " " << f.name;
+    }
+    EXPECT_EQ(parallel.final_us[r], baton.final_us[r]) << "rank " << r;
+  }
+  EXPECT_GT(parallel.stats[0].evictions + parallel.stats[1].evictions, 0u);
 }
 
 }  // namespace

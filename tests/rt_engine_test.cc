@@ -1,7 +1,9 @@
 // Tests for rmasim, the simulated MPI-3 RMA runtime substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -401,6 +403,150 @@ TEST(MeasuredPolicy, UserComputeIsCharged) {
     for (int i = 0; i < 2000000; ++i) x = x * 1.0000001 + 0.5;
     EXPECT_GT(p.now_us(), 100.0);  // several ms of work measured
   });
+}
+
+// --- Concurrent ranks while every window is read-only ---
+
+// Counts the ranks inside visit() at once and keeps the high-water mark.
+struct Overlap {
+  std::atomic<int> inside{0};
+  std::atomic<int> high{0};
+
+  /// Stay inside until `want` ranks have been inside together, or until
+  /// `limit` has passed.
+  void visit(int want, std::chrono::milliseconds limit) {
+    const int now = ++inside;
+    int h = high.load();
+    while (now > h && !high.compare_exchange_weak(h, now)) {
+    }
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (high.load() < want && std::chrono::steady_clock::now() < deadline) {
+    }
+    --inside;
+  }
+};
+
+constexpr std::chrono::milliseconds kOverlapLimit{5000};
+constexpr std::chrono::milliseconds kDwell{20};
+
+TEST(Concurrency, ReadOnlyWindowsRunRanksOnTheirOwnCpus) {
+  const int nranks = 4;
+  const int batons = std::min(nranks, rmasim::usable_cpus());
+  Overlap ov;
+  Engine e(flat_cfg(nranks));
+  e.run([&](Process& p) {
+    const std::vector<std::uint32_t> mine(16, 100u + static_cast<std::uint32_t>(p.rank()));
+    const Window w = p.win_create(mine.data(), mine.size() * sizeof(std::uint32_t));
+    ov.visit(batons, kOverlapLimit);
+    p.lock_all(w);
+    std::uint32_t got = 0;
+    const int peer = (p.rank() + 1) % p.nranks();
+    p.get(&got, sizeof(got), peer, 4, w);
+    p.unlock_all(w);
+    EXPECT_EQ(got, 100u + static_cast<std::uint32_t>(peer));
+    p.barrier();
+    p.win_free(w);
+  });
+  EXPECT_EQ(ov.high.load(), batons);
+}
+
+TEST(Concurrency, WritesToReadOnlyWindowThrow) {
+  Engine e(flat_cfg(2));
+  e.run([](Process& p) {
+    const std::int64_t mine[2] = {5, 6};
+    const Window w = p.win_create(mine, sizeof(mine));
+    const std::int64_t one = 1;
+    std::int64_t out = 0;
+    using rmasim::AccumulateOp;
+    using rmasim::AccumulateType;
+    if (p.rank() == 0) {
+      EXPECT_THROW(p.put(&one, sizeof(one), 1, 0, w), util::ContractError);
+      EXPECT_THROW(p.accumulate(&one, 1, AccumulateType::kInt64, AccumulateOp::kSum, 1, 0, w),
+                   util::ContractError);
+      EXPECT_THROW(p.get_accumulate(&one, &out, 1, AccumulateType::kInt64,
+                                    AccumulateOp::kSum, 1, 0, w),
+                   util::ContractError);
+      EXPECT_THROW(
+          p.fetch_and_op(&one, &out, AccumulateType::kInt64, AccumulateOp::kSum, 1, 0, w),
+          util::ContractError);
+      EXPECT_THROW(p.compare_and_swap(&one, &out, &out, AccumulateType::kInt64, 1, 0, w),
+                   util::ContractError);
+      EXPECT_THROW(p.lock(LockType::kExclusive, 1, w), util::ContractError);
+      EXPECT_THROW(p.post({1}, w), util::ContractError);
+      EXPECT_THROW(p.start({1}, w), util::ContractError);
+      // Reads still work, and nothing was written.
+      p.lock(LockType::kShared, 1, w);
+      p.get(&out, sizeof(out), 1, sizeof(std::int64_t), w);
+      p.unlock(1, w);
+      EXPECT_EQ(out, 6);
+    }
+    p.barrier();
+    p.win_free(w);
+  });
+}
+
+TEST(Concurrency, MembersMustAgreeOnReadOnly) {
+  Engine e(flat_cfg(2));
+  EXPECT_THROW(
+      e.run([](Process& p) {
+        std::uint64_t mine = 0;
+        if (p.rank() == 0) {
+          p.win_create(static_cast<const void*>(&mine), sizeof(mine));
+        } else {
+          p.win_create(&mine, sizeof(mine));
+        }
+      }),
+      util::ContractError);
+}
+
+TEST(Concurrency, RankExitDuringReadOnlyBarrierAborts) {
+  Engine e(flat_cfg(4));
+  EXPECT_THROW(
+      e.run([](Process& p) {
+        const std::uint64_t mine = 1;
+        p.win_create(&mine, sizeof(mine));
+        if (p.rank() == 0) return;  // exits while the others wait
+        p.barrier();
+      }),
+      util::ContractError);
+}
+
+TEST(Concurrency, WritableWindowRestoresSingleBaton) {
+  const int nranks = 4;
+  const int batons = std::min(nranks, rmasim::usable_cpus());
+  Overlap before, during, after;
+  Engine e(flat_cfg(nranks));
+  e.run([&](Process& p) {
+    const std::uint64_t ro = 1;
+    const Window wr = p.win_create(&ro, sizeof(ro));
+    before.visit(batons, kOverlapLimit);
+    void* base = nullptr;
+    const Window ww = p.win_allocate(64, &base);
+    during.visit(nranks + 1, kDwell);  // unreachable: dwell the full time
+    p.win_free(ww);
+    after.visit(batons, kOverlapLimit);
+    p.barrier();
+    p.win_free(wr);
+  });
+  EXPECT_EQ(before.high.load(), batons);
+  EXPECT_EQ(during.high.load(), 1);
+  EXPECT_EQ(after.high.load(), batons);
+}
+
+TEST(Concurrency, MeasuredRanksNeverOutnumberCpus) {
+  const int cpus = rmasim::usable_cpus();
+  Engine::Config cfg = flat_cfg(cpus + 2);
+  cfg.time_policy = TimePolicy::kMeasured;
+  Overlap ov;
+  Engine e(cfg);
+  e.run([&](Process& p) {
+    const std::uint64_t mine = 1;
+    const Window w = p.win_create(&mine, sizeof(mine));
+    ov.visit(cpus, kOverlapLimit);
+    p.barrier();
+    p.win_free(w);
+  });
+  EXPECT_EQ(ov.high.load(), cpus);
 }
 
 TEST(ManyRanks, ScalesTo128Threads) {
