@@ -9,6 +9,7 @@ DistributedLcc::DistributedLcc(rmasim::Process& p, std::shared_ptr<const Csr> gr
                                const LccConfig& cfg)
     : p_(&p), g_(std::move(graph)), cfg_(cfg) {
   const auto n = g_->num_vertices();
+  marks_.assign(n / 64 + 1, 0);  // bits 0..n; bit n is the never-set sentinel
   const auto nr = static_cast<std::size_t>(p.nranks());
   range_first_.resize(nr + 1);
   for (std::size_t r = 0; r <= nr; ++r) {
@@ -79,6 +80,7 @@ DistributedLcc::Report DistributedLcc::run() {
   size_hist_.clear();
 
   std::vector<Vertex> scratch;
+  const auto n = static_cast<Vertex>(g_->num_vertices());
 
   p_->barrier();
   const double t0 = p_->now_us();
@@ -86,9 +88,12 @@ DistributedLcc::Report DistributedLcc::run() {
     const auto deg = g_->degree(v);
     if (deg < 2) continue;
     const Vertex* nv = g_->neighbors(v);
+    for (std::uint64_t k = 0; k < deg; ++k) {
+      marks_[nv[k] >> 6] |= std::uint64_t{1} << (nv[k] & 63);
+    }
 
     // Natural fetch-then-consume loop: each neighbour's adjacency list is
-    // needed by the intersection that follows it, so every remote get is
+    // needed by the count that follows it, so every remote get is
     // completed before use (the paper treats gets as blocking; CLaMPI
     // hits skip the round trip entirely).
     std::size_t closed = 0;
@@ -99,8 +104,9 @@ DistributedLcc::Report DistributedLcc::run() {
       const Vertex* list = fetch_adjacency(u, scratch.data());
       current_.comm_us += p_->now_us() - c0;
       if (list == nullptr) continue;  // owner down, get dropped
-      closed += intersect_count(nv, deg, list, g_->degree(u));
+      closed += marked_count(marks_.data(), n, list, g_->degree(u));
     }
+    for (std::uint64_t k = 0; k < deg; ++k) marks_[nv[k] >> 6] = 0;
     const double coeff = static_cast<double>(closed) /
                          (static_cast<double>(deg) * static_cast<double>(deg - 1));
     lcc_[v - first_] = coeff;

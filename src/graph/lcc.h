@@ -102,6 +102,9 @@ class DistributedLcc {
   rmasim::Window win_{};
   std::optional<clampi::CachedWindow> cached_;
   std::vector<double> lcc_;
+  /// Bitmap over vertex ids 0..|V|: run() sets the bits of N(v) while it
+  /// counts v's closed wedges, then clears the words it touched.
+  std::vector<std::uint64_t> marks_;
   std::unordered_map<std::uint32_t, std::uint64_t> size_hist_;
   Report current_{};
 };

@@ -44,13 +44,26 @@ Csr rmat_graph(const RmatParams& p);
 /// Build an undirected CSR from an edge list (dedups, drops self-loops).
 Csr build_csr(std::size_t num_vertices, std::vector<std::pair<Vertex, Vertex>> edges);
 
+// The naive oracle: a plain serial LCC built on a sorted-list merge.
+// DistributedLcc counts with marked_count instead; graph_test and
+// perfbench's correctness check compare its coefficients against
+// lcc_reference, so the two sides share no counting code.
+
 /// Exact serial LCC of every vertex (reference implementation).
 /// LCC(v) = 2 * |{(u,w) in E : u,w in adj(v)}| / (deg(v) * (deg(v)-1)),
 /// defined as 0 when deg(v) < 2 (Watts & Strogatz [22]).
 std::vector<double> lcc_reference(const Csr& g);
 
-/// Number of sorted-list intersections |adj(a) cap adj(b)|.
+/// Number of sorted-list intersections |adj(a) cap adj(b)| (a merge).
 std::size_t intersect_count(const Vertex* a, std::size_t na, const Vertex* b,
                             std::size_t nb);
+
+/// Number of entries of `list` whose bit is set in `marks`, a bitmap over
+/// vertex ids 0..n (n/64 + 1 words). Branch-free: an id >= n counts
+/// against sentinel bit n, which the caller keeps clear, so a corrupted
+/// list never reads outside the bitmap. For two sorted, duplicate-free
+/// lists a and b with a's bits set, this equals intersect_count(a, b).
+std::size_t marked_count(const std::uint64_t* marks, Vertex n, const Vertex* list,
+                         std::size_t len);
 
 }  // namespace clampi::graph

@@ -2,8 +2,12 @@
 // the distributed LCC against the serial reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <memory>
 #include <numeric>
+#include <random>
 #include <vector>
 
 #include "fault/injector.h"
@@ -23,6 +27,7 @@ using graph::intersect_count;
 using graph::lcc_reference;
 using graph::LccBackend;
 using graph::LccConfig;
+using graph::marked_count;
 using graph::rmat_graph;
 using graph::RmatParams;
 using graph::Vertex;
@@ -104,6 +109,46 @@ TEST(Intersect, SortedIntersection) {
   EXPECT_EQ(intersect_count(a, 5, a, 5), 5u);
 }
 
+// A random sorted, duplicate-free list of `len` ids below `n`.
+std::vector<Vertex> random_list(std::mt19937_64& rng, Vertex n, std::size_t len) {
+  std::vector<Vertex> ids(n);
+  std::iota(ids.begin(), ids.end(), Vertex{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
+  ids.resize(len);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+void set_marks(std::vector<std::uint64_t>& marks, const std::vector<Vertex>& ids) {
+  for (const Vertex x : ids) marks[x >> 6] |= std::uint64_t{1} << (x & 63);
+}
+
+TEST(Intersect, MarkedCountMatchesMerge) {
+  constexpr Vertex kN = 5000;  // sentinel bit 5000 sits inside the last word
+  std::mt19937_64 rng(71);
+  std::vector<std::uint64_t> marks(kN / 64 + 1, 0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t na = trial == 0 ? 0 : trial == 1 ? 2000 : rng() % 2001;
+    const std::size_t nb = trial == 2 ? 0 : trial == 3 ? 2000 : rng() % 2001;
+    const auto a = random_list(rng, kN, na);
+    const auto b = random_list(rng, kN, nb);
+    set_marks(marks, a);
+    ASSERT_EQ(marked_count(marks.data(), kN, b.data(), b.size()),
+              intersect_count(a.data(), a.size(), b.data(), b.size()))
+        << "trial " << trial << ": |a| " << na << ", |b| " << nb;
+    std::fill(marks.begin(), marks.end(), 0);
+  }
+
+  // Every real id marked: ids >= |V| still count as no match.
+  std::vector<Vertex> all(kN);
+  std::iota(all.begin(), all.end(), Vertex{0});
+  set_marks(marks, all);
+  const Vertex out_of_range[] = {kN, kN + 1, kN + 63, kN + 64, 1u << 20, 0xffffffffu};
+  EXPECT_EQ(marked_count(marks.data(), kN, out_of_range, 6), 0u);
+  const Vertex mixed[] = {0, kN, 17, 0xfffffffeu, kN - 1};
+  EXPECT_EQ(marked_count(marks.data(), kN, mixed, 5), 3u);
+}
+
 TEST(LccReference, TriangleAndPath) {
   // Triangle 0-1-2 plus pendant 3 attached to 2.
   const Csr g = build_csr(4, {{0, 1}, {1, 2}, {0, 2}, {2, 3}});
@@ -181,6 +226,67 @@ TEST(LccDistributed, CachingProducesHitsOnSharedNeighbours) {
     EXPECT_GT(st->hit_ratio(), 0.4);
     p.barrier();
   });
+}
+
+TEST(LccDistributed, RepeatedRunIsIdentical) {
+  // run() leaves its neighbour marks clean: a second solve on the same
+  // solver (now served from the cache) reproduces every coefficient bit.
+  auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21}));
+  Engine e(engine_cfg(4));
+  e.run([&](Process& p) {
+    LccConfig cfg;
+    cfg.backend = LccBackend::kClampi;
+    cfg.clampi_cfg.mode = Mode::kAlwaysCache;
+    cfg.clampi_cfg.index_entries = 4096;
+    cfg.clampi_cfg.storage_bytes = 4 << 20;
+    DistributedLcc solver(p, g, cfg);
+    solver.run();
+    const std::vector<double> first = solver.local_lcc();
+    solver.run();
+    const std::vector<double>& second = solver.local_lcc();
+    ASSERT_EQ(second.size(), first.size());
+    EXPECT_EQ(std::memcmp(second.data(), first.data(), first.size() * sizeof(double)), 0)
+        << "rank " << p.rank();
+    p.barrier();
+  });
+}
+
+TEST(LccDistributed, CorruptedCachedListsStayInBounds) {
+  // Bit rot at every flush's epoch close with integrity verification off:
+  // rotted cached lists reach the solver, and a flip in bits 9-31 of a
+  // scale-9 id makes it >= |V|. The count must treat such ids as no match
+  // and never index the mark bitmap with them (ASan builds check reads).
+  auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 21}));
+  const auto want = lcc_reference(*g);
+  fault::Plan plan;
+  plan.corrupt_storage(1e-4);
+  Engine::Config ec = engine_cfg(4);
+  ec.injector = std::make_shared<fault::Injector>(plan);
+  Engine e(ec);
+  auto flips = std::make_shared<std::vector<std::uint64_t>>(4, 0);
+  auto differing = std::make_shared<std::vector<std::size_t>>(4, 0);
+  e.run([&](Process& p) {
+    LccConfig cfg;
+    cfg.backend = LccBackend::kClampi;
+    cfg.clampi_cfg.mode = Mode::kAlwaysCache;
+    cfg.clampi_cfg.index_entries = 4096;
+    cfg.clampi_cfg.storage_bytes = 4 << 20;
+    cfg.clampi_cfg.verify_every_n = 0;
+    cfg.clampi_cfg.scrub_entries_per_epoch = 0;
+    DistributedLcc solver(p, g, cfg);
+    solver.run();
+    const auto me = static_cast<std::size_t>(p.rank());
+    (*flips)[me] = solver.clampi_stats()->storage_bitflips;
+    const auto& local = solver.local_lcc();
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      EXPECT_TRUE(std::isfinite(local[i])) << "vertex " << solver.first_vertex() + i;
+      if (local[i] != want[solver.first_vertex() + i]) ++(*differing)[me];
+    }
+    p.barrier();
+  });
+  EXPECT_GT(std::accumulate(flips->begin(), flips->end(), std::uint64_t{0}), 0u);
+  // The rot reached the counts: some coefficients moved off the reference.
+  EXPECT_GT(std::accumulate(differing->begin(), differing->end(), std::size_t{0}), 0u);
 }
 
 TEST(LccDistributed, SkipDeadRanksDropsDeadOwnersAdjacency) {
