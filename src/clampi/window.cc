@@ -43,7 +43,6 @@ const char* to_string(BreakerState s) {
 CachedWindow::CachedWindow(rmasim::Process& p, rmasim::Window win, const Config& cfg)
     : p_(&p),
       win_(win),
-      comm_(p.win_comm(win)),
       cfg_(cfg),
       core_(std::make_unique<CacheCore>(cfg)),
       tuner_(cfg),
@@ -190,7 +189,7 @@ void CachedWindow::throw_get_failure(fault::FailureKind kind, int target,
   fault::OpDesc desc;
   desc.kind = fault::OpKind::kGet;
   desc.origin = p_->rank();
-  desc.target = p_->comm_world_rank(comm_, target);
+  desc.target = target;
   desc.disp = disp;
   desc.bytes = bytes;
   desc.time_us = p_->now_us();
@@ -227,18 +226,16 @@ bool CachedWindow::target_down(int target) const {
   if (health_.state(target) == HealthState::kQuarantined) return true;
   const fault::Injector* inj = p_->fault_injector();
   if (inj == nullptr) return false;
-  const int wt = p_->comm_world_rank(comm_, target);
   const double now = p_->now_us();
-  return inj->dead(wt, now) || inj->degraded(wt, now) ||
-         inj->partitioned(p_->rank(), wt, now) || p_->crash_recovering(wt);
+  return inj->dead(target, now) || inj->degraded(target, now) ||
+         inj->partitioned(p_->rank(), target, now) || p_->crash_recovering(target);
 }
 
 void CachedWindow::crash_epoch_check(int target) {
-  const int wt = p_->comm_world_rank(comm_, target);
-  const int due = p_->crash_restarts_due(wt);
+  const int due = p_->crash_restarts_due(target);
   if (due == 0) return;  // the no-injector / no-crash common case
   if (crash_restarts_seen_.empty()) {
-    crash_restarts_seen_.assign(static_cast<std::size_t>(p_->comm_size(comm_)), 0);
+    crash_restarts_seen_.assign(static_cast<std::size_t>(p_->nranks()), 0);
   }
   int& seen = crash_restarts_seen_[static_cast<std::size_t>(target)];
   if (due <= seen) return;
@@ -328,15 +325,15 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
 }
 
 TargetStatus CachedWindow::target_status(int target) const {
+  CLAMPI_REQUIRE(target >= 0 && target < p_->nranks(), "target rank out of range");
   const double now = p_->now_us();
   TargetStatus ts = health_.status(target);
   const fault::Injector* inj = p_->fault_injector();
   if (inj != nullptr) {
-    const int wt = p_->comm_world_rank(comm_, target);
-    ts.dead = inj->dead(wt, now);
-    ts.partitioned = inj->partitioned(p_->rank(), wt, now);
-    ts.slow = inj->slow(wt, now);
-    ts.recovering = p_->crash_recovering(wt);
+    ts.dead = inj->dead(target, now);
+    ts.partitioned = inj->partitioned(p_->rank(), target, now);
+    ts.slow = inj->slow(target, now);
+    ts.recovering = p_->crash_recovering(target);
   }
   ts.usable = !ts.dead && !ts.partitioned && !ts.recovering &&
               ts.state != HealthState::kQuarantined;
@@ -362,8 +359,7 @@ void CachedWindow::record_target_outcome(int target, bool success, bool fatal) {
     // straggler epoch covered the target. Fed to the monitor as a pure
     // counter — slowness alone must never quarantine.
     const fault::Injector* inj = p_->fault_injector();
-    if (inj != nullptr &&
-        inj->slow(p_->comm_world_rank(comm_, target), p_->now_us())) {
+    if (inj != nullptr && inj->slow(target, p_->now_us())) {
       ++core_->mutable_stats().slow_observations;
       ++health_.counters(target).slow_observations;
     }
@@ -484,6 +480,8 @@ void CachedWindow::get(void* origin, const dt::Datatype& dtype, std::size_t coun
 
 void CachedWindow::get_impl(void* origin, std::size_t bytes, int target, std::size_t disp,
                             const dt::Datatype* dtype, std::size_t count) {
+  // A hit never reaches the engine's own target check.
+  CLAMPI_REQUIRE(target >= 0 && target < p_->nranks(), "target rank out of range");
   crash_epoch_check(target);
   shed_admission(target, disp, bytes);
   begin_op_deadline();
@@ -605,6 +603,7 @@ void CachedWindow::get_nocache(void* origin, std::size_t bytes, int target,
 
 void CachedWindow::put(const void* origin, std::size_t bytes, int target,
                        std::size_t disp) {
+  CLAMPI_REQUIRE(target >= 0 && target < p_->nranks(), "target rank out of range");
   crash_epoch_check(target);
   p_->put(origin, bytes, target, disp, win_);
   // Local coherence: the put makes any cached entry overlapping the target
@@ -613,7 +612,7 @@ void CachedWindow::put(const void* origin, std::size_t bytes, int target,
   // modelling the invalidation bug that shadow-verify exists to catch.
   const fault::Injector* inj = p_->fault_injector();
   if (inj != nullptr && inj->plan().stale_put_prob > 0.0 &&
-      inj->stale_put_verdict(p_->rank(), p_->comm_world_rank(comm_, target))) {
+      inj->stale_put_verdict(p_->rank(), target)) {
     ++core_->mutable_stats().stale_puts_injected;
     return;
   }
@@ -654,9 +653,9 @@ void CachedWindow::process_pending(int target) {
 void CachedWindow::on_flush_failure(const fault::OpFailedError& err, bool all_taken) {
   Stats& st = core_->mutable_stats();
   ++st.injected_faults;
-  const int local = p_->comm_local_rank(comm_, err.op().target);
-  if (fault_trace_ != nullptr) fault_trace_->add_fault(local, 0, 0);
-  record_target_outcome(local, /*success=*/false,
+  const int target = err.op().target;
+  if (fault_trace_ != nullptr) fault_trace_->add_fault(target, 0, 0);
+  record_target_outcome(target, /*success=*/false,
                         /*fatal=*/err.failure() != fault::FailureKind::kTransient);
   // The dead target's in-flight data will never be *completed*. Ops that
   // failed at issue were already rolled back, so every surviving pending
@@ -665,14 +664,14 @@ void CachedWindow::on_flush_failure(const fault::OpFailedError& err, bool all_ta
   // materialize those as last-known-good survivors; otherwise discard the
   // copy-ins/outs and PENDING entries, matching MPI completion semantics.
   if (cfg_.degraded_reads) {
-    process_pending(local);
+    process_pending(target);
   } else {
     std::size_t kept = 0;
     for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (pending_[i].target != local) pending_[kept++] = pending_[i];
+      if (pending_[i].target != target) pending_[kept++] = pending_[i];
     }
     pending_.resize(kept);
-    core_->drop_pending(local);
+    core_->drop_pending(target);
   }
   if (all_taken) {
     // The engine cleared every target's completions before throwing, and
@@ -697,7 +696,7 @@ void CachedWindow::transparent_invalidate() {
     // entries legally survive the transparent invalidation and stay
     // servable as bounded-staleness degraded reads (docs/FAULTS.md §6).
     std::vector<int> keep;
-    const int n = p_->comm_size(comm_);
+    const int n = p_->nranks();
     for (int t = 0; t < n; ++t) {
       if (target_down(t)) keep.push_back(t);
     }

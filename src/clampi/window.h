@@ -154,7 +154,7 @@ class CachedWindow {
   // --- survivability introspection (docs/FAULTS.md §6) ---
   /// Typed per-target health snapshot: lets a workload drop a dead or
   /// quarantined rank from its communication pattern instead of aborting
-  /// on the first OpFailedError. `target` is a window-comm local rank.
+  /// on the first OpFailedError.
   TargetStatus target_status(int target) const;
   /// Health state alone (kHealthy when the detector is off).
   HealthState target_health(int target) const { return health_.state(target); }
@@ -348,7 +348,6 @@ class CachedWindow {
 
   rmasim::Process* p_;
   rmasim::Window win_;
-  rmasim::Comm comm_;
   Config cfg_;
   std::unique_ptr<CacheCore> core_;
   AdaptiveTuner tuner_;
@@ -374,7 +373,7 @@ class CachedWindow {
   std::unique_ptr<LoadShedder> shedder_;     // null unless load_shedding
   double extern_deadline_us_ = -1.0;  // KV-installed walk-wide deadline
   double deadline_abs_ = -1.0;        // deadline of the op in flight (< 0 = none)
-  std::vector<int> crash_restarts_seen_;  // per comm-rank restarts swept
+  std::vector<int> crash_restarts_seen_;  // per-target restarts swept
                                           // (crash_epoch_check; lazily sized)
   int breaker_probe_tick_ = 0;    // half-open: 1 of every probe_every_n probes
   double breaker_open_us_ = 0.0;  // time open, over finished open spells

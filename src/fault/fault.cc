@@ -7,7 +7,6 @@ const char* to_string(OpKind k) {
     case OpKind::kGet: return "get";
     case OpKind::kPut: return "put";
     case OpKind::kGetBlocks: return "get_blocks";
-    case OpKind::kAtomic: return "atomic";
     case OpKind::kFlush: return "flush";
   }
   return "?";

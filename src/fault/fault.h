@@ -27,7 +27,6 @@ enum class OpKind : std::uint8_t {
   kGet,        ///< Process::get
   kPut,        ///< Process::put
   kGetBlocks,  ///< Process::get_blocks (datatype gather)
-  kAtomic,     ///< accumulate / get_accumulate / fetch_and_op / CAS
   kFlush,      ///< flush / flush_all waiting on a dead target
 };
 

@@ -10,7 +10,7 @@
 // Simulation shortcut (DESIGN.md): the CSR is stored once and shared by
 // the rank threads; each rank's window maps its own adjacency slice, and
 // *remote* lists are only ever accessed through gets. The offsets array is
-// replicated in the real system (allgather) and read directly here.
+// replicated in the real system (MPI_Allgather) and read directly here.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <tuple>
 
 #ifdef __linux__
 #include <sched.h>
@@ -83,20 +82,8 @@ Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   crash_wipes_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
   crash_recovering_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
   crash_owner_.assign(static_cast<std::size_t>(cfg_.nranks), 0);
-  auto world = std::make_unique<CommObj>();
-  world->alive = true;
-  world->members.resize(static_cast<std::size_t>(cfg_.nranks));
-  world->local_of_world.resize(static_cast<std::size_t>(cfg_.nranks));
-  for (int r = 0; r < cfg_.nranks; ++r) {
-    world->members[static_cast<std::size_t>(r)] = r;
-    world->local_of_world[static_cast<std::size_t>(r)] = r;
-  }
-  comms_.push_back(std::move(world));
-  split_color_key_.resize(static_cast<std::size_t>(cfg_.nranks));
-  split_result_.resize(static_cast<std::size_t>(cfg_.nranks));
   coll_.src.resize(static_cast<std::size_t>(cfg_.nranks));
   coll_.dst.resize(static_cast<std::size_t>(cfg_.nranks));
-  coll_.bytes.resize(static_cast<std::size_t>(cfg_.nranks));
   wincreate_.resize(static_cast<std::size_t>(cfg_.nranks));
 }
 
@@ -230,8 +217,7 @@ void Engine::check_abort(RankCtx& me) {
 
 void Engine::update_batons() {
   // Ranks may overlap only while nothing they do can reach another rank:
-  // every live window is read-only and no communicator but the world
-  // exists (so every collective parks every rank).
+  // every live window is read-only.
   bool any_live = false;
   bool all_read_only = true;
   for (const auto& w : windows_) {
@@ -239,58 +225,32 @@ void Engine::update_batons() {
     any_live = true;
     all_read_only = all_read_only && w->read_only;
   }
-  batons_ = any_live && all_read_only && comms_.size() == 1 ? max_batons_ : 1;
+  batons_ = any_live && all_read_only ? max_batons_ : 1;
 }
 
 // ---------------------------------------------------------------------------
 // Collectives
 // ---------------------------------------------------------------------------
 
-const Engine::CommObj& Engine::comm_obj(Comm c) const {
-  CLAMPI_REQUIRE(c.valid() && static_cast<std::size_t>(c.id) < comms_.size(),
-                 "invalid communicator handle");
-  const CommObj& co = *comms_[static_cast<std::size_t>(c.id)];
-  CLAMPI_REQUIRE(co.alive, "communicator has been freed");
-  return co;
-}
-
-void Engine::collective(RankCtx& me, int comm_id, int kind, const void* src, void* dst,
-                        std::size_t bytes,
+void Engine::collective(RankCtx& me, int kind, const void* src, void* dst,
                         const std::function<void(CollectiveCtx&)>& complete,
                         const std::function<double()>& cost_us) {
   std::unique_lock<std::mutex> lk(mu_);
   check_abort(me);
-  const CommObj& co = comm_obj(Comm{comm_id});
-  CLAMPI_REQUIRE(co.local_of_world[static_cast<std::size_t>(me.rank)] >= 0,
-                 "collective on a communicator this rank is not part of");
-  CollectiveCtx* ctx = &coll_;
-  if (comm_id != 0) {
-    if (coll_by_comm_.size() <= static_cast<std::size_t>(comm_id)) {
-      coll_by_comm_.resize(static_cast<std::size_t>(comm_id) + 1);
-    }
-    auto& slot = coll_by_comm_[static_cast<std::size_t>(comm_id)];
-    if (slot == nullptr) {
-      slot = std::make_unique<CollectiveCtx>();
-      slot->src.resize(static_cast<std::size_t>(cfg_.nranks));
-      slot->dst.resize(static_cast<std::size_t>(cfg_.nranks));
-      slot->bytes.resize(static_cast<std::size_t>(cfg_.nranks));
-    }
-    ctx = slot.get();
-  }
-  if (ctx->arrived == 0) {
-    ctx->kind = kind;
-    ctx->max_arrival_us = 0.0;
-    ctx->waiters.clear();
+  CollectiveCtx& c = coll_;
+  if (c.arrived == 0) {
+    c.kind = kind;
+    c.max_arrival_us = 0.0;
+    c.waiters.clear();
   } else {
-    CLAMPI_REQUIRE(ctx->kind == kind, "ranks entered mismatched collectives");
+    CLAMPI_REQUIRE(c.kind == kind, "ranks entered mismatched collectives");
   }
   const auto r = static_cast<std::size_t>(me.rank);
-  ctx->src[r] = src;
-  ctx->dst[r] = dst;
-  ctx->bytes[r] = bytes;
-  ctx->max_arrival_us = std::max(ctx->max_arrival_us, me.clock.now_us());
-  if (++ctx->arrived < co.size()) {
-    ctx->waiters.push_back(me.rank);
+  c.src[r] = src;
+  c.dst[r] = dst;
+  c.max_arrival_us = std::max(c.max_arrival_us, me.clock.now_us());
+  if (++c.arrived < cfg_.nranks) {
+    c.waiters.push_back(me.rank);
     switch_out(lk, me, RunState::kBlocked);
     // Released: the releaser already advanced our clock.
     return;
@@ -298,166 +258,67 @@ void Engine::collective(RankCtx& me, int comm_id, int kind, const void* src, voi
   // Last arriver: perform the data movement and release everyone. The
   // released waiters take any free batons at once; with a single baton
   // they stay ready until this rank switches out.
-  complete(*ctx);
-  const double release = ctx->max_arrival_us + cost_us();
-  for (int w : ctx->waiters) {
+  complete(c);
+  const double release = c.max_arrival_us + cost_us();
+  for (int w : c.waiters) {
     RankCtx& rc = *ranks_[static_cast<std::size_t>(w)];
     rc.clock.advance_to_us(release);
     rc.state = RunState::kReady;
   }
-  ctx->waiters.clear();
-  ctx->arrived = 0;
-  ++ctx->generation;
+  c.waiters.clear();
+  c.arrived = 0;
   me.clock.advance_to_us(release);
   schedule_next(lk);
 }
 
 namespace {
-// Cost of a recursive-doubling collective moving `bytes` per stage pair,
-// growing payloads for allgather-style patterns.
-double doubling_cost_us(const net::Model& m, int nranks, std::size_t bytes, bool growing) {
+// Cost of a recursive-doubling collective moving `bytes` per stage pair.
+double doubling_cost_us(const net::Model& m, int nranks, std::size_t bytes) {
   if (nranks <= 1) return 0.0;
   double cost = 0.0;
-  std::size_t msg = bytes;
   for (int span = 1; span < nranks; span <<= 1) {
-    cost += m.transfer_us(0, std::min(span, nranks - 1), msg);
-    if (growing) msg *= 2;
+    cost += m.transfer_us(0, std::min(span, nranks - 1), bytes);
   }
   return cost;
 }
 }  // namespace
 
-void Process::barrier(Comm comm) {
+void Process::barrier() {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const int csize = engine_->comm_obj(comm).size();
   engine_->collective(
-      me, comm.id, /*kind=*/1, nullptr, nullptr, 0, [](Engine::CollectiveCtx&) {},
-      [this, csize] { return engine_->model().barrier_us(csize); });
+      me, /*kind=*/1, nullptr, nullptr, [](Engine::CollectiveCtx&) {},
+      [this] { return engine_->model().barrier_us(engine_->nranks()); });
   me.clock.exit_runtime();
 }
-
-void Process::allgather(const void* src, void* dst, std::size_t bytes_per_rank,
-                        Comm comm) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const auto& members = engine_->comm_obj(comm).members;
-  const int n = static_cast<int>(members.size());
-  engine_->collective(
-      me, comm.id, /*kind=*/2, src, dst, bytes_per_rank,
-      [&members, n, bytes_per_rank](Engine::CollectiveCtx& c) {
-        for (int r = 0; r < n; ++r) {
-          auto* out = static_cast<std::byte*>(c.dst[static_cast<std::size_t>(members[r])]);
-          if (out == nullptr) continue;
-          for (int s = 0; s < n; ++s) {
-            std::memcpy(out + static_cast<std::size_t>(s) * bytes_per_rank,
-                        c.src[static_cast<std::size_t>(members[s])], bytes_per_rank);
-          }
-        }
-      },
-      [this, n, bytes_per_rank] {
-        return doubling_cost_us(engine_->model(), n, bytes_per_rank, /*growing=*/true);
-      });
-  me.clock.exit_runtime();
-}
-
-void Process::allgatherv(const void* src, std::size_t my_bytes, void* dst,
-                         const std::size_t* counts, Comm comm) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const auto& co = engine_->comm_obj(comm);
-  const auto& members = co.members;
-  const int n = static_cast<int>(members.size());
-  const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(my_local >= 0 && counts[my_local] == my_bytes,
-                 "allgatherv counts must match contributions");
-  std::size_t total = 0;
-  for (int r = 0; r < n; ++r) total += counts[r];
-  engine_->collective(
-      me, comm.id, /*kind=*/3, src, dst, my_bytes,
-      [&members, n, counts](Engine::CollectiveCtx& c) {
-        for (int r = 0; r < n; ++r) {
-          auto* out = static_cast<std::byte*>(c.dst[static_cast<std::size_t>(members[r])]);
-          if (out == nullptr) continue;
-          std::size_t off = 0;
-          for (int s = 0; s < n; ++s) {
-            std::memcpy(out + off, c.src[static_cast<std::size_t>(members[s])], counts[s]);
-            off += counts[s];
-          }
-        }
-      },
-      [this, n, total] {
-        return doubling_cost_us(engine_->model(), n, total / static_cast<std::size_t>(n),
-                                /*growing=*/true);
-      });
-  me.clock.exit_runtime();
-}
-
-namespace {
-template <typename T>
-void reduce_into(const Engine::CollectiveCtx& c, const std::vector<int>& members,
-                 std::size_t count, ReduceOp op, std::vector<T>& acc) {
-  acc.assign(count, T{});
-  for (std::size_t i = 0; i < count; ++i) {
-    T v = static_cast<const T*>(c.src[static_cast<std::size_t>(members[0])])[i];
-    for (std::size_t s = 1; s < members.size(); ++s) {
-      const T x = static_cast<const T*>(c.src[static_cast<std::size_t>(members[s])])[i];
-      switch (op) {
-        case ReduceOp::kSum: v += x; break;
-        case ReduceOp::kMax: v = std::max(v, x); break;
-        case ReduceOp::kMin: v = std::min(v, x); break;
-      }
-    }
-    acc[i] = v;
-  }
-}
-
-template <typename T>
-void scatter_result(const Engine::CollectiveCtx& c, const std::vector<int>& members,
-                    const std::vector<T>& acc) {
-  for (const int r : members) {
-    auto* out = static_cast<T*>(c.dst[static_cast<std::size_t>(r)]);
-    if (out != nullptr) std::copy(acc.begin(), acc.end(), out);
-  }
-}
-}  // namespace
 
 void Process::allreduce_f64(const double* src, double* dst, std::size_t n_elems,
-                            ReduceOp op, Comm comm) {
+                            ReduceOp op) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const auto& members = engine_->comm_obj(comm).members;
-  const int n = static_cast<int>(members.size());
   engine_->collective(
-      me, comm.id, /*kind=*/4, src, dst, n_elems * sizeof(double),
-      [&members, n_elems, op](Engine::CollectiveCtx& c) {
-        std::vector<double> acc;
-        reduce_into(c, members, n_elems, op, acc);
-        scatter_result(c, members, acc);
+      me, /*kind=*/4, src, dst,
+      [n_elems, op](Engine::CollectiveCtx& c) {
+        std::vector<double> acc(n_elems);
+        for (std::size_t i = 0; i < n_elems; ++i) {
+          double v = static_cast<const double*>(c.src[0])[i];
+          for (std::size_t s = 1; s < c.src.size(); ++s) {
+            const double x = static_cast<const double*>(c.src[s])[i];
+            switch (op) {
+              case ReduceOp::kSum: v += x; break;
+              case ReduceOp::kMax: v = std::max(v, x); break;
+              case ReduceOp::kMin: v = std::min(v, x); break;
+            }
+          }
+          acc[i] = v;
+        }
+        for (void* out : c.dst) {
+          if (out != nullptr) std::copy(acc.begin(), acc.end(), static_cast<double*>(out));
+        }
       },
-      [this, n, n_elems] {
-        return 2.0 * doubling_cost_us(engine_->model(), n, n_elems * sizeof(double),
-                                      /*growing=*/false);
-      });
-  me.clock.exit_runtime();
-}
-
-void Process::allreduce_u64(const std::uint64_t* src, std::uint64_t* dst,
-                            std::size_t n_elems, ReduceOp op, Comm comm) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const auto& members = engine_->comm_obj(comm).members;
-  const int n = static_cast<int>(members.size());
-  engine_->collective(
-      me, comm.id, /*kind=*/5, src, dst, n_elems * sizeof(std::uint64_t),
-      [&members, n_elems, op](Engine::CollectiveCtx& c) {
-        std::vector<std::uint64_t> acc;
-        reduce_into(c, members, n_elems, op, acc);
-        scatter_result(c, members, acc);
-      },
-      [this, n, n_elems] {
-        return 2.0 * doubling_cost_us(engine_->model(), n, n_elems * sizeof(std::uint64_t),
-                                      /*growing=*/false);
+      [this, n_elems] {
+        return 2.0 * doubling_cost_us(engine_->model(), engine_->nranks(),
+                                      n_elems * sizeof(double));
       });
   me.clock.exit_runtime();
 }
@@ -481,14 +342,14 @@ const Engine::WindowObj& Engine::window(Window w) const {
 void Engine::validate_target(const WindowObj& wo, int target, std::size_t disp,
                              std::size_t bytes) const {
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),
-                 "target rank out of range for the window's communicator");
+                 "target rank out of range");
   const std::size_t wsize = wo.size[static_cast<std::size_t>(target)];
   CLAMPI_REQUIRE(disp <= wsize && bytes <= wsize - disp,
                  "RMA access outside the target window");
 }
 
 Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
-                            bool read_only, Comm comm) {
+                            bool read_only) {
   RankCtx& me = ctx(rank);
   const auto r = static_cast<std::size_t>(rank);
   {
@@ -496,46 +357,37 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
     check_abort(me);
   }
   wincreate_[r] = {base, bytes, owned, read_only, Window{}};
-  const int csize = comm_obj(comm).size();
   collective(
-      me, comm.id, /*kind=*/6, nullptr, nullptr, 0,
-      [this, comm](CollectiveCtx&) {
-        // Window slots are indexed by *communicator-local* rank.
-        const CommObj& co = comm_obj(comm);
+      me, /*kind=*/6, nullptr, nullptr,
+      [this](CollectiveCtx&) {
         auto wo = std::make_unique<WindowObj>();
         wo->alive = true;
-        wo->read_only = wincreate_[static_cast<std::size_t>(co.members[0])].read_only;
-        wo->comm_id = comm.id;
-        const auto n = static_cast<std::size_t>(co.size());
+        wo->read_only = wincreate_[0].read_only;
+        const auto n = static_cast<std::size_t>(cfg_.nranks);
         wo->base.resize(n);
         wo->size.resize(n);
         wo->owned.resize(n);
         wo->locks.resize(n);
-        wo->pscw.resize(n);
-        wo->started.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
-          const WinStaging& st = wincreate_[static_cast<std::size_t>(co.members[i])];
+          const WinStaging& st = wincreate_[i];
           CLAMPI_REQUIRE(st.read_only == wo->read_only,
-                         "win_create: every member must pass const memory, or none");
+                         "win_create: every rank must pass const memory, or none");
           wo->base[i] = static_cast<std::byte*>(st.base);
           wo->size[i] = st.bytes;
           wo->owned[i] = st.owned;
         }
         windows_.push_back(std::move(wo));
         update_batons();
-        // Per-rank result slots: disjoint communicators may create
-        // windows concurrently, so a single shared "last window" would
-        // race between their rendezvous.
         const Window handle{static_cast<int>(windows_.size()) - 1};
-        for (const int wr : co.members) wincreate_[static_cast<std::size_t>(wr)].result = handle;
+        for (WinStaging& st : wincreate_) st.result = handle;
       },
-      [this, csize] { return cfg_.model->barrier_us(csize); });
+      [this] { return cfg_.model->barrier_us(cfg_.nranks); });
   // Safe without re-locking: this rank's slot cannot change until it has
   // entered another window-creation collective.
   return wincreate_[r].result;
 }
 
-Window Process::win_allocate(std::size_t bytes, void** base, Comm comm) {
+Window Process::win_allocate(std::size_t bytes, void** base) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   void* buf = nullptr;
@@ -546,43 +398,39 @@ Window Process::win_allocate(std::size_t bytes, void** base, Comm comm) {
     std::memset(buf, 0, rounded);
   }
   const Window w =
-      engine_->win_register(rank_, buf, bytes, /*owned=*/true, /*read_only=*/false, comm);
+      engine_->win_register(rank_, buf, bytes, /*owned=*/true, /*read_only=*/false);
   if (base != nullptr) *base = buf;
   me.clock.exit_runtime();
   return w;
 }
 
-Window Process::win_create(void* base, std::size_t bytes, Comm comm) {
+Window Process::win_create(void* base, std::size_t bytes) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   CLAMPI_REQUIRE(bytes == 0 || base != nullptr, "win_create with null memory");
   const Window w =
-      engine_->win_register(rank_, base, bytes, /*owned=*/false, /*read_only=*/false, comm);
+      engine_->win_register(rank_, base, bytes, /*owned=*/false, /*read_only=*/false);
   me.clock.exit_runtime();
   return w;
 }
 
-Window Process::win_create(const void* base, std::size_t bytes, Comm comm) {
+Window Process::win_create(const void* base, std::size_t bytes) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   CLAMPI_REQUIRE(bytes == 0 || base != nullptr, "win_create with null memory");
   // The read_only flag keeps every write path away from this memory.
   const Window w = engine_->win_register(rank_, const_cast<void*>(base), bytes,
-                                         /*owned=*/false, /*read_only=*/true, comm);
+                                         /*owned=*/false, /*read_only=*/true);
   me.clock.exit_runtime();
   return w;
-}
-
-Comm Process::win_comm(Window w) const {
-  return Comm{engine_->window(w).comm_id};
 }
 
 void Process::win_free(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const int comm_id = engine_->window(w).comm_id;  // also validates
+  engine_->window(w);  // validates
   engine_->collective(
-      me, comm_id, /*kind=*/7, nullptr, nullptr, static_cast<std::size_t>(w.id),
+      me, /*kind=*/7, nullptr, nullptr,
       [this, w](Engine::CollectiveCtx&) {
         Engine::WindowObj& wo = *engine_->windows_[static_cast<std::size_t>(w.id)];
         for (std::size_t r = 0; r < wo.base.size(); ++r) {
@@ -621,12 +469,8 @@ void Engine::apply_crash_wipe(int wt) {
   for (auto& w : windows_) {
     // Read-only memory is immutable (the const data the window exposes).
     if (w == nullptr || !w->alive || w->read_only) continue;
-    const auto& low = comms_[static_cast<std::size_t>(w->comm_id)]->local_of_world;
-    if (static_cast<std::size_t>(wt) >= low.size()) continue;
-    const int lr = low[static_cast<std::size_t>(wt)];
-    if (lr < 0) continue;
-    auto* base = w->base[static_cast<std::size_t>(lr)];
-    const std::size_t sz = w->size[static_cast<std::size_t>(lr)];
+    auto* base = w->base[static_cast<std::size_t>(wt)];
+    const std::size_t sz = w->size[static_cast<std::size_t>(wt)];
     if (base != nullptr && sz > 0) std::memset(base, 0, sz);
   }
   for (auto& per_target : ctx(wt).pending.per_window_target) {
@@ -694,38 +538,37 @@ void Process::end_crash_recovery() {
 // One-sided operations
 // ---------------------------------------------------------------------------
 
-Engine::Admitted Engine::admit(int origin, fault::OpKind kind, const WindowObj& wo,
-                               int target, std::size_t disp, std::size_t bytes) {
+fault::Injector::Verdict Engine::admit(int origin, fault::OpKind kind, int target,
+                                       std::size_t disp, std::size_t bytes) {
   auto& clock = ctx(origin).clock;
-  const int wt = comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
-  Admitted a{wt, {}};
+  fault::Injector::Verdict fv;
   if (fault::Injector* inj = cfg_.injector.get()) {
-    const bool recovering = crash_gate(wt, clock.now_us());
-    if (!recovering) a.fv = inj->on_op(kind, origin, wt, bytes, clock.now_us());
-    if (recovering || a.fv.fail) {
+    const bool recovering = crash_gate(target, clock.now_us());
+    if (!recovering) fv = inj->on_op(kind, origin, target, bytes, clock.now_us());
+    if (recovering || fv.fail) {
       // A refused op moves no data and leaves nothing pending for flush,
       // but the origin NIC did work before the drop: charge the issue.
-      clock.advance_us(model().issue_us(origin, wt, bytes));
-      fail_op(origin, {kind, origin, wt, disp, bytes, clock.now_us()},
-              recovering ? fault::FailureKind::kRecovering : a.fv.kind);
+      clock.advance_us(model().issue_us(origin, target, bytes));
+      fail_op(origin, {kind, origin, target, disp, bytes, clock.now_us()},
+              recovering ? fault::FailureKind::kRecovering : fv.kind);
     }
   }
   if (cfg_.op_observer) {
-    cfg_.op_observer({kind, origin, wt, disp, bytes, clock.now_us()}, /*failed=*/false);
+    cfg_.op_observer({kind, origin, target, disp, bytes, clock.now_us()}, /*failed=*/false);
   }
-  return a;
+  return fv;
 }
 
-void Engine::complete(int origin, Window w, int target, const Admitted& a,
+void Engine::complete(int origin, Window w, int target, const fault::Injector::Verdict& fv,
                       std::size_t bytes, double xfer_us) {
   auto& clock = ctx(origin).clock;
   const double t0 = clock.now_us();
-  clock.advance_us(model().issue_us(origin, a.wt, bytes));
-  const double xfer = fault::Injector::perturb(a.fv, xfer_us);
+  clock.advance_us(model().issue_us(origin, target, bytes));
+  const double xfer = fault::Injector::perturb(fv, xfer_us);
   double done = t0 + xfer;
   if (cfg_.serialize_injection) {
     // The remote NIC is a unit-capacity server: the transfer waits for it.
-    auto& free_at = nic_free_us_[static_cast<std::size_t>(a.wt)];
+    auto& free_at = nic_free_us_[static_cast<std::size_t>(target)];
     free_at = std::max(t0, free_at) + xfer;
     done = free_at;
   }
@@ -752,12 +595,12 @@ void Process::get(void* origin, std::size_t bytes, int target, std::size_t disp,
   engine_->ctx(rank_).clock.enter_runtime();
   auto& wo = engine_->window(w);
   engine_->validate_target(wo, target, disp, bytes);
-  const auto a = engine_->admit(rank_, fault::OpKind::kGet, wo, target, disp, bytes);
+  const auto fv = engine_->admit(rank_, fault::OpKind::kGet, target, disp, bytes);
   // Data is copied eagerly (legal under the epoch model: the source may not
   // be concurrently modified within the epoch); the completion time is what
   // the network model says, so flush shows the true overlap window.
   std::memcpy(origin, wo.base[static_cast<std::size_t>(target)] + disp, bytes);
-  engine_->complete(rank_, w, target, a, bytes, model().transfer_us(a.wt, rank_, bytes));
+  engine_->complete(rank_, w, target, fv, bytes, model().transfer_us(target, rank_, bytes));
 }
 
 void Process::put(const void* origin, std::size_t bytes, int target, std::size_t disp,
@@ -766,9 +609,9 @@ void Process::put(const void* origin, std::size_t bytes, int target, std::size_t
   auto& wo = engine_->window(w);
   CLAMPI_REQUIRE(!wo.read_only, "put on a read-only window");
   engine_->validate_target(wo, target, disp, bytes);
-  const auto a = engine_->admit(rank_, fault::OpKind::kPut, wo, target, disp, bytes);
+  const auto fv = engine_->admit(rank_, fault::OpKind::kPut, target, disp, bytes);
   std::memcpy(wo.base[static_cast<std::size_t>(target)] + disp, origin, bytes);
-  engine_->complete(rank_, w, target, a, bytes, model().transfer_us(rank_, a.wt, bytes));
+  engine_->complete(rank_, w, target, fv, bytes, model().transfer_us(rank_, target, bytes));
 }
 
 void Process::get_blocks(void* origin, int target, std::size_t disp, const Block* blocks,
@@ -780,7 +623,7 @@ void Process::get_blocks(void* origin, int target, std::size_t disp, const Block
     engine_->validate_target(wo, target, disp + blocks[i].offset, blocks[i].size);
     total += blocks[i].size;
   }
-  const auto a = engine_->admit(rank_, fault::OpKind::kGetBlocks, wo, target, disp, total);
+  const auto fv = engine_->admit(rank_, fault::OpKind::kGetBlocks, target, disp, total);
   auto* out = static_cast<std::byte*>(origin);
   const std::byte* in = wo.base[static_cast<std::size_t>(target)];
   std::size_t off = 0;
@@ -788,7 +631,7 @@ void Process::get_blocks(void* origin, int target, std::size_t disp, const Block
     std::memcpy(out + off, in + disp + blocks[i].offset, blocks[i].size);
     off += blocks[i].size;
   }
-  engine_->complete(rank_, w, target, a, total, model().transfer_us(a.wt, rank_, total));
+  engine_->complete(rank_, w, target, fv, total, model().transfer_us(target, rank_, total));
 }
 
 double Process::pending_completion_us(int target, Window w) const {
@@ -814,14 +657,12 @@ void Process::flush(int target, Window w) {
   const double done = me.pending.take_target(static_cast<std::size_t>(w.id), target);
   if (const fault::Injector* inj = engine_->cfg_.injector.get();
       inj != nullptr && done > 0.0) {
-    const int wt =
-        engine_->comm_obj(Comm{wo.comm_id}).members[static_cast<std::size_t>(target)];
     // The flush cannot confirm completion of the outstanding ops. Pending
     // state is already cleared (taken above), so a subsequent flush of the
     // same target succeeds trivially.
-    if (const auto why = engine_->unreachable(*inj, rank_, wt, me.clock.now_us())) {
-      engine_->fail_op(rank_, {fault::OpKind::kFlush, rank_, wt, 0, 0, me.clock.now_us()},
-                       *why);
+    if (const auto why = engine_->unreachable(*inj, rank_, target, me.clock.now_us())) {
+      engine_->fail_op(rank_,
+                       {fault::OpKind::kFlush, rank_, target, 0, 0, me.clock.now_us()}, *why);
     }
   }
   me.clock.advance_to_us(done);
@@ -831,19 +672,18 @@ void Process::flush(int target, Window w) {
 void Process::flush_all(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
-  const auto& wo = engine_->window(w);
+  engine_->window(w);  // validates
   auto& pend = me.pending;
-  // World rank of the lowest unreachable target with pending ops, and why
-  // it is unreachable.
+  // The lowest unreachable target with pending ops, and why it is
+  // unreachable.
   int failed_target = -1;
   std::optional<fault::FailureKind> why;
   if (const fault::Injector* inj = engine_->cfg_.injector.get();
       inj != nullptr && pend.per_window_target.size() > static_cast<std::size_t>(w.id)) {
     const auto& per_target = pend.per_window_target[static_cast<std::size_t>(w.id)];
-    const auto& members = engine_->comm_obj(Comm{wo.comm_id}).members;
     for (std::size_t t = 0; t < per_target.size() && !why; ++t) {
       if (per_target[t] <= 0.0) continue;
-      failed_target = members[t];
+      failed_target = static_cast<int>(t);
       why = engine_->unreachable(*inj, rank_, failed_target, me.clock.now_us());
     }
   }
@@ -853,264 +693,6 @@ void Process::flush_all(Window w) {
         rank_, {fault::OpKind::kFlush, rank_, failed_target, 0, 0, me.clock.now_us()}, *why);
   }
   me.clock.advance_to_us(done);
-  me.clock.exit_runtime();
-}
-
-
-// ---------------------------------------------------------------------------
-// One-sided atomics (accumulate family)
-// ---------------------------------------------------------------------------
-
-std::size_t accumulate_type_size(AccumulateType t) {
-  switch (t) {
-    case AccumulateType::kInt32: return 4;
-    case AccumulateType::kInt64:
-    case AccumulateType::kUInt64:
-    case AccumulateType::kDouble: return 8;
-  }
-  return 0;
-}
-
-namespace {
-
-template <typename T>
-T apply_op(AccumulateOp op, T window_value, T origin_value) {
-  switch (op) {
-    case AccumulateOp::kSum: return static_cast<T>(window_value + origin_value);
-    case AccumulateOp::kMax: return std::max(window_value, origin_value);
-    case AccumulateOp::kMin: return std::min(window_value, origin_value);
-    case AccumulateOp::kReplace: return origin_value;
-    case AccumulateOp::kNoOp: return window_value;
-  }
-  return window_value;
-}
-
-template <typename T>
-void accumulate_typed(std::byte* win_data, const void* origin, void* result,
-                      std::size_t count, AccumulateOp op) {
-  auto* w = reinterpret_cast<T*>(win_data);
-  const auto* o = static_cast<const T*>(origin);
-  auto* r = static_cast<T*>(result);
-  for (std::size_t i = 0; i < count; ++i) {
-    const T old = w[i];
-    if (r != nullptr) r[i] = old;
-    if (op != AccumulateOp::kNoOp) {
-      CLAMPI_REQUIRE(o != nullptr, "accumulate without origin data");
-      w[i] = apply_op(op, old, o[i]);
-    }
-  }
-}
-
-void accumulate_dispatch(AccumulateType type, std::byte* win_data, const void* origin,
-                         void* result, std::size_t count, AccumulateOp op) {
-  switch (type) {
-    case AccumulateType::kInt32:
-      accumulate_typed<std::int32_t>(win_data, origin, result, count, op);
-      break;
-    case AccumulateType::kInt64:
-      accumulate_typed<std::int64_t>(win_data, origin, result, count, op);
-      break;
-    case AccumulateType::kUInt64:
-      accumulate_typed<std::uint64_t>(win_data, origin, result, count, op);
-      break;
-    case AccumulateType::kDouble:
-      accumulate_typed<double>(win_data, origin, result, count, op);
-      break;
-  }
-}
-
-}  // namespace
-
-void Process::get_accumulate(const void* origin, void* result, std::size_t count,
-                             AccumulateType type, AccumulateOp op, int target,
-                             std::size_t disp, Window w) {
-  engine_->ctx(rank_).clock.enter_runtime();
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(!wo.read_only, "accumulate on a read-only window");
-  const std::size_t bytes = count * accumulate_type_size(type);
-  engine_->validate_target(wo, target, disp, bytes);
-  const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
-  // Element-wise atomicity is free: a writable window keeps the single
-  // baton, and accumulates (unlike put/get) are permitted to race per
-  // MPI-3.
-  accumulate_dispatch(type, wo.base[static_cast<std::size_t>(target)] + disp, origin,
-                      result, count, op);
-  // Fetching variants pay a round trip (payload out + old values back).
-  const auto& m = model();
-  engine_->complete(rank_, w, target, a, bytes,
-                    m.transfer_us(rank_, a.wt, bytes) +
-                        (result != nullptr ? m.transfer_us(a.wt, rank_, bytes) : 0.0));
-}
-
-void Process::accumulate(const void* origin, std::size_t count, AccumulateType type,
-                         AccumulateOp op, int target, std::size_t disp, Window w) {
-  CLAMPI_REQUIRE(op != AccumulateOp::kNoOp, "accumulate with MPI_NO_OP has no effect");
-  get_accumulate(origin, nullptr, count, type, op, target, disp, w);
-}
-
-void Process::fetch_and_op(const void* origin, void* result, AccumulateType type,
-                           AccumulateOp op, int target, std::size_t disp, Window w) {
-  get_accumulate(origin, result, 1, type, op, target, disp, w);
-}
-
-void Process::compare_and_swap(const void* desired, const void* expected, void* result,
-                               AccumulateType type, int target, std::size_t disp,
-                               Window w) {
-  CLAMPI_REQUIRE(type != AccumulateType::kDouble,
-                 "compare_and_swap requires an integer type");
-  engine_->ctx(rank_).clock.enter_runtime();
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(!wo.read_only, "compare_and_swap on a read-only window");
-  const std::size_t bytes = accumulate_type_size(type);
-  engine_->validate_target(wo, target, disp, bytes);
-  const auto a = engine_->admit(rank_, fault::OpKind::kAtomic, wo, target, disp, bytes);
-  std::byte* slot = wo.base[static_cast<std::size_t>(target)] + disp;
-  std::memcpy(result, slot, bytes);
-  if (std::memcmp(slot, expected, bytes) == 0) std::memcpy(slot, desired, bytes);
-  const auto& m = model();
-  engine_->complete(rank_, w, target, a, bytes,
-                    m.transfer_us(rank_, a.wt, bytes) + m.transfer_us(a.wt, rank_, bytes));
-}
-
-
-// ---------------------------------------------------------------------------
-// flush_local
-// ---------------------------------------------------------------------------
-
-void Process::flush_local(int target, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),
-                 "target rank out of range");
-  // Data movement is eager in rmasim: origin buffers are already reusable.
-  // Only the (tiny) local-completion overhead is charged; the modelled
-  // transfer keeps running and a later flush() still waits for it.
-  me.clock.advance_us(engine_->model().issue_us(rank_, rank_, 0));
-  me.clock.exit_runtime();
-}
-
-void Process::flush_local_all(Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  engine_->window(w);  // validates
-  me.clock.advance_us(engine_->model().issue_us(rank_, rank_, 0));
-  me.clock.exit_runtime();
-}
-
-// ---------------------------------------------------------------------------
-// PSCW generalized active-target synchronization
-// ---------------------------------------------------------------------------
-
-void Process::post(const std::vector<int>& origin_group, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(!wo.read_only, "PSCW on a read-only window");
-  const auto& co = engine_->comm_obj(Comm{wo.comm_id});
-  const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(my_local >= 0, "post on a window of a foreign communicator");
-  auto& ps = wo.pscw[static_cast<std::size_t>(my_local)];
-  CLAMPI_REQUIRE(!ps.exposed, "post: exposure epoch already open");
-  for (const int o : origin_group) {
-    CLAMPI_REQUIRE(o >= 0 && o < co.size(), "post: origin rank out of range");
-  }
-  ps.exposed = true;
-  ps.origins = origin_group;
-  ps.outstanding = static_cast<int>(origin_group.size());
-  // Wake origins already blocked in start() on this target.
-  for (const int o : ps.waiting_origins) {
-    auto& rc = engine_->ctx(o);
-    rc.clock.advance_to_us(me.clock.now_us());
-    rc.state = Engine::RunState::kReady;
-  }
-  ps.waiting_origins.clear();
-  lk.unlock();
-  me.clock.exit_runtime();
-}
-
-void Process::start(const std::vector<int>& target_group, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(!wo.read_only, "PSCW on a read-only window");
-  const auto& co = engine_->comm_obj(Comm{wo.comm_id});
-  const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(my_local >= 0, "start on a window of a foreign communicator");
-  CLAMPI_REQUIRE(wo.started[static_cast<std::size_t>(my_local)].empty(),
-                 "start: access epoch already open");
-  for (const int t : target_group) {
-    CLAMPI_REQUIRE(t >= 0 && t < co.size(), "start: target rank out of range");
-    auto& ps = wo.pscw[static_cast<std::size_t>(t)];
-    const auto posted_to_me = [&] {
-      return ps.exposed && std::find(ps.origins.begin(), ps.origins.end(), my_local) !=
-                               ps.origins.end();
-    };
-    while (!posted_to_me()) {
-      ps.waiting_origins.push_back(rank_);  // world rank: used to wake us
-      engine_->switch_out(lk, me, Engine::RunState::kBlocked);
-    }
-  }
-  wo.started[static_cast<std::size_t>(my_local)] = target_group;
-  lk.unlock();
-  me.clock.exit_runtime();
-}
-
-void Process::complete(Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& wo = engine_->window(w);
-  const auto& co = engine_->comm_obj(Comm{wo.comm_id});
-  const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(my_local >= 0, "complete on a window of a foreign communicator");
-  auto& targets = wo.started[static_cast<std::size_t>(my_local)];
-  CLAMPI_REQUIRE(!targets.empty(), "complete without a matching start");
-  lk.unlock();
-  // Complete all RMA operations of this access epoch (per target).
-  for (const int t : targets) {
-    const double done = me.pending.take_target(static_cast<std::size_t>(w.id), t);
-    me.clock.advance_to_us(done);
-  }
-  lk.lock();
-  for (const int t : targets) {
-    auto& ps = wo.pscw[static_cast<std::size_t>(t)];
-    CLAMPI_ASSERT(ps.outstanding > 0, "PSCW completion imbalance");
-    if (--ps.outstanding == 0 && ps.target_waiting) {
-      auto& rc = engine_->ctx(co.members[static_cast<std::size_t>(t)]);
-      rc.clock.advance_to_us(me.clock.now_us());
-      rc.state = Engine::RunState::kReady;
-      ps.target_waiting = false;
-    }
-  }
-  targets.clear();
-  lk.unlock();
-  me.clock.exit_runtime();
-}
-
-void Process::wait(Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& wo = engine_->window(w);
-  const auto& co = engine_->comm_obj(Comm{wo.comm_id});
-  const int my_local = co.local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(my_local >= 0, "wait on a window of a foreign communicator");
-  auto& ps = wo.pscw[static_cast<std::size_t>(my_local)];
-  CLAMPI_REQUIRE(ps.exposed, "wait without a matching post");
-  while (ps.outstanding > 0) {
-    ps.target_waiting = true;
-    engine_->switch_out(lk, me, Engine::RunState::kBlocked);
-  }
-  ps.exposed = false;
-  ps.origins.clear();
-  lk.unlock();
   me.clock.exit_runtime();
 }
 
@@ -1151,12 +733,14 @@ void Process::lock(LockType type, int target, Window w) {
 void Process::unlock(int target, Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
+  auto& wo = engine_->window(w);
+  CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.locks.size(),
+                 "target rank out of range");
   // Unlock completes all outstanding operations to the target.
   const double done = me.pending.take_target(static_cast<std::size_t>(w.id), target);
   me.clock.advance_to_us(done);
   std::unique_lock<std::mutex> lk(engine_->mu_);
   engine_->check_abort(me);
-  auto& wo = engine_->window(w);
   auto& ls = wo.locks[static_cast<std::size_t>(target)];
   if (ls.exclusive_holder == rank_) {
     ls.exclusive_holder = -1;
@@ -1198,92 +782,11 @@ void Process::fence(Window w) {
   me.clock.enter_runtime();
   const double done = me.pending.take_all(static_cast<std::size_t>(w.id));
   me.clock.advance_to_us(done);
-  const int comm_id = engine_->window(w).comm_id;
-  const int csize = engine_->comm_obj(Comm{comm_id}).size();
+  engine_->window(w);  // validates
   engine_->collective(
-      me, comm_id, /*kind=*/8, nullptr, nullptr, static_cast<std::size_t>(w.id),
-      [](Engine::CollectiveCtx&) {},
-      [this, csize] { return engine_->model().barrier_us(csize); });
+      me, /*kind=*/8, nullptr, nullptr, [](Engine::CollectiveCtx&) {},
+      [this] { return engine_->model().barrier_us(engine_->nranks()); });
   me.clock.exit_runtime();
-}
-
-// ---------------------------------------------------------------------------
-// Communicators
-// ---------------------------------------------------------------------------
-
-int Process::comm_rank(Comm c) const {
-  const int local =
-      engine_->comm_obj(c).local_of_world[static_cast<std::size_t>(rank_)];
-  CLAMPI_REQUIRE(local >= 0, "rank is not a member of this communicator");
-  return local;
-}
-
-int Process::comm_size(Comm c) const { return engine_->comm_obj(c).size(); }
-
-int Process::comm_world_rank(Comm c, int local_rank) const {
-  const auto& co = engine_->comm_obj(c);
-  CLAMPI_REQUIRE(local_rank >= 0 && local_rank < co.size(),
-                 "local rank out of range");
-  return co.members[static_cast<std::size_t>(local_rank)];
-}
-
-int Process::comm_local_rank(Comm c, int world_rank) const {
-  const auto& co = engine_->comm_obj(c);
-  if (world_rank < 0 ||
-      static_cast<std::size_t>(world_rank) >= co.local_of_world.size()) {
-    return -1;
-  }
-  return co.local_of_world[static_cast<std::size_t>(world_rank)];
-}
-
-bool Process::comm_member(Comm c) const {
-  return engine_->comm_obj(c).local_of_world[static_cast<std::size_t>(rank_)] >= 0;
-}
-
-Comm Process::comm_split(Comm parent, int color, int key) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  CLAMPI_REQUIRE(color >= 0, "comm_split: negative colors are not supported");
-  engine_->split_color_key_[static_cast<std::size_t>(rank_)] = {color, key};
-  const int csize = engine_->comm_obj(parent).size();
-  engine_->collective(
-      me, parent.id, /*kind=*/9, nullptr, nullptr, 0,
-      [this, parent](Engine::CollectiveCtx&) {
-        // Partition the parent's members by color, order each new
-        // communicator by (key, world rank).
-        const auto parent_members = engine_->comm_obj(parent).members;
-        std::vector<std::tuple<int, int, int>> rows;  // (color, key, world)
-        rows.reserve(parent_members.size());
-        for (const int wr : parent_members) {
-          const auto [c, k] = engine_->split_color_key_[static_cast<std::size_t>(wr)];
-          rows.emplace_back(c, k, wr);
-        }
-        std::sort(rows.begin(), rows.end());
-        std::size_t i = 0;
-        while (i < rows.size()) {
-          const int color = std::get<0>(rows[i]);
-          auto co = std::make_unique<Engine::CommObj>();
-          co->alive = true;
-          co->local_of_world.assign(static_cast<std::size_t>(engine_->nranks()), -1);
-          while (i < rows.size() && std::get<0>(rows[i]) == color) {
-            const int wr = std::get<2>(rows[i]);
-            co->local_of_world[static_cast<std::size_t>(wr)] =
-                static_cast<int>(co->members.size());
-            co->members.push_back(wr);
-            ++i;
-          }
-          const int new_id = static_cast<int>(engine_->comms_.size());
-          for (const int wr : co->members) {
-            engine_->split_result_[static_cast<std::size_t>(wr)] = new_id;
-          }
-          engine_->comms_.push_back(std::move(co));
-        }
-        engine_->update_batons();
-      },
-      [this, csize] { return engine_->model().barrier_us(csize); });
-  const Comm result{engine_->split_result_[static_cast<std::size_t>(rank_)]};
-  me.clock.exit_runtime();
-  return result;
 }
 
 // ---------------------------------------------------------------------------

@@ -13,23 +13,20 @@
 // Scheduling (docs/INTERNALS.md §1): a single baton, so exactly one rank
 // runs at a time, except while the run cannot observe how ranks
 // interleave. That holds when at least one window is live and every live
-// window is read-only (created from const memory), only the world
-// communicator exists, and no injector, op_observer or
-// serialize_injection is configured. Then up to min(nranks, usable CPUs)
-// ranks run at once, each on its own CPU, so a measured clock still
-// charges each rank only its own compute. The mode changes only at window
-// and communicator collectives, where every rank is parked.
+// window is read-only (created from const memory), and no injector,
+// op_observer or serialize_injection is configured. Then up to
+// min(nranks, usable CPUs) ranks run at once, each on its own CPU, so a
+// measured clock still charges each rank only its own compute. The mode
+// changes only at window collectives, where every rank is parked.
 //
-// Supported surface (MPI names translated to C++):
-//   win_allocate / win_create / win_free              (collective, per comm)
+// Supported surface (MPI names translated to C++), all over the world
+// communicator; only what a layer above calls (tests/knob_audit.py):
+//   win_allocate / win_create / win_free              (collective)
 //   get / put (+ datatype'd get_blocks)               MPI_Get / MPI_Put
-//   accumulate / get_accumulate / fetch_and_op /
-//   compare_and_swap                                  one-sided atomics
-//   flush / flush_all / flush_local(_all)             MPI_Win_flush family
+//   flush / flush_all                                 MPI_Win_flush(_all)
 //   lock / unlock / lock_all / unlock_all             passive target epochs
-//   fence, post / start / complete / wait             active target epochs
-//   barrier / allgather(v) / allreduce                collectives (per comm)
-//   comm_split / comm_rank / comm_size                communicators
+//   fence                                             active target epoch
+//   barrier / allreduce_f64                           collectives
 #pragma once
 
 #include <atomic>
@@ -61,31 +58,10 @@ struct Window {
   bool valid() const { return id >= 0; }
 };
 
-/// Opaque communicator handle. Id 0 is the world communicator; others
-/// come from comm_split (MPI_Comm_split). Ranks inside a communicator
-/// are dense 0..size-1 in (color, key, world-rank) order.
-struct Comm {
-  int id = 0;
-  bool valid() const { return id >= 0; }
-};
-
-inline constexpr Comm kCommWorld{0};
-
 enum class LockType { kShared, kExclusive };
 
 /// Reduction operators for allreduce.
 enum class ReduceOp { kSum, kMax, kMin };
-
-/// Operators for one-sided accumulates (the MPI_Op subset the paper's
-/// application classes need). kReplace mirrors MPI_REPLACE, kNoOp mirrors
-/// MPI_NO_OP (pure atomic read in get_accumulate).
-enum class AccumulateOp { kSum, kMax, kMin, kReplace, kNoOp };
-
-/// Element types supported by the accumulate family (MPI predefined-type
-/// subset; accumulates are element-wise, unlike raw byte puts/gets).
-enum class AccumulateType { kInt32, kInt64, kUInt64, kDouble };
-
-std::size_t accumulate_type_size(AccumulateType t);
 
 /// CPUs this process may run on (its affinity mask): the most ranks the
 /// scheduler lets run at once.
@@ -99,20 +75,6 @@ class Process {
   int nranks() const;
   double now_us() const;
 
-  // --- Communicators ---
-  /// Partition `parent` by color (MPI_Comm_split): every member passes a
-  /// color and a key; members sharing a color form a new communicator
-  /// ordered by (key, world rank). Collective over `parent`.
-  Comm comm_split(Comm parent, int color, int key);
-  int comm_rank(Comm c) const;   ///< this process's rank within c
-  int comm_size(Comm c) const;
-  /// World rank of `local_rank` within c.
-  int comm_world_rank(Comm c, int local_rank) const;
-  /// Rank of `world_rank` within c, or -1 if it is not a member.
-  int comm_local_rank(Comm c, int world_rank) const;
-  /// True if this process belongs to c.
-  bool comm_member(Comm c) const;
-
   /// Advance virtual time by a modelled compute phase.
   void compute_us(double us);
 
@@ -121,21 +83,18 @@ class Process {
   /// copies cost the same under both policies.
   void charge_local_copy(std::size_t bytes);
 
-  // --- Window management (collective over the window's communicator) ---
+  // --- Window management (collective over every rank) ---
   /// Allocate `bytes` of window memory owned by the runtime. Target ranks
-  /// of all RMA calls on the window are ranks *within* `comm`.
-  Window win_allocate(std::size_t bytes, void** base, Comm comm = kCommWorld);
+  /// of all RMA calls on the window are world ranks.
+  Window win_allocate(std::size_t bytes, void** base);
   /// Expose caller-owned memory.
-  Window win_create(void* base, std::size_t bytes, Comm comm = kCommWorld);
+  Window win_create(void* base, std::size_t bytes);
   /// Expose caller-owned memory that nothing writes through the window.
-  /// Every member must pass const memory. put, the accumulate family,
-  /// compare_and_swap, an exclusive lock and PSCW on the window throw
-  /// ContractError. While every live window is read-only, ranks may run
-  /// concurrently (see the header comment).
-  Window win_create(const void* base, std::size_t bytes, Comm comm = kCommWorld);
+  /// Every rank must pass const memory. put and an exclusive lock on the
+  /// window throw ContractError. While every live window is read-only,
+  /// ranks may run concurrently (see the header comment).
+  Window win_create(const void* base, std::size_t bytes);
   void win_free(Window w);
-  /// Communicator the window was created over.
-  Comm win_comm(Window w) const;
 
   std::size_t win_size(Window w, int target) const;
   /// Direct pointer to a target's window memory (simulation backdoor used
@@ -156,23 +115,6 @@ class Process {
   void get_blocks(void* origin, int target, std::size_t disp, const Block* blocks,
                   std::size_t nblocks, Window w);
 
-  // --- One-sided atomics (MPI_Accumulate family) ---
-  /// result[i] = window[i] (old value), then window[i] = op(window[i],
-  /// origin[i]). Pass origin == nullptr with kNoOp for an atomic read.
-  void get_accumulate(const void* origin, void* result, std::size_t count,
-                      AccumulateType type, AccumulateOp op, int target, std::size_t disp,
-                      Window w);
-  /// window[i] = op(window[i], origin[i]) without fetching.
-  void accumulate(const void* origin, std::size_t count, AccumulateType type,
-                  AccumulateOp op, int target, std::size_t disp, Window w);
-  /// Single-element get_accumulate (MPI_Fetch_and_op).
-  void fetch_and_op(const void* origin, void* result, AccumulateType type,
-                    AccumulateOp op, int target, std::size_t disp, Window w);
-  /// MPI_Compare_and_swap: result = window value; window = desired iff
-  /// window == expected. Element type must be an integer type.
-  void compare_and_swap(const void* desired, const void* expected, void* result,
-                        AccumulateType type, int target, std::size_t disp, Window w);
-
   // --- Completion / epochs ---
   /// Modelled completion time of the outstanding operations against
   /// `target` on `w`, WITHOUT waiting (no clock advance, pending state
@@ -190,12 +132,6 @@ class Process {
   double discard_pending(int target, Window w);
   void flush(int target, Window w);
   void flush_all(Window w);
-  /// MPI_Win_flush_local(_all): origin buffers are reusable, the remote
-  /// side may still be in flight. Under rmasim's eager data movement this
-  /// is a local no-op in data terms, but it does NOT wait for the
-  /// modelled transfer — the distinction Fig. 8 (overlap) relies on.
-  void flush_local(int target, Window w);
-  void flush_local_all(Window w);
   void lock(LockType type, int target, Window w);
   void unlock(int target, Window w);
   void lock_all(Window w);
@@ -203,29 +139,9 @@ class Process {
   /// Active-target fence: collective; completes all pending operations.
   void fence(Window w);
 
-  // --- Generalized active target (PSCW: MPI_Win_post/start/complete/wait) ---
-  /// Expose the local window to `origin_group` (exposure epoch begins).
-  void post(const std::vector<int>& origin_group, Window w);
-  /// Begin an access epoch to `target_group`; blocks until all targets
-  /// posted.
-  void start(const std::vector<int>& target_group, Window w);
-  /// End the access epoch started with start(); completes all RMA ops.
-  void complete(Window w);
-  /// Block until every origin that we posted to has called complete().
-  void wait(Window w);
-
-  // --- Collectives (over any communicator; default world) ---
-  void barrier(Comm comm = kCommWorld);
-  void allgather(const void* src, void* dst, std::size_t bytes_per_rank,
-                 Comm comm = kCommWorld);
-  /// Variable-size allgather; `counts[r]` bytes contributed by comm rank
-  /// r, concatenated in rank order into dst.
-  void allgatherv(const void* src, std::size_t my_bytes, void* dst,
-                  const std::size_t* counts, Comm comm = kCommWorld);
-  void allreduce_f64(const double* src, double* dst, std::size_t n, ReduceOp op,
-                     Comm comm = kCommWorld);
-  void allreduce_u64(const std::uint64_t* src, std::uint64_t* dst, std::size_t n,
-                     ReduceOp op, Comm comm = kCommWorld);
+  // --- Collectives (over every rank) ---
+  void barrier();
+  void allreduce_f64(const double* src, double* dst, std::size_t n, ReduceOp op);
 
   /// Yield the baton (lets lower-virtual-time ranks run). Rarely needed by
   /// applications; exposed for tests.
@@ -255,8 +171,6 @@ class Process {
   /// Recovery finished: ops targeting this rank flow again.
   void end_crash_recovery();
 
-  Engine& engine() { return *engine_; }
-  const net::Model& model() const;
   /// Installed fault injector, or nullptr (perfect network). Exposed so
   /// resilience layers (CLaMPI degraded reads) can ask about rank health.
   const fault::Injector* fault_injector() const;
@@ -264,6 +178,7 @@ class Process {
  private:
   friend class Engine;
   Process(Engine* e, int rank) : engine_(e), rank_(rank) {}
+  const net::Model& model() const;
   Engine* engine_;
   int rank_;
 };
@@ -289,7 +204,7 @@ class Engine {
     /// bit-identical virtual-time results to null.
     std::shared_ptr<fault::Injector> injector;
     /// Optional per-operation observer: invoked once for every one-sided
-    /// data operation (get / put / get_blocks / accumulate family) with
+    /// data operation (get / put / get_blocks) with
     /// the operation descriptor and whether it failed, and for flushes
     /// that fail against a dead, partitioned or recovering target. Runs
     /// on the issuing rank's thread. Installing one keeps the single
@@ -318,24 +233,21 @@ class Engine {
   double final_time_us(int rank) const;
   double max_final_time_us() const;
 
-  // Collective staging (world). `arrived` counts ranks in the current
-  // collective; the last arriver performs data movement and releases all.
-  // Public only because out-of-class helpers operate on it.
-  struct CollectiveCtx {
-    int arrived = 0;
-    std::uint64_t generation = 0;
-    std::vector<const void*> src;
-    std::vector<void*> dst;
-    std::vector<std::size_t> bytes;
-    std::vector<int> waiters;
-    double max_arrival_us = 0.0;
-    int kind = 0;  // debugging: ensure all ranks run the same collective
-  };
-
  private:
   friend class Process;
 
   enum class RunState { kReady, kRunning, kBlocked, kDone };
+
+  // Collective staging. `arrived` counts ranks in the current collective;
+  // the last arriver performs data movement and releases all.
+  struct CollectiveCtx {
+    int arrived = 0;
+    std::vector<const void*> src;
+    std::vector<void*> dst;
+    std::vector<int> waiters;
+    double max_arrival_us = 0.0;
+    int kind = 0;  // debugging: ensure all ranks run the same collective
+  };
 
   // Per-rank pending-completion times, per window, per target.
   struct PendingCompletions {
@@ -369,32 +281,14 @@ class Engine {
     std::vector<int> waiters;   // ranks blocked on this lock
   };
 
-  // PSCW exposure state of one rank (as a target).
-  struct PscwState {
-    bool exposed = false;
-    std::vector<int> origins;          // may access during this exposure
-    int outstanding = 0;               // origins that have not completed yet
-    std::vector<int> waiting_origins;  // ranks blocked in start()
-    bool target_waiting = false;       // target blocked in wait()
-  };
-
-  struct CommObj {
-    bool alive = false;
-    std::vector<int> members;        // world ranks, communicator order
-    std::vector<int> local_of_world; // world rank -> local rank or -1
-    int size() const { return static_cast<int>(members.size()); }
-  };
-
+  // Every per-rank vector is indexed by target rank.
   struct WindowObj {
     bool alive = false;
     bool read_only = false;  ///< created from const memory
-    int comm_id = 0;
     std::vector<std::byte*> base;
     std::vector<std::size_t> size;
     std::vector<bool> owned;  // allocated by win_allocate -> freed by us
     std::vector<LockState> locks;  // per target
-    std::vector<PscwState> pscw;   // per rank, as exposure target
-    std::vector<std::vector<int>> started;  // per rank, as origin: targets
   };
 
   // One rank's contribution to a window-creation collective, written by
@@ -417,9 +311,8 @@ class Engine {
   // abort the run if nothing runs while ranks are blocked (caller holds
   // mu_).
   void schedule_next(std::unique_lock<std::mutex>& lk);
-  // Recount the batons after a window or communicator collective changed
-  // what ranks can observe of each other (caller holds mu_, every member
-  // of the collective is parked).
+  // Recount the batons after a window collective changed what ranks can
+  // observe of each other (caller holds mu_, every rank is parked).
   void update_batons();
   void check_abort(RankCtx& me);
 
@@ -430,43 +323,38 @@ class Engine {
   void validate_target(const WindowObj& wo, int target, std::size_t disp,
                        std::size_t bytes) const;
 
-  // Generic collective rendezvous over one communicator: blocks until all
-  // members arrived; the last arriver runs `complete` (with mu_ held) and
+  // Generic collective rendezvous over every rank: blocks until all ranks
+  // arrived; the last arriver runs `complete` (with mu_ held) and
   // everyone resumes at max(arrival)+cost_us. Staging arrays are indexed
-  // by world rank.
-  void collective(RankCtx& me, int comm_id, int kind, const void* src, void* dst,
-                  std::size_t bytes, const std::function<void(CollectiveCtx&)>& complete,
+  // by rank.
+  void collective(RankCtx& me, int kind, const void* src, void* dst,
+                  const std::function<void(CollectiveCtx&)>& complete,
                   const std::function<double()>& cost_us);
 
-  const CommObj& comm_obj(Comm c) const;
-  Window win_register(int rank, void* base, std::size_t bytes, bool owned, bool read_only,
-                      Comm comm);
+  Window win_register(int rank, void* base, std::size_t bytes, bool owned, bool read_only);
 
   // --- The one-sided op protocol (docs/INTERNALS.md). Every data op runs
   // admit, moves its data, then runs complete; each op keeps only its
   // bounds checks, its data movement and the transfer it charges. ---
-  struct Admitted {
-    int wt;                       ///< world rank of the target
-    fault::Injector::Verdict fv;  ///< perturbs the transfer at completion
-  };
-  /// Resolve `target`'s world rank, run the crash gate, then ask the
-  /// injector for a verdict (in that order: on_op draws from the RNG). A
-  /// refused op is charged its issue overhead and thrown by fail_op; an
-  /// admitted one is reported to op_observer before it moves any data.
-  Admitted admit(int origin, fault::OpKind kind, const WindowObj& wo, int target,
-                 std::size_t disp, std::size_t bytes);
+  /// Run the crash gate, then ask the injector for a verdict (in that
+  /// order: on_op draws from the RNG). A refused op is charged its issue
+  /// overhead and thrown by fail_op; an admitted one is reported to
+  /// op_observer before it moves any data. The verdict perturbs the
+  /// transfer at completion.
+  fault::Injector::Verdict admit(int origin, fault::OpKind kind, int target, std::size_t disp,
+                                 std::size_t bytes);
   /// Charge the issue overhead and note when the admitted op's perturbed
   /// transfer of `xfer_us` completes, for the next flush; leaves the runtime.
-  void complete(int origin, Window w, int target, const Admitted& a, std::size_t bytes,
-                double xfer_us);
+  void complete(int origin, Window w, int target, const fault::Injector::Verdict& fv,
+                std::size_t bytes, double xfer_us);
   /// Report the failed op `d` to op_observer, leave the runtime and throw.
   [[noreturn]] void fail_op(int origin, const fault::OpDesc& d, fault::FailureKind kind);
-  /// Why world rank `wt` cannot confirm `origin`'s pending ops at `now_us`
+  /// Why rank `wt` cannot confirm `origin`'s pending ops at `now_us`
   /// (dead, partitioned away, or restarted and recovering), or nullopt.
   std::optional<fault::FailureKind> unreachable(const fault::Injector& inj, int origin,
                                                 int wt, double now_us);
 
-  // With serialize_injection: per-world-rank time at which the rank's NIC
+  // With serialize_injection: per-rank time at which the rank's NIC
   // becomes free again. Guarded by the baton (serialize_injection keeps
   // a single running rank).
   std::vector<double> nic_free_us_;
@@ -475,7 +363,7 @@ class Engine {
   // guarded by the baton (an injector keeps a single running rank), like
   // nic_free_us_. ---
   /// Consulted by every one-sided op and flush with pending work against
-  /// world rank `wt`: applies any due lazy memory wipe and returns true
+  /// rank `wt`: applies any due lazy memory wipe and returns true
   /// when the op must fast-fail with FailureKind::kRecovering.
   bool crash_gate(int wt, double now_us);
   /// Zero `wt`'s segment of every live writable window and drop its
@@ -489,9 +377,7 @@ class Engine {
   std::mutex mu_;
   std::vector<std::unique_ptr<RankCtx>> ranks_;
   std::vector<std::unique_ptr<WindowObj>> windows_;
-  std::vector<std::unique_ptr<CommObj>> comms_;  // [0] = world
-  std::vector<std::unique_ptr<CollectiveCtx>> coll_by_comm_;
-  CollectiveCtx coll_;  // world (kept separate: the hot path)
+  CollectiveCtx coll_;
   std::condition_variable all_done_cv_;
   // Ranks that may run at once without the run observing their order:
   // min(nranks, usable CPUs), or 1 when an injector, op_observer or
@@ -503,11 +389,8 @@ class Engine {
   bool aborted_ = false;
   std::exception_ptr first_error_;
 
-  // staging used by window creation collectives, per world rank
+  // staging used by window creation collectives, per rank
   std::vector<WinStaging> wincreate_;
-  // staging used by comm_split ((color, key) per world rank; result ids)
-  std::vector<std::pair<int, int>> split_color_key_;
-  std::vector<int> split_result_;
 };
 
 /// Error used internally to unwind rank stacks when another rank failed.

@@ -246,6 +246,39 @@ TEST(CachedWindow, PutBypassesCacheAndWrites) {
   });
 }
 
+// A get or put to a rank outside the window is rejected before the cache
+// sees it: a hit never reaches the engine's own target check, and a miss
+// must not insert (or evict for) an entry keyed by a nonexistent rank.
+TEST(CachedWindow, OutOfRangeTargetThrowsBeforeTouchingTheCache) {
+  Engine::Config ec = engine_cfg(2);
+  ec.injector = std::make_shared<fault::Injector>(fault::Plan{});
+  Engine e(ec);
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Config cc = cache_cfg(Mode::kAlwaysCache);
+    cc.degraded_reads = true;
+    auto win = CachedWindow::allocate(p, 4096, &base, cc);
+    fill_pattern(base, 4096, p.rank());
+    p.barrier();
+    win.lock_all();
+    if (p.rank() == 0) {
+      std::vector<std::uint8_t> buf(64);
+      win.get(buf.data(), buf.size(), 1, 0);
+      win.flush_all();
+      const std::uint64_t gets_before = win.stats().total_gets;
+      EXPECT_THROW(win.get(buf.data(), buf.size(), p.nranks(), 0), util::ContractError);
+      EXPECT_THROW(win.get(buf.data(), buf.size(), -1, 0), util::ContractError);
+      EXPECT_THROW(win.put(buf.data(), buf.size(), p.nranks(), 0), util::ContractError);
+      EXPECT_EQ(win.stats().total_gets, gets_before);
+      win.get(buf.data(), buf.size(), 1, 0);
+      EXPECT_EQ(win.last_access(), AccessType::kHit);
+    }
+    win.unlock_all();
+    p.barrier();
+    win.free_window();
+  });
+}
+
 TEST(CachedWindow, TypedGetPacksAndCaches) {
   Engine e(engine_cfg(2));
   e.run([](Process& p) {

@@ -439,7 +439,7 @@ TEST(FaultEngine, IdenticalSeedsIdenticalRuns) {
 // For each (op, fault) cell: the FailureKind thrown, the op_observer's
 // OpDesc, the virtual-clock charge, that a failed op moves no bytes, and
 // that a flush after it finds nothing pending. A success charges the issue
-// overhead at issue and the (one- or two-way) transfer at flush.
+// overhead at issue and the transfer at flush.
 TEST(FaultEngine, OneSidedOpContract) {
   constexpr double kXfer = 10.0;
   constexpr double kIssue = 0.5;
@@ -451,40 +451,23 @@ TEST(FaultEngine, OneSidedOpContract) {
     fault::OpKind kind;
     std::size_t disp;
     std::size_t bytes;  // payload the OpDesc reports
-    double xfer_us;     // modelled transfer a flush waits for
     bool fetches;       // a success writes `out`
     bool writes;        // a success writes the target window
     void (*issue)(Process&, Window, std::uint8_t* out, const std::uint8_t* src);
   };
   const OpCase ops[] = {
-      {"get", fault::OpKind::kGet, 8, 64, kXfer, true, false,
+      {"get", fault::OpKind::kGet, 8, 64, true, false,
        [](Process& p, Window w, std::uint8_t* out, const std::uint8_t*) {
          p.get(out, 64, 1, 8, w);
        }},
-      {"put", fault::OpKind::kPut, 8, 64, kXfer, false, true,
+      {"put", fault::OpKind::kPut, 8, 64, false, true,
        [](Process& p, Window w, std::uint8_t*, const std::uint8_t* src) {
          p.put(src, 64, 1, 8, w);
        }},
-      {"get_blocks", fault::OpKind::kGetBlocks, 8, 32, kXfer, true, false,
+      {"get_blocks", fault::OpKind::kGetBlocks, 8, 32, true, false,
        [](Process& p, Window w, std::uint8_t* out, const std::uint8_t*) {
          const Process::Block blocks[] = {{0, 16}, {32, 16}};
          p.get_blocks(out, 1, 8, blocks, 2, w);
-       }},
-      {"accumulate", fault::OpKind::kAtomic, 16, 16, kXfer, false, true,
-       [](Process& p, Window w, std::uint8_t*, const std::uint8_t* src) {
-         p.accumulate(src, 2, rmasim::AccumulateType::kInt64, rmasim::AccumulateOp::kSum,
-                      1, 16, w);
-       }},
-      {"get_accumulate", fault::OpKind::kAtomic, 16, 16, 2 * kXfer, true, true,
-       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t* src) {
-         p.get_accumulate(src, out, 2, rmasim::AccumulateType::kInt64,
-                          rmasim::AccumulateOp::kSum, 1, 16, w);
-       }},
-      {"compare_and_swap", fault::OpKind::kAtomic, 16, 8, 2 * kXfer, true, true,
-       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t* src) {
-         // Expect the window's current value, so a success swaps.
-         p.compare_and_swap(src, p.win_raw(w, 1) + 16, out,
-                            rmasim::AccumulateType::kInt64, 1, 16, w);
        }},
   };
 
@@ -573,7 +556,7 @@ TEST(FaultEngine, OneSidedOpContract) {
           }
 
           p.flush(1, w);  // never throws: a failed op leaves nothing pending
-          EXPECT_DOUBLE_EQ(p.now_us() - t0, fc.fails ? kIssue : op.xfer_us);
+          EXPECT_DOUBLE_EQ(p.now_us() - t0, fc.fails ? kIssue : kXfer);
           EXPECT_EQ(seen->size(), 1u);  // the flush reported nothing
         }
         p.barrier();

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Knob audit: every settable config field needs a caller.
+"""Knob audit: every settable config field and runtime method needs a caller.
 
 Lists the data members of the five user-facing config structs and fails
 on any field that no file outside its own layer and tests/ assigns
@@ -14,6 +14,12 @@ field of another struct counts as a caller: the audit errs toward passing.
 Fields kept on purpose live in ALLOWLIST, each with its reason. An entry
 that names no field, or a field that has since gained a caller, fails the
 audit too, so the list cannot go stale.
+
+The API pass applies the same rule to the public methods of the classes
+in API_CLASSES: it fails on a method that no file outside its own layer
+and tests/ calls (`.name(` or `->name(`). Calls are matched by name, so a
+same-named method of another class counts as a caller. Methods kept on
+purpose live in API_ALLOWLIST under the same stale-entry rule.
 
 Usage: knob_audit.py [REPO_ROOT]   (default: the checkout holding this file)
 """
@@ -61,6 +67,19 @@ ALLOWLIST = {
         "changes only with the benchmark itself, so the field stays until then",
 }
 
+# (class, header, layer that owns it) for the API pass.
+API_CLASSES = [
+    ("rmasim::Process", "src/rt/engine.h", "Process", "rt"),
+]
+
+API_ALLOWLIST = {
+    "rmasim::Process.yield":
+        "the only switch point inside the critical section of "
+        "Locks.ExclusiveLockSerializesCriticalSections",
+    "rmasim::Process.crash_wipes_applied":
+        "crash_restart_test observes through it that the crash wipe is lazy",
+}
+
 CALLER_DIRS = ["bench", "examples", "perfbench/src"]
 SOURCE_SUFFIXES = {".h", ".cc", ".cpp"}
 
@@ -70,10 +89,10 @@ def strip_comments(text):
     return re.sub(r"//[^\n]*", " ", text)
 
 
-def struct_body(text, name):
-    m = re.search(r"\bstruct\s+" + name + r"\s*\{", text)
+def struct_body(text, name, keyword="struct"):
+    m = re.search(r"\b" + keyword + r"\s+" + name + r"\s*\{", text)
     if m is None:
-        raise SystemExit(f"knob_audit: struct {name} not found")
+        raise SystemExit(f"knob_audit: {keyword} {name} not found")
     depth, i = 1, m.end()
     start = i
     while depth:
@@ -93,8 +112,8 @@ def skip_block(body, i):
 
 
 def statements(body):
-    """Top-level member statements, with function bodies and nested types
-    dropped and brace initializers kept."""
+    """Top-level member statements, with nested types dropped, function
+    bodies cut off their heads and brace initializers kept."""
     out, cur, i = [], "", 0
     while i < len(body):
         c = body[i]
@@ -107,6 +126,8 @@ def statements(body):
                     while i < len(body) and body[i] != ";":
                         i += 1
                     i += 1
+                else:
+                    out.append(head)  # a function defined in the body
                 cur = ""
                 continue
             j = skip_block(body, i)
@@ -139,6 +160,21 @@ def fields(header_text, name):
         if m:
             result.append((m.group(1), init.strip() or None))
     return result
+
+
+def public_methods(header_text, name):
+    """Names of the public member functions of class `name`."""
+    body = struct_body(strip_comments(header_text), name, keyword="class")
+    names, public = [], False
+    for part in re.split(r"\b(public|private|protected)\s*:", body):
+        if part in ("public", "private", "protected"):
+            public = part == "public"
+        elif public:
+            for st in statements(part):
+                m = re.match(r"[^(]*?(\w+)\s*\(", st)  # a destructor matches `name`
+                if m and m.group(1) != name and m.group(1) not in names:
+                    names.append(m.group(1))
+    return names
 
 
 def normalize(expr, constants):
@@ -182,6 +218,32 @@ def assignments(files, field):
     return found
 
 
+def calls(files, method):
+    """True if any file calls `.method(` or `->method(`."""
+    pat = re.compile(r"(?:\.|->)\s*" + method + r"\s*\(")
+    return any(pat.search(source(path)[0]) for path in files)
+
+
+def api_audit(root):
+    problems, counts, seen = [], [], set()
+    for qual, header, name, layer in API_CLASSES:
+        methods = public_methods((root / header).read_text(), name)
+        counts.append(f"{qual}: {len(methods)}")
+        files = caller_files(root, layer)
+        for method in methods:
+            key = f"{qual}.{method}"
+            seen.add(key)
+            called = calls(files, method)
+            if key in API_ALLOWLIST:
+                if called:
+                    problems.append(f"{key}: stale allowlist entry, it has a caller")
+            elif not called:
+                problems.append(f"{key}: no caller outside src/{layer} and tests/")
+    for key in sorted(set(API_ALLOWLIST) - seen):
+        problems.append(f"{key}: stale allowlist entry, no such method")
+    return problems, counts
+
+
 def audit(root):
     problems, counts, seen = [], [], set()
     for qual, header, name, layer in STRUCTS:
@@ -216,12 +278,21 @@ def main():
     print("settable fields: " + "; ".join(counts))
     for p in problems:
         print("knob_audit: " + p)
+    api_problems, api_counts = api_audit(root)
+    print("public methods: " + "; ".join(api_counts))
+    for p in api_problems:
+        print("api_audit: " + p)
     if problems:
         print(f"knob_audit: FAIL ({len(problems)} field(s) need a caller, "
               "a constant or an allowlist reason)")
-        return 1
-    print(f"knob_audit: OK ({len(ALLOWLIST)} allowlisted)")
-    return 0
+    else:
+        print(f"knob_audit: OK ({len(ALLOWLIST)} allowlisted)")
+    if api_problems:
+        print(f"api_audit: FAIL ({len(api_problems)} method(s) need a caller "
+              "or an allowlist reason)")
+    else:
+        print(f"api_audit: OK ({len(API_ALLOWLIST)} allowlisted)")
+    return 1 if problems or api_problems else 0
 
 
 if __name__ == "__main__":

@@ -24,18 +24,6 @@ Engine::Config ecfg(int nranks) {
   return cfg;
 }
 
-TEST(ErrorPaths, AllgathervCountMismatch) {
-  Engine e(ecfg(2));
-  EXPECT_THROW(e.run([](Process& p) {
-    char src[4] = {};
-    char dst[8] = {};
-    const std::size_t counts[] = {4, 4};
-    // Rank 1 lies about its contribution size.
-    p.allgatherv(src, p.rank() == 1 ? 2 : 4, dst, counts);
-  }),
-               util::ContractError);
-}
-
 TEST(ErrorPaths, MismatchedCollectivesDetected) {
   Engine e(ecfg(2));
   EXPECT_THROW(e.run([](Process& p) {
@@ -55,6 +43,22 @@ TEST(ErrorPaths, UnlockWithoutLock) {
     void* base = nullptr;
     const Window w = p.win_allocate(64, &base);
     p.unlock(0, w);
+  }),
+               util::ContractError);
+}
+
+TEST(ErrorPaths, UnlockOutOfRangeTargetThrows) {
+  Engine e(ecfg(2));
+  EXPECT_THROW(e.run([](Process& p) {
+    void* base = nullptr;
+    const Window w = p.win_allocate(64, &base);
+    if (p.rank() == 0) {
+      char buf[8];
+      p.get(buf, sizeof(buf), 1, 0, w);
+      p.flush(1, w);
+      p.unlock(7, w);  // must be rejected before it touches per-target state
+    }
+    p.barrier();
   }),
                util::ContractError);
 }
