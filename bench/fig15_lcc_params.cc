@@ -8,6 +8,9 @@
 // ~60% capacity/failed accesses; doubling |S_w| drops them below 5% and
 // yields ~5x over foMPI; adaptive matches the best fixed configuration
 // regardless of its starting point.
+//
+// Exits 1 when a row's lcc_sum differs from the foMPI row's on the same
+// graph (benchx::lcc_sum_matches).
 #include <cstdio>
 #include <memory>
 
@@ -27,6 +30,7 @@ int main() {
       graph::rmat_graph({.scale = 16, .edge_factor = 16, .seed = 42}));
   const int nranks = 32;
 
+  bool sums_match = true;
   rmasim::Engine engine(benchx::default_engine(nranks));
   engine.run([&](rmasim::Process& p) {
     struct Setup {
@@ -43,6 +47,7 @@ int main() {
         {"adaptive", std::size_t{4} << 10, 2, true},
         {"adaptive", std::size_t{16} << 10, 4, true},
     };
+    double fompi_sum = 0.0;
     for (const auto& s : setups) {
       graph::LccConfig cfg;
       if (s.iw == 0) {
@@ -66,7 +71,9 @@ int main() {
                   static_cast<unsigned long long>(st.invalidations),
                   r.final_index_entries,
                   static_cast<double>(r.final_storage_bytes) / (1 << 20), r.lcc_sum);
+      if (s.iw == 0) fompi_sum = r.lcc_sum;
+      sums_match &= benchx::lcc_sum_matches("fig15", s.name, r.lcc_sum, fompi_sum);
     }
   });
-  return 0;
+  return sums_match ? 0 : 1;
 }

@@ -8,6 +8,9 @@
 // accesses increase) while adaptive resizes |S_w| and follows the best
 // configuration; both converge towards foMPI at high P because data
 // reuse shrinks with the weak-scaled partitioning.
+//
+// Exits 1 when a row's lcc_sum differs from the foMPI row's at the same P
+// (benchx::lcc_sum_matches).
 #include <cstdio>
 #include <memory>
 
@@ -21,6 +24,7 @@ int main() {
                  "strategy,pes,comm_us_per_vertex,total_us_per_vertex,hit_ratio,adjustments,invalidations,"
                  "final_storage_mb,lcc_sum");
 
+  bool sums_match = true;
   for (const int pes : {16, 32, 64, 128}) {
     // |V| = P * 2^11 => scale = 11 + log2(P)
     int log2p = 0;
@@ -40,6 +44,7 @@ int main() {
           {"fixed", true, false},
           {"adaptive", true, true},
       };
+      double fompi_sum = 0.0;
       for (const auto& s : setups) {
         graph::LccConfig cfg;
         if (s.clampi) {
@@ -57,9 +62,11 @@ int main() {
                       static_cast<unsigned long long>(r.clampi.adjustments),
                       static_cast<unsigned long long>(r.clampi.invalidations),
                       static_cast<double>(r.final_storage_bytes) / (1 << 20), r.lcc_sum);
+          if (!s.clampi) fompi_sum = r.lcc_sum;
+          sums_match &= benchx::lcc_sum_matches("fig17", s.name, r.lcc_sum, fompi_sum);
         }
       }
     });
   }
-  return 0;
+  return sums_match ? 0 : 1;
 }

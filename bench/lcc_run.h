@@ -2,6 +2,7 @@
 // aggregated vertex-processing time (max over ranks / owned vertices).
 #pragma once
 
+#include <cstdio>
 #include <memory>
 
 #include "bench/bench_common.h"
@@ -38,6 +39,17 @@ inline LccRow run_lcc(rmasim::Process& p, std::shared_ptr<const graph::Csr> g,
   row.final_index_entries = solver.clampi_index_entries();
   row.final_storage_bytes = solver.clampi_storage_bytes();
   return row;
+}
+
+/// A strategy's checksum against the reference (foMPI) row's on the same
+/// graph. Both are rank-ordered sums of the same coefficients, so they
+/// must be equal, not merely close; a mismatch is reported on stderr.
+inline bool lcc_sum_matches(const char* fig, const char* strategy, double sum,
+                            double reference) {
+  if (sum == reference) return true;
+  std::fprintf(stderr, "%s: GATE FAILED: %s lcc_sum %.17g differs from foMPI's %.17g\n",
+               fig, strategy, sum, reference);
+  return false;
 }
 
 }  // namespace clampi::benchx

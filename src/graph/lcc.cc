@@ -79,8 +79,11 @@ DistributedLcc::Report DistributedLcc::run() {
   lcc_.assign(last_ - first_, 0.0);
   size_hist_.clear();
 
-  std::vector<Vertex> scratch;
   const auto n = static_cast<Vertex>(g_->num_vertices());
+  // One buffer that fits every fetched list, sized (and zeroed) once.
+  std::uint64_t max_degree = 0;
+  for (Vertex u = 0; u < n; ++u) max_degree = std::max(max_degree, g_->degree(u));
+  std::vector<Vertex> scratch(max_degree);
 
   p_->barrier();
   const double t0 = p_->now_us();
@@ -99,7 +102,6 @@ DistributedLcc::Report DistributedLcc::run() {
     std::size_t closed = 0;
     for (std::uint64_t k = 0; k < deg; ++k) {
       const Vertex u = nv[k];
-      scratch.resize(g_->degree(u));
       const double c0 = p_->now_us();
       const Vertex* list = fetch_adjacency(u, scratch.data());
       current_.comm_us += p_->now_us() - c0;

@@ -63,7 +63,19 @@ std::size_t intersect_count(const Vertex* a, std::size_t na, const Vertex* b,
 /// against sentinel bit n, which the caller keeps clear, so a corrupted
 /// list never reads outside the bitmap. For two sorted, duplicate-free
 /// lists a and b with a's bits set, this equals intersect_count(a, b).
+///
+/// Runs one of two kernels, picked once per process from the CPU it runs
+/// on: on x86-64 with AVX2, eight ids per step (clamp, gather the 32-bit
+/// bitmap words, shift and mask), with the last len % 8 ids counted as
+/// marked_count_scalar counts them; everywhere else marked_count_scalar.
+/// No build flag selects it, so a portable build gets the vector kernel
+/// too.
 std::size_t marked_count(const std::uint64_t* marks, Vertex n, const Vertex* list,
                          std::size_t len);
+
+/// The portable kernel of marked_count, one id per step; same contract.
+/// Tests compare the dispatched kernel against it.
+std::size_t marked_count_scalar(const std::uint64_t* marks, Vertex n, const Vertex* list,
+                                std::size_t len);
 
 }  // namespace clampi::graph

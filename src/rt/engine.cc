@@ -506,10 +506,12 @@ int Process::crash_restarts_due(int world_rank) const {
 }
 
 int Process::crash_wipes_applied(int world_rank) const {
+  CLAMPI_REQUIRE(world_rank >= 0 && world_rank < engine_->nranks(), "rank out of range");
   return engine_->crash_wipes_[static_cast<std::size_t>(world_rank)];
 }
 
 bool Process::crash_recovering(int world_rank) const {
+  CLAMPI_REQUIRE(world_rank >= 0 && world_rank < engine_->nranks(), "rank out of range");
   const auto r = static_cast<std::size_t>(world_rank);
   if (engine_->crash_recovering_[r] != 0) return true;
   if (engine_->crash_owner_[r] == 0) return false;

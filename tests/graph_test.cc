@@ -8,8 +8,11 @@
 #include <memory>
 #include <numeric>
 #include <random>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "clampi/checksum.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "graph/lcc.h"
@@ -28,6 +31,7 @@ using graph::lcc_reference;
 using graph::LccBackend;
 using graph::LccConfig;
 using graph::marked_count;
+using graph::marked_count_scalar;
 using graph::rmat_graph;
 using graph::RmatParams;
 using graph::Vertex;
@@ -53,6 +57,39 @@ TEST(Csr, BuildDedupsAndSymmetrizes) {
   EXPECT_EQ(g.degree(2), 1u);
   EXPECT_EQ(g.neighbors(1)[0], 0u);
   EXPECT_EQ(g.neighbors(1)[1], 2u);
+}
+
+// build_csr against a naive reference: an ordered set of both directions
+// of every non-loop edge, read out in order.
+TEST(Csr, BuildMatchesSetReference) {
+  std::mt19937_64 rng(29);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng() % 300;
+    const std::size_t m = rng() % 2000;  // many duplicates when n is small
+    std::vector<std::pair<Vertex, Vertex>> edges;
+    for (std::size_t e = 0; e < m; ++e) {
+      const auto u = static_cast<Vertex>(rng() % n);
+      const auto v = rng() % 8 == 0 ? u : static_cast<Vertex>(rng() % n);  // self-loops
+      edges.emplace_back(u, v);
+    }
+    std::set<std::pair<Vertex, Vertex>> sym;
+    for (const auto& [u, v] : edges) {
+      if (u == v) continue;
+      sym.emplace(u, v);
+      sym.emplace(v, u);
+    }
+    std::vector<std::uint64_t> offsets(n + 1, 0);
+    std::vector<Vertex> adj;
+    for (const auto& [u, v] : sym) {
+      ++offsets[u + 1];
+      adj.push_back(v);
+    }
+    for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
+
+    const Csr g = build_csr(n, edges);
+    ASSERT_EQ(g.offsets, offsets) << "trial " << trial << ": n " << n << ", m " << m;
+    ASSERT_EQ(g.adj, adj) << "trial " << trial << ": n " << n << ", m " << m;
+  }
 }
 
 TEST(Csr, AdjacencyListsAreSorted) {
@@ -81,6 +118,33 @@ TEST(Rmat, DeterministicForSeed) {
   EXPECT_EQ(e1, e2);
   const auto e3 = graph::rmat_edges({.scale = 8, .edge_factor = 4, .seed = 10});
   EXPECT_NE(e1, e3);
+}
+
+std::uint64_t digest(const void* data, std::size_t bytes) {
+  return checksum64(static_cast<const std::byte*>(data), bytes);
+}
+
+// The generator and the CSR build may get faster, but never produce a
+// different graph: these digests were recorded from the sort-based build.
+TEST(Rmat, GraphIsPinned) {
+  struct Pin {
+    int scale;
+    std::size_t adj;
+    std::uint64_t offsets_digest, adj_digest;
+  };
+  const Pin pins[] = {
+      {12, 96532, 0xf9e021977cbca6fdull, 0x5a81de677b41202dull},
+      {14, 425728, 0x452ef3dd05687944ull, 0xcb50ca6d74221523ull},
+  };
+  for (const auto& pin : pins) {
+    const Csr g = rmat_graph({.scale = pin.scale, .edge_factor = 16, .seed = 12345});
+    ASSERT_EQ(g.adj.size(), pin.adj) << "scale " << pin.scale;
+    EXPECT_EQ(digest(g.offsets.data(), g.offsets.size() * sizeof(std::uint64_t)),
+              pin.offsets_digest)
+        << "scale " << pin.scale;
+    EXPECT_EQ(digest(g.adj.data(), g.adj.size() * sizeof(Vertex)), pin.adj_digest)
+        << "scale " << pin.scale;
+  }
 }
 
 TEST(Rmat, SkewedDegreeDistribution) {
@@ -123,6 +187,16 @@ void set_marks(std::vector<std::uint64_t>& marks, const std::vector<Vertex>& ids
   for (const Vertex x : ids) marks[x >> 6] |= std::uint64_t{1} << (x & 63);
 }
 
+// Both kernels of marked_count, checked against the merge on one list:
+// `b` must be sorted and duplicate-free, with `a`'s bits set in `marks`.
+void expect_counts_agree(const std::vector<std::uint64_t>& marks, Vertex n,
+                         const std::vector<Vertex>& a, const Vertex* b, std::size_t nb,
+                         const std::string& what) {
+  const std::size_t merge = intersect_count(a.data(), a.size(), b, nb);
+  EXPECT_EQ(marked_count(marks.data(), n, b, nb), merge) << what;
+  EXPECT_EQ(marked_count_scalar(marks.data(), n, b, nb), merge) << what;
+}
+
 TEST(Intersect, MarkedCountMatchesMerge) {
   constexpr Vertex kN = 5000;  // sentinel bit 5000 sits inside the last word
   std::mt19937_64 rng(71);
@@ -133,9 +207,25 @@ TEST(Intersect, MarkedCountMatchesMerge) {
     const auto a = random_list(rng, kN, na);
     const auto b = random_list(rng, kN, nb);
     set_marks(marks, a);
-    ASSERT_EQ(marked_count(marks.data(), kN, b.data(), b.size()),
-              intersect_count(a.data(), a.size(), b.data(), b.size()))
-        << "trial " << trial << ": |a| " << na << ", |b| " << nb;
+    expect_counts_agree(marks, kN, a, b.data(), b.size(),
+                        "trial " + std::to_string(trial) + ": |a| " + std::to_string(na) +
+                            ", |b| " + std::to_string(nb));
+    std::fill(marks.begin(), marks.end(), 0);
+  }
+
+  // Every length 0..17 (the eight-id body, its tail, and both together),
+  // each starting at list + 0..7 so the vector loads are unaligned.
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto a = random_list(rng, kN, 50 + rng() % 2500);
+    const auto b = random_list(rng, kN, 17 + 7);
+    set_marks(marks, a);
+    for (std::size_t start = 0; start < 8; ++start) {
+      for (std::size_t len = 0; len <= 17; ++len) {
+        expect_counts_agree(marks, kN, a, b.data() + start, len,
+                            "trial " + std::to_string(trial) + ": list + " +
+                                std::to_string(start) + ", length " + std::to_string(len));
+      }
+    }
     std::fill(marks.begin(), marks.end(), 0);
   }
 
@@ -145,8 +235,38 @@ TEST(Intersect, MarkedCountMatchesMerge) {
   set_marks(marks, all);
   const Vertex out_of_range[] = {kN, kN + 1, kN + 63, kN + 64, 1u << 20, 0xffffffffu};
   EXPECT_EQ(marked_count(marks.data(), kN, out_of_range, 6), 0u);
+  EXPECT_EQ(marked_count_scalar(marks.data(), kN, out_of_range, 6), 0u);
   const Vertex mixed[] = {0, kN, 17, 0xfffffffeu, kN - 1};
   EXPECT_EQ(marked_count(marks.data(), kN, mixed, 5), 3u);
+  EXPECT_EQ(marked_count_scalar(marks.data(), kN, mixed, 5), 3u);
+}
+
+// An id >= n must count against sentinel bit n and nothing else. The
+// bitmap sits in a larger buffer of all-ones words, every bit of it but
+// the sentinel is set too (the bits above n in the last word included),
+// so a kernel that read an unclamped id anywhere past bit n would count
+// it. Sanitizers do not check the vector kernel's gather loads; this test
+// does.
+TEST(Intersect, MarkedCountClampStaysInsideBitmap) {
+  for (const Vertex n : {Vertex{5000}, Vertex{4096}, Vertex{4127}}) {
+    const std::size_t words = n / 64 + 1;
+    std::vector<std::uint64_t> buf(words + 16, ~std::uint64_t{0});
+    buf[n >> 6] &= ~(std::uint64_t{1} << (n & 63));
+    // Near ids land in or just past the bitmap, where a missing clamp
+    // counts a set bit; far ones would read far outside it.
+    const Vertex near[] = {n, n + 31, n + 32, n + 63, n + 64};
+    const Vertex far[] = {1u << 20, 0xffffffffu};
+    for (const bool with_far : {false, true}) {
+      std::vector<Vertex> list;
+      for (std::size_t len = 1; len <= 40; ++len) {
+        list.push_back(with_far && len % 3 == 0 ? far[len / 3 % 2] : near[len % 5]);
+        ASSERT_EQ(marked_count(buf.data(), n, list.data(), len), 0u)
+            << "n " << n << ", length " << len << (with_far ? ", far ids" : "");
+        ASSERT_EQ(marked_count_scalar(buf.data(), n, list.data(), len), 0u)
+            << "n " << n << ", length " << len << (with_far ? ", far ids" : "");
+      }
+    }
+  }
 }
 
 TEST(LccReference, TriangleAndPath) {

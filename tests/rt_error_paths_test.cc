@@ -63,6 +63,19 @@ TEST(ErrorPaths, UnlockOutOfRangeTargetThrows) {
                util::ContractError);
 }
 
+TEST(ErrorPaths, CrashQueriesRejectOutOfRangeRank) {
+  Engine e(ecfg(2));
+  e.run([](Process& p) {
+    if (p.rank() != 0) return;
+    for (const int r : {-1, 2, 9}) {
+      EXPECT_THROW(p.crash_recovering(r), util::ContractError) << "rank " << r;
+      EXPECT_THROW(p.crash_wipes_applied(r), util::ContractError) << "rank " << r;
+    }
+    EXPECT_FALSE(p.crash_recovering(1));
+    EXPECT_EQ(p.crash_wipes_applied(1), 0);
+  });
+}
+
 TEST(ErrorPaths, NegativeComputeRejected) {
   Engine e(ecfg(1));
   EXPECT_THROW(e.run([](Process& p) { p.compute_us(-5.0); }), util::ContractError);
