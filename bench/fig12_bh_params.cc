@@ -68,7 +68,6 @@ int main() {
       cfg.clampi_cfg.adaptive = s.adaptive;
       cfg.clampi_cfg.adapt_interval = 2048;
       cfg.native_mem_bytes = std::max<std::size_t>(s.s_mb << 20, 1 << 20);
-      cfg.native_block_bytes = 512;
       const auto r = benchx::run_bh(p, bodies[i], cfg, steps);
       if (p.rank() != 0) continue;
       std::printf("%s,%zu,%zu,%.3f,%.3f,%llu,%llu,%zu,%.0f\n", s.name, s.iw, s.s_mb,

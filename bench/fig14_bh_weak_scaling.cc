@@ -52,7 +52,6 @@ int main() {
         cfg.clampi_cfg.storage_bytes = std::size_t{2} << 20;
         cfg.clampi_cfg.adaptive = s.adaptive;
         cfg.native_mem_bytes = std::size_t{2} << 20;
-        cfg.native_block_bytes = 512;
         const auto r = benchx::run_bh(p, shared, cfg, /*steps=*/1);
         if (p.rank() == 0) {
           std::printf("%s,%d,%.3f,%.3f,%llu,%llu\n", s.name, p.nranks(),

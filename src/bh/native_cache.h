@@ -36,8 +36,6 @@ class NativeBlockCache {
   void invalidate();
 
   const Stats& stats() const { return stats_; }
-  std::size_t block_bytes() const { return block_; }
-  std::size_t lines() const { return tags_.size(); }
 
  private:
   struct Tag {

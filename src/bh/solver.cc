@@ -46,15 +46,9 @@ SharedBodies::SharedBodies(std::size_t n, std::uint64_t seed) {
 }
 
 void assign_payload_slots(std::size_t tree_nodes, int nranks, std::size_t slots_per_rank,
-                          bool scatter, std::vector<std::uint32_t>& out) {
+                          std::vector<std::uint32_t>& out) {
   out.resize(tree_nodes);
   const auto nr = static_cast<std::size_t>(nranks);
-  if (!scatter) {
-    for (std::size_t i = 0; i < tree_nodes; ++i) {
-      out[i] = static_cast<std::uint32_t>(i / nr);
-    }
-    return;
-  }
   // Hash probing per owner: deterministic, collision-free, and spatially
   // uncorrelated with the traversal order (like heap-allocated nodes).
   std::vector<std::vector<bool>> taken(nr);
@@ -93,7 +87,7 @@ DistributedBarnesHut::DistributedBarnesHut(rmasim::Process& p,
     cached_.emplace(p, win_, cfg_.clampi_cfg);
     cached_->lock_all();
   } else if (cfg_.backend == CacheBackend::kNative) {
-    native_.emplace(p, win_, cfg_.native_mem_bytes, cfg_.native_block_bytes);
+    native_.emplace(p, win_, cfg_.native_mem_bytes, kNativeBlockBytes);
     p.lock_all(win_);
   } else {
     p.lock_all(win_);
@@ -188,7 +182,7 @@ Vec3 DistributedBarnesHut::traverse(std::int32_t body) {
                 "force phase on an empty tree — all ranks must be handed the SAME "
                 "SharedBodies instance (created before Engine::run)");
   const Vec3 bp = shared_->pos[static_cast<std::size_t>(body)];
-  const double eps2 = cfg_.softening * cfg_.softening;
+  const double eps2 = kSoftening * kSoftening;
   Vec3 acc{};
 
   stack_.clear();
@@ -227,8 +221,7 @@ DistributedBarnesHut::StepReport DistributedBarnesHut::step() {
   p_->barrier();
   if (p_->rank() == 0) {
     sh.tree.build(sh.pos, sh.mass);  // replicated topology, built once (shared)
-    assign_payload_slots(sh.tree.size(), p_->nranks(), payload_slots_,
-                         cfg_.scatter_payloads, sh.payload_slot);
+    assign_payload_slots(sh.tree.size(), p_->nranks(), payload_slots_, sh.payload_slot);
   }
   p_->barrier();
   publish_payloads();
@@ -260,9 +253,9 @@ DistributedBarnesHut::StepReport DistributedBarnesHut::step() {
   return current_;
 }
 
-Vec3 direct_accel(const SharedBodies& sh, std::int32_t body, double softening) {
+Vec3 direct_accel(const SharedBodies& sh, std::int32_t body) {
   const auto b = static_cast<std::size_t>(body);
-  const double eps2 = softening * softening;
+  const double eps2 = kSoftening * kSoftening;
   Vec3 acc{};
   for (std::size_t j = 0; j < sh.pos.size(); ++j) {
     if (j == b) continue;

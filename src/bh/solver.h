@@ -40,22 +40,19 @@ enum class CacheBackend {
   kNative,  ///< block-based direct-mapped cache (UPC baseline)
 };
 
+/// Plummer softening length of every force evaluation.
+inline constexpr double kSoftening = 1e-3;
+/// Line size of the native block cache (the paper's UPC baseline).
+inline constexpr std::size_t kNativeBlockBytes = 512;
+
 struct SolverConfig {
   std::size_t nbodies = 1000;
   double theta = 0.5;       ///< MAC opening angle
   double dt = 0.025;
-  double softening = 1e-3;
   std::uint64_t seed = 7;
-  /// Scatter node payloads pseudo-randomly inside each owner's window,
-  /// mimicking the heap-allocated node placement of the Global Trees
-  /// substrate the paper builds on. Dense packing would hand the
-  /// block-based native cache artificial spatial locality that the real
-  /// system does not have (cf. the block-size discussion in Sec. II).
-  bool scatter_payloads = true;
   CacheBackend backend = CacheBackend::kNone;
   clampi::Config clampi_cfg{};
   std::size_t native_mem_bytes = std::size_t{1} << 20;
-  std::size_t native_block_bytes = 512;
   bool track_access_histogram = false;  ///< per-(target,disp) get counts (Fig. 2)
   /// Survivability (docs/FAULTS.md §6): payload fetches against
   /// dead/quarantined owners return a zero-mass payload — the traversal
@@ -81,11 +78,13 @@ struct SharedBodies {
 };
 
 /// Deterministically assign each tree node a slot inside its owner's
-/// payload window (owner = node mod nranks). `scatter` emulates
-/// heap-allocation placement via hash probing; otherwise slots are dense
-/// in node order.
+/// payload window (owner = node mod nranks). Hash probing scatters the
+/// payloads pseudo-randomly, mimicking the heap-allocated node placement
+/// of the Global Trees substrate the paper builds on. Dense packing would
+/// hand the block-based native cache artificial spatial locality that the
+/// real system does not have (cf. the block-size discussion in Sec. II).
 void assign_payload_slots(std::size_t tree_nodes, int nranks, std::size_t slots_per_rank,
-                          bool scatter, std::vector<std::uint32_t>& out);
+                          std::vector<std::uint32_t>& out);
 
 class DistributedBarnesHut {
  public:
@@ -141,6 +140,6 @@ class DistributedBarnesHut {
 };
 
 /// Exact O(N^2) acceleration of one body (test/validation reference).
-Vec3 direct_accel(const SharedBodies& sh, std::int32_t body, double softening);
+Vec3 direct_accel(const SharedBodies& sh, std::int32_t body);
 
 }  // namespace clampi::bh

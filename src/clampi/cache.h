@@ -182,9 +182,6 @@ class CacheCore {
   std::size_t free_bytes() const { return storage_.free_bytes(); }
   std::size_t cached_entries() const { return live_; }
   std::size_t pending_entries() const { return pending_; }
-  std::uint64_t processed_gets() const { return g_; }
-  /// Running average get size C_w.ags (Sec. III-C2).
-  double average_get_size() const { return ags_; }
 
   /// Score R^i(x) of a live entry under the configured ScoreKind
   /// (exposed for the eviction-policy tests and the Fig. 10/11 benches).

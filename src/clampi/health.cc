@@ -80,10 +80,4 @@ void HealthMonitor::reset_epoch_backoff() {
   for (Target& t : targets_) t.counters.epoch_backoff_us = 0.0;
 }
 
-double HealthMonitor::total_epoch_backoff_us() const {
-  double sum = 0.0;
-  for (const Target& t : targets_) sum += t.counters.epoch_backoff_us;
-  return sum;
-}
-
 }  // namespace clampi

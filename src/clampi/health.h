@@ -107,8 +107,6 @@ class HealthMonitor {
   /// Per-target backoff charged in the current epoch (mutable: the retry
   /// loop accumulates into it). Replaces the window-global pool.
   double& epoch_backoff_us(int target) { return counters(target).epoch_backoff_us; }
-  /// Sum across targets (back-compat for the old window-global accessor).
-  double total_epoch_backoff_us() const;
 
  private:
   // Targets are created lazily, on first touch.

@@ -62,12 +62,6 @@ CachedWindow CachedWindow::allocate(rmasim::Process& p, std::size_t bytes, void*
   return CachedWindow(p, w, cfg);
 }
 
-CachedWindow CachedWindow::create(rmasim::Process& p, void* base, std::size_t bytes,
-                                  const Config& cfg) {
-  const rmasim::Window w = p.win_create(base, bytes);
-  return CachedWindow(p, w, cfg);
-}
-
 void CachedWindow::free_window() { p_->win_free(win_); }
 
 void CachedWindow::serve_cached(void* origin, std::uint32_t entry, std::size_t bytes) {
@@ -597,7 +591,6 @@ void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origi
 
 void CachedWindow::get_nocache(void* origin, std::size_t bytes, int target,
                                std::size_t disp) {
-  ++bypassed_;
   p_->get(origin, bytes, target, disp, win_);
 }
 

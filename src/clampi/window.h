@@ -62,9 +62,6 @@ class CachedWindow {
   /// Collectively allocate a window of `bytes` and wrap it.
   static CachedWindow allocate(rmasim::Process& p, std::size_t bytes, void** base,
                                const Config& cfg);
-  /// Collectively expose caller memory and wrap it.
-  static CachedWindow create(rmasim::Process& p, void* base, std::size_t bytes,
-                             const Config& cfg);
 
   CachedWindow(CachedWindow&&) = default;
   CachedWindow& operator=(CachedWindow&&) = default;
@@ -81,9 +78,6 @@ class CachedWindow {
   /// MPI extension: "a special get call, allowing the user to use/bypass
   /// the caching on a per-operation basis"). Never touches I_w or S_w.
   void get_nocache(void* origin, std::size_t bytes, int target, std::size_t disp);
-
-  /// Number of gets served through the bypass path.
-  std::uint64_t bypassed_gets() const { return bypassed_; }
 
   /// Uncached write (puts are not cached: the epoch model forbids the
   /// read-after-write patterns that would profit, Sec. II).
@@ -106,10 +100,8 @@ class CachedWindow {
   const Stats& stats() const { return core_->stats(); }
   AccessType last_access() const { return last_access_; }
   const PhaseBreakdown& last_phases() const { return last_phases_; }
-  std::uint64_t epoch() const { return epoch_; }
   std::size_t index_entries() const { return core_->index_entries(); }
   std::size_t storage_bytes() const { return core_->storage_bytes(); }
-  Mode mode() const { return cfg_.mode; }
   rmasim::Window raw() const { return win_; }
   rmasim::Process& process() { return *p_; }
   CacheCore& core() { return *core_; }
@@ -143,21 +135,11 @@ class CachedWindow {
   /// The observer must not call back into this window.
   void observe_gets(GetObserver obs) { get_observer_ = std::move(obs); }
 
-  /// Total backoff charged to virtual time in the current epoch, summed
-  /// across targets (the accounting itself is per-target; docs/FAULTS.md §6).
-  double epoch_backoff_us() const { return health_.total_epoch_backoff_us(); }
-  /// Backoff charged against one target in the current epoch.
-  double epoch_backoff_us(int target) const {
-    return health_.status(target).epoch_backoff_us;
-  }
-
   // --- survivability introspection (docs/FAULTS.md §6) ---
   /// Typed per-target health snapshot: lets a workload drop a dead or
   /// quarantined rank from its communication pattern instead of aborting
   /// on the first OpFailedError.
   TargetStatus target_status(int target) const;
-  /// Health state alone (kHealthy when the detector is off).
-  HealthState target_health(int target) const { return health_.state(target); }
   /// True when the previous get() was served as a bounded-staleness
   /// degraded read; last_degraded_age_us() is that serve's staleness.
   bool last_was_degraded() const { return last_degraded_; }
@@ -221,13 +203,6 @@ class CachedWindow {
   void abandon_target(int target);
 
   // --- integrity guard introspection (docs/INTEGRITY.md) ---
-  /// Breaker state; kClosed when no breaker is configured
-  /// (breaker_failure_threshold == 0).
-  BreakerState breaker_state() const {
-    return breaker_ ? static_cast<BreakerState>(breaker_->state()) : BreakerState::kClosed;
-  }
-  /// The breaker's detector (nullptr when disabled); exposed for tests.
-  const FailureDetector* breaker() const { return breaker_.get(); }
   /// Cumulative virtual time the breaker spent open (half-open not
   /// included); 0 when no breaker is configured.
   double breaker_time_in_open_us() const;
@@ -321,6 +296,11 @@ class CachedWindow {
   void maybe_adapt();
 
   // --- integrity guard (docs/INTEGRITY.md) ---
+  /// Breaker state; kClosed when no breaker is configured
+  /// (breaker_failure_threshold == 0).
+  BreakerState breaker_state() const {
+    return breaker_ ? static_cast<BreakerState>(breaker_->state()) : BreakerState::kClosed;
+  }
   /// Breaker routing for one get. True: the caller must serve this get
   /// pass-through (direct network fetch, no cache involvement); the
   /// pass-through counter and last_access_ are already updated.
@@ -356,7 +336,6 @@ class CachedWindow {
   Stats adapt_base_{};
   AccessType last_access_ = AccessType::kDirect;
   PhaseBreakdown last_phases_{};
-  std::uint64_t bypassed_ = 0;
   util::Xoshiro256 retry_rng_;
   HealthMonitor health_;
   bool last_degraded_ = false;

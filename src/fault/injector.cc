@@ -244,19 +244,16 @@ Injector::Verdict Injector::on_op(OpKind op, int origin, int target, std::size_t
                                   double now_us) {
   (void)op;
   (void)bytes;
-  ++ops_;
   const std::uint64_t seq = next_seq(origin, target);
   Verdict v;
   if (dead(target, now_us)) {
     v.fail = true;
     v.kind = FailureKind::kRankDead;
-    ++failures_;
     return v;
   }
   if (partitioned(origin, target, now_us)) {
     v.fail = true;
     v.kind = FailureKind::kPartitioned;
-    ++failures_;
     return v;
   }
   const auto tier = static_cast<std::size_t>(plan_.topology.distance(origin, target));
@@ -264,7 +261,6 @@ Injector::Verdict Injector::on_op(OpKind op, int origin, int target, std::size_t
   if (p > 0.0 && draw(kSaltFail, origin, target, seq) < p) {
     v.fail = true;
     v.kind = FailureKind::kTransient;
-    ++failures_;
     return v;
   }
   // Per-target flaky-NIC failures, independent of the distance tiers.
@@ -273,7 +269,6 @@ Injector::Verdict Injector::on_op(OpKind op, int origin, int target, std::size_t
     if (tp > 0.0 && draw(kSaltTargetFail, origin, target, seq) < tp) {
       v.fail = true;
       v.kind = FailureKind::kTransient;
-      ++failures_;
       return v;
     }
   }
@@ -285,16 +280,12 @@ Injector::Verdict Injector::on_op(OpKind op, int origin, int target, std::size_t
   if (df != 1.0) v.latency_factor *= df;
   const double sf = slow_factor(target, now_us);
   if (sf != 1.0) v.latency_factor *= sf;
-  if (v.latency_factor != 1.0 || v.latency_addend_us != 0.0) ++perturbed_;
   return v;
 }
 
 void Injector::reset() {
   std::fill(seq_.begin(), seq_.end(), 0);
   stale_seq_.clear();
-  ops_ = 0;
-  failures_ = 0;
-  perturbed_ = 0;
 }
 
 }  // namespace clampi::fault

@@ -104,23 +104,20 @@ class Injector {
   bool partitioned(int origin, int target, double now_us) const;
   /// True while `rank` is inside a degraded epoch.
   bool degraded(int rank, double now_us) const;
-  /// Product of the latency factors of all epochs covering (rank, now).
-  double degrade_factor(int rank, double now_us) const;
   /// True while `rank` is inside a straggler epoch (alive but slow; the
   /// resilience layer must NOT treat this as down — docs/FAULTS.md §8).
   bool slow(int rank, double now_us) const;
-  /// Product of the straggler factors of all epochs covering (rank, now).
-  double slow_factor(int rank, double now_us) const;
 
   const Plan& plan() const { return plan_; }
-  std::uint64_t ops_seen() const { return ops_; }
-  std::uint64_t injected_failures() const { return failures_; }
-  std::uint64_t perturbed_ops() const { return perturbed_; }
 
-  /// Rewind the schedule to the beginning (counters and tallies).
+  /// Rewind the schedule to the beginning.
   void reset();
 
  private:
+  /// Product of the latency factors of all epochs covering (rank, now).
+  double degrade_factor(int rank, double now_us) const;
+  /// Product of the straggler factors of all epochs covering (rank, now).
+  double slow_factor(int rank, double now_us) const;
   double draw(std::uint64_t salt, int origin, int target, std::uint64_t seq) const;
   std::uint64_t next_seq(int origin, int target);
 
@@ -131,9 +128,6 @@ class Injector {
   // mutable: the engine hands windows a const Injector*, and advancing a
   // deterministic schedule is not observable state in the verdict sense.
   mutable std::unordered_map<std::uint64_t, std::uint64_t> stale_seq_;
-  std::uint64_t ops_ = 0;
-  std::uint64_t failures_ = 0;
-  std::uint64_t perturbed_ = 0;
 };
 
 }  // namespace clampi::fault

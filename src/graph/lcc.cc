@@ -56,7 +56,6 @@ const Vertex* DistributedLcc::fetch_adjacency(Vertex u, Vertex* dst) {
   const std::size_t disp =
       (g_->offsets[u] - g_->offsets[range_first_[static_cast<std::size_t>(owner)]]) *
       sizeof(Vertex);
-  if (cfg_.track_size_histogram) ++size_hist_[static_cast<std::uint32_t>(bytes)];
   try {
     if (cached_.has_value()) {
       cached_->get(dst, bytes, owner, disp);
@@ -77,7 +76,6 @@ DistributedLcc::Report DistributedLcc::run() {
   current_ = Report{};
   current_.owned_vertices = last_ - first_;
   lcc_.assign(last_ - first_, 0.0);
-  size_hist_.clear();
 
   const auto n = static_cast<Vertex>(g_->num_vertices());
   // One buffer that fits every fetched list, sized (and zeroed) once.

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "clampi/clampi.h"
@@ -33,7 +32,6 @@ enum class LccBackend {
 struct LccConfig {
   LccBackend backend = LccBackend::kNone;
   clampi::Config clampi_cfg{};
-  bool track_size_histogram = false;  ///< remote get sizes (Fig. 3)
   /// Survivability (docs/FAULTS.md §6): instead of aborting on the first
   /// OpFailedError, drop gets against dead/quarantined owners (their
   /// wedges contribute no closed triangles; LCC becomes a lower bound)
@@ -66,8 +64,6 @@ class DistributedLcc {
   Report run();
 
   Vertex first_vertex() const { return first_; }
-  Vertex last_vertex() const { return last_; }
-  int owner_of(Vertex v) const;
 
   /// Per-owned-vertex coefficients, filled by run().
   const std::vector<double>& local_lcc() const { return lcc_; }
@@ -82,12 +78,8 @@ class DistributedLcc {
     return cached_.has_value() ? cached_->storage_bytes() : 0;
   }
 
-  /// Remote-get size (bytes) -> count, over the last run() (Fig. 3).
-  const std::unordered_map<std::uint32_t, std::uint64_t>& size_histogram() const {
-    return size_hist_;
-  }
-
  private:
+  int owner_of(Vertex v) const;
   /// Fetch adj(u) into `dst` (deg(u) entries) and complete the transfer;
   /// returns a pointer to the data (either `dst` or the shared CSR for
   /// local vertices), or nullptr when the owner is down and
@@ -105,7 +97,6 @@ class DistributedLcc {
   /// Bitmap over vertex ids 0..|V|: run() sets the bits of N(v) while it
   /// counts v's closed wedges, then clears the words it touched.
   std::vector<std::uint64_t> marks_;
-  std::unordered_map<std::uint32_t, std::uint64_t> size_hist_;
   Report current_{};
 };
 

@@ -35,7 +35,6 @@ Journal::AppendResult Journal::append(std::uint64_t key, std::uint32_t seq,
   std::memcpy(r + 16, value, len);
   const std::uint64_t cs = checksum64(r, 16 + len, kChecksumSeed);
   std::memcpy(r + 16 + len, &cs, 8);
-  ++appends_;
   if (++since_sync_ >= group_n_) {
     since_sync_ = 0;
     res.synced = true;

@@ -92,24 +92,22 @@ class Journal {
   /// Drop every record (called after a snapshot made them redundant).
   void truncate() { buf_.clear(); }
 
-  /// Keep only the newest record per key; returns bytes reclaimed.
-  std::size_t compact(std::uint32_t max_len);
-
   /// Raw device bytes: the injected journal_corrupt sweep flips bits here.
   std::byte* data() { return buf_.data(); }
   std::size_t bytes() const { return buf_.size(); }
   std::size_t capacity() const { return cap_; }  ///< current (possibly grown)
-  std::uint64_t appends() const { return appends_; }
 
   static std::size_t record_bytes(std::uint32_t len) {
     return kRecordOverhead + len;
   }
 
  private:
+  /// Keep only the newest record per key; returns bytes reclaimed.
+  std::size_t compact(std::uint32_t max_len);
+
   std::size_t cap_;
   std::uint32_t group_n_;
   std::uint32_t since_sync_ = 0;
-  std::uint64_t appends_ = 0;
   std::vector<std::byte> buf_;
 };
 

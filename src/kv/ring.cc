@@ -36,7 +36,6 @@ std::size_t Ring::first_point(std::uint64_t key) const {
   return it == points_.end() ? 0 : static_cast<std::size_t>(it - points_.begin());
 }
 
-int Ring::primary(std::uint64_t key) const { return points_[first_point(key)].second; }
 
 void Ring::replicas(std::uint64_t key, int count, int* out) const {
   CLAMPI_REQUIRE(count >= 1 && count <= nservers_,

@@ -19,17 +19,9 @@ class Ring {
   /// Servers are window-comm ranks [0, nservers).
   Ring(int nservers, int vnodes, std::uint64_t seed);
 
-  int nservers() const { return nservers_; }
-
-  /// Primary owner of `key` (== replicas()[0]).
-  int primary(std::uint64_t key) const;
-
   /// First `count` distinct servers clockwise from the key's point.
   /// `count` must be in [1, nservers]; out must hold `count` ints.
   void replicas(std::uint64_t key, int count, int* out) const;
-
-  /// Number of ring points (testing / balance diagnostics).
-  std::size_t points() const { return points_.size(); }
 
  private:
   std::size_t first_point(std::uint64_t key) const;

@@ -192,7 +192,6 @@ void Store::load_shard() {
     for (int r = 0; r < cfg_.replication; ++r) mine = mine || reps[r] == p_->rank();
     if (!mine) continue;
     insert_local(key);
-    ++keys_loaded_;
   }
 }
 
@@ -961,7 +960,6 @@ void Store::recover_server(int due) {
     }
   }
   if (!from_snapshot) {
-    keys_loaded_ = 0;
     load_shard();
   } else if (generation_ > 1) {
     // A reload may have advanced the generation since the snapshot was

@@ -260,16 +260,13 @@ class Store {
   const Ring& ring() const { return ring_; }
   const StoreConfig& config() const { return cfg_; }
   std::uint64_t generation() const { return generation_; }
-  bool is_server() const { return p_->rank() < cfg_.nservers; }
-  std::size_t main_buckets() const { return main_buckets_; }
-  std::size_t total_buckets() const { return nbuckets_; }
-  std::size_t shard_bytes() const { return shard_bytes_; }
-  std::uint64_t keys_loaded() const { return keys_loaded_; }  ///< this server's
 
   /// Free the underlying window (collective).
   void free_window() { win_->free_window(); }
 
  private:
+  bool is_server() const { return p_->rank() < cfg_.nservers; }
+
   struct Locator {
     std::uint32_t bucket = 0;
     std::uint32_t slot = 0;
@@ -373,7 +370,6 @@ class Store {
   std::size_t nbuckets_ = 0;
   std::size_t shard_bytes_ = 0;
   std::uint32_t overflow_cursor_ = 0;
-  std::uint64_t keys_loaded_ = 0;
   std::vector<std::byte> bucket_buf_;
   std::vector<std::byte> slot_buf_;
   std::vector<std::unordered_map<std::uint64_t, Locator>> loc_cache_;  // per server

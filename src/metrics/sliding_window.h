@@ -34,8 +34,6 @@ class SlidingWindowCounter {
 
   void clear() { events_.clear(); }
 
-  double window_us() const { return window_us_; }
-
  private:
   void prune(double now_us) {
     const double cutoff = now_us - window_us_;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/error.h"
-
 namespace clampi::metrics {
 
 double Summary::ci_rel_width() const {
@@ -42,22 +40,6 @@ bool RepetitionController::done() const {
   if (samples_.size() >= cfg_.max_reps) return true;
   if (samples_.size() < cfg_.min_reps) return false;
   return summarize(samples_).ci_rel_width() <= cfg_.rel_width;
-}
-
-void Histogram::add(double v) {
-  CLAMPI_REQUIRE(v >= 0.0, "histogram values must be non-negative");
-  const auto bin = static_cast<std::size_t>(v / bin_width_);
-  if (counts_.size() <= bin) counts_.resize(bin + 1, 0);
-  ++counts_[bin];
-  ++total_;
-}
-
-std::vector<std::pair<double, std::size_t>> Histogram::bins() const {
-  std::vector<std::pair<double, std::size_t>> out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] > 0) out.emplace_back(static_cast<double>(i) * bin_width_, counts_[i]);
-  }
-  return out;
 }
 
 }  // namespace clampi::metrics

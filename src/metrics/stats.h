@@ -49,20 +49,4 @@ class RepetitionController {
   std::vector<double> samples_;
 };
 
-/// Fixed-bin histogram helper (Figs. 2 and 3 of the paper report
-/// distributions).
-class Histogram {
- public:
-  explicit Histogram(double bin_width) : bin_width_(bin_width) {}
-  void add(double v);
-  /// (bin lower edge, count) pairs in ascending order, empty bins skipped.
-  std::vector<std::pair<double, std::size_t>> bins() const;
-  std::size_t total() const { return total_; }
-
- private:
-  double bin_width_;
-  std::size_t total_ = 0;
-  std::vector<std::size_t> counts_;
-};
-
 }  // namespace clampi::metrics

@@ -133,7 +133,6 @@ TEST_P(BhForceAccuracy, ThetaZeroMatchesDirectSummation) {
     cfg.nbodies = shared->pos.size();
     cfg.theta = 0.0;
     cfg.dt = 0.0;  // keep bodies fixed so the published tree stays current
-    cfg.softening = 1e-3;
     cfg.backend = CacheBackend::kClampi;
     cfg.clampi_cfg.mode = Mode::kAlwaysCache;
     DistributedBarnesHut solver(p, shared, cfg);
@@ -145,7 +144,7 @@ TEST_P(BhForceAccuracy, ThetaZeroMatchesDirectSummation) {
     solver.step();
     for (std::size_t b = solver.first_body(); b < solver.last_body(); b += 7) {
       const Vec3 got = solver.accel_of(static_cast<std::int32_t>(b));
-      const Vec3 want = bh::direct_accel(*shared, static_cast<std::int32_t>(b), 1e-3);
+      const Vec3 want = bh::direct_accel(*shared, static_cast<std::int32_t>(b));
       EXPECT_NEAR(got.x, want.x, 1e-9 + 1e-6 * std::abs(want.x));
       EXPECT_NEAR(got.y, want.y, 1e-9 + 1e-6 * std::abs(want.y));
       EXPECT_NEAR(got.z, want.z, 1e-9 + 1e-6 * std::abs(want.z));
@@ -170,7 +169,7 @@ TEST(BhForce, ModerateThetaApproximatesWell) {
     double max_rel = 0.0;
     for (std::size_t b = solver.first_body(); b < solver.last_body(); b += 11) {
       const Vec3 got = solver.accel_of(static_cast<std::int32_t>(b));
-      const Vec3 want = bh::direct_accel(*shared, static_cast<std::int32_t>(b), 1e-3);
+      const Vec3 want = bh::direct_accel(*shared, static_cast<std::int32_t>(b));
       const double rel = (got - want).norm() / (want.norm() + 1e-12);
       max_rel = std::max(max_rel, rel);
     }
@@ -191,7 +190,6 @@ TEST(BhBackends, AllBackendsComputeIdenticalForces) {
       cfg.backend = be;
       cfg.clampi_cfg.mode = Mode::kAlwaysCache;
       cfg.native_mem_bytes = 64 * 1024;
-      cfg.native_block_bytes = 256;
       DistributedBarnesHut solver(p, sh, cfg);
       solver.step();
       solver.step();

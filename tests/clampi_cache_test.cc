@@ -403,9 +403,15 @@ TEST(CacheCore, ScoresAreInUnitInterval) {
       materialize(c, r.entry, buf.data(), buf.size());
     }
   }
-  const double ags = c.average_get_size();
-  EXPECT_GT(ags, 32.0);
-  EXPECT_LT(ags, 512.0);
+  std::size_t scored = 0;
+  for (std::uint32_t id = 0; id < c.entry_slots(); ++id) {
+    if (!c.entry_live(id)) continue;
+    const double s = c.score(id);
+    EXPECT_GE(s, 0.0);
+    EXPECT_LE(s, 1.0);
+    ++scored;
+  }
+  EXPECT_GT(scored, 0u);
 }
 
 TEST(CacheCore, StatsDeltaArithmetic) {

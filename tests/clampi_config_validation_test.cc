@@ -1,16 +1,30 @@
 // Config validation at window creation (validate_config / CacheCore ctor).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "clampi/cache.h"
+#include "clampi/clampi.h"
 #include "clampi/config.h"
 #include "clampi/info.h"
+#include "netmodel/model.h"
+#include "rt/engine.h"
 #include "util/error.h"
 
 namespace {
 
 using namespace clampi;
+using rmasim::Engine;
+using rmasim::Process;
+
+Engine::Config ecfg(int nranks) {
+  Engine::Config cfg;
+  cfg.nranks = nranks;
+  cfg.model = std::make_shared<net::FlatModel>(2.0, 0.001);
+  cfg.time_policy = rmasim::TimePolicy::kModeled;
+  return cfg;
+}
 
 TEST(ConfigValidation, DefaultConfigIsValid) {
   EXPECT_NO_THROW(validate_config(Config{}));
@@ -333,6 +347,68 @@ TEST(ConfigValidation, RemovedKnobsAreUnknownKeys) {
           << e.what();
     }
   }
+}
+
+// --- info-key configuration ---
+
+TEST(Info, ParseSizeSuffixes) {
+  EXPECT_EQ(parse_size("123"), 123u);
+  EXPECT_EQ(parse_size("4K"), 4096u);
+  EXPECT_EQ(parse_size("4k"), 4096u);
+  EXPECT_EQ(parse_size("2M"), std::size_t{2} << 20);
+  EXPECT_EQ(parse_size("1G"), std::size_t{1} << 30);
+  EXPECT_THROW(parse_size(""), util::ContractError);
+  EXPECT_THROW(parse_size("12X"), util::ContractError);
+  EXPECT_THROW(parse_size("12Mx"), util::ContractError);
+}
+
+TEST(Info, FullConfiguration) {
+  const Config cfg = config_from_info({
+      {"clampi_mode", "always_cache"},
+      {"clampi_index_entries", "2048"},
+      {"clampi_storage_bytes", "16M"},
+      {"clampi_adaptive", "true"},
+      {"clampi_score", "temporal"},
+      {"clampi_sample_size", "32"},
+      {"clampi_arity", "3"},
+      {"clampi_conflict_threshold", "0.07"},
+      {"clampi_adapt_interval", "512"},
+      {"clampi_seed", "99"},
+  });
+  EXPECT_EQ(cfg.mode, Mode::kAlwaysCache);
+  EXPECT_EQ(cfg.index_entries, 2048u);
+  EXPECT_EQ(cfg.storage_bytes, std::size_t{16} << 20);
+  EXPECT_TRUE(cfg.adaptive);
+  EXPECT_EQ(cfg.score, ScoreKind::kTemporal);
+  EXPECT_EQ(cfg.sample_size, 32);
+  EXPECT_EQ(cfg.cuckoo_arity, 3);
+  EXPECT_DOUBLE_EQ(cfg.conflict_threshold, 0.07);
+  EXPECT_EQ(cfg.adapt_interval, 512u);
+  EXPECT_EQ(cfg.seed, 99u);
+}
+
+TEST(Info, ForeignKeysIgnoredUnknownClampiKeysRejected) {
+  EXPECT_NO_THROW(config_from_info({{"mpi_assert_no_locks", "true"}}));
+  EXPECT_THROW(config_from_info({{"clampi_typo", "1"}}), util::ContractError);
+  EXPECT_THROW(config_from_info({{"clampi_mode", "bogus"}}), util::ContractError);
+  EXPECT_THROW(config_from_info({{"clampi_adaptive", "maybe"}}), util::ContractError);
+}
+
+TEST(Info, WindowConstructionFromInfo) {
+  Engine e(ecfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    const rmasim::Window w = p.win_allocate(1024, &base);
+    CachedWindow win(p, w,
+                     Info{{"clampi_mode", "always_cache"},
+                          {"clampi_index_entries", "128"},
+                          {"clampi_storage_bytes", "64K"}});
+    EXPECT_EQ(win.core().config().mode, Mode::kAlwaysCache);
+    EXPECT_EQ(win.index_entries(), 128u);
+    EXPECT_EQ(win.storage_bytes(), std::size_t{64} << 10);
+    p.barrier();
+    p.win_free(w);
+  });
 }
 
 }  // namespace

@@ -73,9 +73,10 @@ TEST(HealthMonitor, DisabledDetectorStaysHealthyButAccountsBackoff) {
   m.epoch_backoff_us(2) += 5.0;
   EXPECT_DOUBLE_EQ(m.epoch_backoff_us(0), 25.0);
   EXPECT_DOUBLE_EQ(m.epoch_backoff_us(1), 0.0);
-  EXPECT_DOUBLE_EQ(m.total_epoch_backoff_us(), 30.0);
+  EXPECT_DOUBLE_EQ(m.epoch_backoff_us(2), 5.0);
   m.on_epoch_close(1000.0);
-  EXPECT_DOUBLE_EQ(m.total_epoch_backoff_us(), 0.0);
+  EXPECT_DOUBLE_EQ(m.epoch_backoff_us(0), 0.0);
+  EXPECT_DOUBLE_EQ(m.epoch_backoff_us(2), 0.0);
 }
 
 TEST(HealthMonitor, WindowedFailuresQuarantine) {
@@ -174,11 +175,11 @@ TEST(HealthWindow, RetryBudgetIsPerTarget) {
       EXPECT_EQ(st.retries, 6u);        // 3 per target, not 3 total
       EXPECT_EQ(st.retry_giveups, 2u);  // each target exhausts its own pool
       EXPECT_EQ(st.injected_faults, 8u);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(1), 70.0);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(2), 70.0);
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(), 140.0);  // summed accessor
+      EXPECT_DOUBLE_EQ(win.target_status(1).epoch_backoff_us, 70.0);
+      EXPECT_DOUBLE_EQ(win.target_status(2).epoch_backoff_us, 70.0);
       win.flush_all();  // epoch boundary resets every pool
-      EXPECT_DOUBLE_EQ(win.epoch_backoff_us(), 0.0);
+      EXPECT_DOUBLE_EQ(win.target_status(1).epoch_backoff_us, 0.0);
+      EXPECT_DOUBLE_EQ(win.target_status(2).epoch_backoff_us, 0.0);
       win.unlock_all();
     }
     p.barrier();
@@ -205,9 +206,9 @@ TEST(HealthWindow, QuarantineFastFailsWithoutBurningRetries) {
       win.lock_all();
       std::vector<std::uint8_t> buf(64);
       EXPECT_THROW(win.get(buf.data(), 64, 1, 0), fault::OpFailedError);
-      EXPECT_EQ(win.target_health(1), HealthState::kHealthy);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kHealthy);
       EXPECT_THROW(win.get(buf.data(), 64, 1, 64), fault::OpFailedError);
-      EXPECT_EQ(win.target_health(1), HealthState::kQuarantined);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kQuarantined);
       EXPECT_EQ(win.stats().health_quarantines, 1u);
       EXPECT_EQ(win.stats().injected_faults, 2u);
 
@@ -441,22 +442,22 @@ TEST(HealthWindow, ReviveRankReclosesThroughProbing) {
       std::vector<std::uint8_t> buf(64);
       p.compute_us(2000.0);  // rank 1 is dead
       EXPECT_THROW(win.get(buf.data(), 64, 1, 0), fault::OpFailedError);
-      EXPECT_EQ(win.target_health(1), HealthState::kQuarantined);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kQuarantined);
       EXPECT_THROW(win.get(buf.data(), 64, 1, 0), fault::OpFailedError);  // fast-fail
       EXPECT_EQ(win.stats().fast_fails, 1u);
 
       win.flush_all();  // epoch boundary before the dwell elapsed: no probe
-      EXPECT_EQ(win.target_health(1), HealthState::kQuarantined);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kQuarantined);
 
       p.compute_us(2500.0);  // past dwell (3500 < 4500) and revival (3000)
       win.flush_all();       // epoch boundary: half-open
-      EXPECT_EQ(win.target_health(1), HealthState::kProbing);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kProbing);
       EXPECT_EQ(win.stats().health_probes, 1u);
 
       win.get(buf.data(), 64, 1, 0);  // first successful probe
-      EXPECT_EQ(win.target_health(1), HealthState::kProbing);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kProbing);
       win.get(buf.data(), 64, 1, 64);  // second: reclose
-      EXPECT_EQ(win.target_health(1), HealthState::kHealthy);
+      EXPECT_EQ(win.target_status(1).state, HealthState::kHealthy);
       EXPECT_EQ(win.stats().health_recoveries, 1u);
       win.flush_all();
       for (int j = 0; j < 64; ++j) {

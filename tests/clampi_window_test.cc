@@ -229,7 +229,7 @@ TEST(CachedWindow, PutBypassesCacheAndWrites) {
   Engine e(engine_cfg(2));
   e.run([](Process& p) {
     std::vector<std::uint8_t> mem(256, 0);
-    auto win = CachedWindow::create(p, mem.data(), mem.size(), cache_cfg(Mode::kTransparent));
+    CachedWindow win(p, p.win_create(mem.data(), mem.size()), cache_cfg(Mode::kTransparent));
     p.barrier();
     if (p.rank() == 0) {
       const std::uint8_t v[4] = {9, 8, 7, 6};
@@ -379,19 +379,23 @@ TEST(CachedWindow, GappedTypedGetsReachTheGetObserver) {
 }
 
 TEST(CachedWindow, EpochCounterAdvances) {
+  // flush_all and unlock_all each close an epoch; in transparent mode each
+  // closure drops what the epoch cached.
   Engine e(engine_cfg(2));
   e.run([](Process& p) {
     void* base = nullptr;
-    auto win = CachedWindow::allocate(p, 256, &base, cache_cfg(Mode::kAlwaysCache));
+    auto win = CachedWindow::allocate(p, 256, &base, cache_cfg(Mode::kTransparent));
     p.barrier();
-    EXPECT_EQ(win.epoch(), 0u);
+    EXPECT_EQ(win.stats().invalidations, 0u);
     win.lock_all();
     std::uint8_t b[8];
     win.get(b, 8, 1 - p.rank(), 0);
     win.flush_all();
-    EXPECT_EQ(win.epoch(), 1u);
+    EXPECT_EQ(win.stats().invalidations, 1u);
+    win.get(b, 8, 1 - p.rank(), 0);
+    EXPECT_EQ(win.last_access(), AccessType::kDirect);
     win.unlock_all();
-    EXPECT_EQ(win.epoch(), 2u);
+    EXPECT_EQ(win.stats().invalidations, 2u);
     p.barrier();
     win.free_window();
   });
@@ -552,6 +556,35 @@ TEST(CachedWindow, CoreInvariantsAfterHeavyChurn) {
     }
     win.flush_all();
     EXPECT_TRUE(win.core().validate());
+    win.unlock_all();
+    p.barrier();
+    win.free_window();
+  });
+}
+
+// --- per-operation bypass ---
+
+TEST(Bypass, GetNocacheNeverPopulatesTheCache) {
+  Engine e(engine_cfg(2));
+  e.run([](Process& p) {
+    void* base = nullptr;
+    Config cfg;
+    cfg.mode = Mode::kAlwaysCache;
+    auto win = CachedWindow::allocate(p, 1024, &base, cfg);
+    auto* b = static_cast<std::uint8_t*>(base);
+    for (int i = 0; i < 1024; ++i) b[i] = static_cast<std::uint8_t>(i + p.rank());
+    p.barrier();
+    win.lock_all();
+    std::uint8_t buf[64];
+    win.get_nocache(buf, 64, 1 - p.rank(), 0);
+    win.flush_all();
+    EXPECT_EQ(buf[5], static_cast<std::uint8_t>(5 + (1 - p.rank())));
+    EXPECT_EQ(win.stats().total_gets, 0u);  // cache untouched
+    EXPECT_EQ(win.core().cached_entries() + win.core().pending_entries(), 0u);
+    // A cached get of the same key is a miss: nothing was inserted.
+    win.get(buf, 64, 1 - p.rank(), 0);
+    EXPECT_EQ(win.last_access(), AccessType::kDirect);
+    win.flush_all();
     win.unlock_all();
     p.barrier();
     win.free_window();

@@ -134,15 +134,16 @@ TEST(FaultInjector, DeterministicAcrossInstances) {
   fault::Injector b(p);
   a.prepare(4);
   b.prepare(4);
+  int failures = 0;
   for (int i = 0; i < 200; ++i) {
     const auto va = a.on_op(fault::OpKind::kGet, 0, 1, 64, 0.0);
     const auto vb = b.on_op(fault::OpKind::kGet, 0, 1, 64, 0.0);
     EXPECT_EQ(va.fail, vb.fail);
     EXPECT_EQ(va.latency_factor, vb.latency_factor);
+    failures += va.fail ? 1 : 0;
   }
-  EXPECT_EQ(a.injected_failures(), b.injected_failures());
-  EXPECT_GT(a.injected_failures(), 0u);
-  EXPECT_LT(a.injected_failures(), 200u);
+  EXPECT_GT(failures, 0);
+  EXPECT_LT(failures, 200);
 }
 
 TEST(FaultInjector, SeedChangesSchedule) {

@@ -440,25 +440,6 @@ TEST(LccDistributed, SkipDeadRanksDropsDeadOwnersAdjacency) {
   EXPECT_GT((*dropped)[0] + (*dropped)[1] + (*dropped)[3], 0u);
 }
 
-TEST(LccDistributed, SizeHistogramTracksDegrees) {
-  auto g = std::make_shared<Csr>(rmat_graph({.scale = 9, .edge_factor = 8, .seed = 41}));
-  Engine e(engine_cfg(4));
-  e.run([&](Process& p) {
-    LccConfig cfg;
-    cfg.backend = LccBackend::kNone;
-    cfg.track_size_histogram = true;
-    DistributedLcc solver(p, g, cfg);
-    const auto rep = solver.run();
-    std::uint64_t histo_total = 0;
-    for (const auto& [sz, cnt] : solver.size_histogram()) {
-      EXPECT_EQ(sz % sizeof(Vertex), 0u);
-      histo_total += cnt;
-    }
-    EXPECT_EQ(histo_total, rep.remote_gets);
-    p.barrier();
-  });
-}
-
 TEST(LccDistributed, OwnershipPartitionsCoverAllVertices) {
   auto g = std::make_shared<Csr>(rmat_graph({.scale = 8, .edge_factor = 4, .seed = 51}));
   Engine e(engine_cfg(5));
@@ -466,8 +447,9 @@ TEST(LccDistributed, OwnershipPartitionsCoverAllVertices) {
   e.run([&](Process& p) {
     LccConfig cfg;
     DistributedLcc solver(p, g, cfg);
-    for (Vertex v = solver.first_vertex(); v < solver.last_vertex(); ++v) {
-      EXPECT_EQ(solver.owner_of(v), p.rank());
+    const auto rep = solver.run();
+    for (Vertex v = solver.first_vertex(); v < solver.first_vertex() + rep.owned_vertices;
+         ++v) {
       (*covered)[v] += 1;
     }
     p.barrier();

@@ -125,7 +125,7 @@ TEST(Headline, TransparentModeNeedsNoCodeChangeAndNeverLies) {
     std::vector<std::uint32_t> mem_a(64), mem_b(64);
     Config cfg;
     cfg.mode = Mode::kTransparent;
-    auto cached = CachedWindow::create(p, mem_a.data(), mem_a.size() * 4, cfg);
+    CachedWindow cached(p, p.win_create(mem_a.data(), mem_a.size() * 4), cfg);
     const rmasim::Window plain = p.win_create(mem_b.data(), mem_b.size() * 4);
     p.barrier();
     cached.lock_all();

@@ -45,7 +45,7 @@ TEST(Listing1, PaperExampleVerbatim) {
     }
     Config cfg;
     cfg.mode = Mode::kUserDefined;
-    auto win = CachedWindow::create(p, mem.data(), mem.size() * sizeof(std::uint32_t), cfg);
+    CachedWindow win(p, p.win_create(mem.data(), mem.size() * sizeof(std::uint32_t)), cfg);
     p.barrier();
 
     const int peer = 1 - p.rank();
@@ -83,7 +83,7 @@ TEST(Staleness, TransparentModeNeverServesStaleBytes) {
     std::vector<std::uint64_t> mem(16, 0);
     Config cfg;
     cfg.mode = Mode::kTransparent;
-    auto win = CachedWindow::create(p, mem.data(), mem.size() * sizeof(std::uint64_t), cfg);
+    CachedWindow win(p, p.win_create(mem.data(), mem.size() * sizeof(std::uint64_t)), cfg);
     p.barrier();
     const int peer = 1 - p.rank();
     win.lock_all();
@@ -115,7 +115,7 @@ TEST(Staleness, AlwaysCacheServesOldBytesByContract) {
     std::vector<std::uint64_t> mem(4, 111);
     Config cfg;
     cfg.mode = Mode::kAlwaysCache;
-    auto win = CachedWindow::create(p, mem.data(), mem.size() * sizeof(std::uint64_t), cfg);
+    CachedWindow win(p, p.win_create(mem.data(), mem.size() * sizeof(std::uint64_t)), cfg);
     p.barrier();
     const int peer = 1 - p.rank();
     win.lock_all();
@@ -148,7 +148,7 @@ TEST(Staleness, UserDefinedInvalidationBoundsStaleness) {
     std::vector<std::uint32_t> mem(32, 0);
     Config cfg;
     cfg.mode = Mode::kUserDefined;
-    auto win = CachedWindow::create(p, mem.data(), mem.size() * sizeof(std::uint32_t), cfg);
+    CachedWindow win(p, p.win_create(mem.data(), mem.size() * sizeof(std::uint32_t)), cfg);
     p.barrier();
     win.lock_all();
     util::Xoshiro256 rng(7u + p.rank());
@@ -189,7 +189,7 @@ TEST(Oracle, RandomMixedOpsAgainstUncachedTwin) {
     cfg.mode = Mode::kAlwaysCache;
     cfg.index_entries = 128;
     cfg.storage_bytes = 8 * 1024;  // small: constant eviction churn
-    auto cached = CachedWindow::create(p, mem_a.data(), mem_a.size(), cfg);
+    CachedWindow cached(p, p.win_create(mem_a.data(), mem_a.size()), cfg);
     const rmasim::Window plain = p.win_create(mem_b.data(), mem_b.size());
     p.barrier();
     cached.lock_all();

