@@ -226,10 +226,7 @@ Outcome run(const Schedule& s, const Options& opt) {
   if (!s.plan.trivial()) ecfg.injector = std::make_shared<fault::Injector>(s.plan);
   ecfg.op_observer = [&sh](const fault::OpDesc& d, bool failed) {
     ++sh.out->net_ops;
-    if (d.origin == 0 && !failed &&
-        (d.kind == fault::OpKind::kGet || d.kind == fault::OpKind::kGetBlocks)) {
-      ++sh.step_net_gets;
-    }
+    if (d.origin == 0 && !failed && d.kind == fault::OpKind::kGet) ++sh.step_net_gets;
   };
 
   rmasim::Engine engine(ecfg);

@@ -285,8 +285,7 @@ bool CacheCore::insert_with_conflict_handling(std::uint64_t hkey, std::uint32_t 
   return true;
 }
 
-CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dtype_sig,
-                                    PhaseBreakdown* phases) {
+CacheCore::Result CacheCore::access(Key key, std::size_t bytes, PhaseBreakdown* phases) {
   CLAMPI_REQUIRE(bytes > 0, "zero-byte get_c");
   PhaseTimer timer(phases != nullptr && cfg_.collect_phase_timings);
 
@@ -374,7 +373,6 @@ CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dt
     }
     if (extended) {
       res.prev_bytes = e.size;
-      res.prev_sig = e.sig;
       res.prev_pending = e.pending;
       e.size = bytes;
       addr_max_size_ = std::max(addr_max_size_, bytes);
@@ -383,9 +381,6 @@ CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dt
         ++pending_;
       }
       res.extended = true;
-      // The (possibly different) requester layout now defines the entry's
-      // contents; without extension the stored data and signature stay.
-      e.sig = dtype_sig;
     }
     if (phases != nullptr) {
       timer.lap(&phases->insert_ns);
@@ -400,7 +395,7 @@ CacheCore::Result CacheCore::access(Key key, std::size_t bytes, std::uint64_t dt
   // Born PENDING so the eviction rounds below never consider the entry a
   // victim while it has no region yet.
   entries_[id] = Entry{key,      bytes,     nullptr,    g_,
-                       /*pending=*/true, /*live=*/true, kNoEntry, dtype_sig,
+                       /*pending=*/true, /*live=*/true, kNoEntry,
                        /*csum=*/0, /*stamp=*/0.0};
   addr_link(id);
   ++pending_;
@@ -499,11 +494,6 @@ std::size_t CacheCore::entry_bytes(std::uint32_t id) const {
 Key CacheCore::entry_key(std::uint32_t id) const {
   CLAMPI_ASSERT(entries_[id].live, "entry_key on a dead entry");
   return entries_[id].key;
-}
-
-std::uint64_t CacheCore::entry_signature(std::uint32_t id) const {
-  CLAMPI_ASSERT(entries_[id].live, "entry_signature on a dead entry");
-  return entries_[id].sig;
 }
 
 bool CacheCore::entry_pending(std::uint32_t id) const {
@@ -641,13 +631,12 @@ void CacheCore::drop_failed(std::uint32_t id) {
 }
 
 void CacheCore::revert_extension(std::uint32_t id, std::size_t prev_bytes,
-                                 std::uint64_t prev_sig, bool prev_pending) {
+                                 bool prev_pending) {
   Entry& e = entries_[id];
   CLAMPI_ASSERT(e.live, "revert_extension on a dead entry");
   CLAMPI_ASSERT(e.pending, "revert_extension on a non-pending entry");
   CLAMPI_ASSERT(prev_bytes <= e.size, "revert_extension grows the entry");
   e.size = prev_bytes;
-  e.sig = prev_sig;
   if (!prev_pending) {
     e.pending = false;
     CLAMPI_ASSERT(pending_ > 0, "pending counter underflow");

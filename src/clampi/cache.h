@@ -21,13 +21,14 @@
 #include "clampi/cuckoo_index.h"
 #include "clampi/stats.h"
 #include "clampi/storage.h"
+#include "util/align.h"
 #include "util/rng.h"
 
 namespace clampi {
 
 /// Identity of a get with respect to the cache: the paper defines a hit as
-/// matching target and displacement (Sec. III-B1); datatype and count only
-/// determine the size.
+/// matching target and displacement (Sec. III-B1); the request's size only
+/// decides between a full and a partial hit.
 struct Key {
   std::int32_t target = -1;
   std::uint64_t disp = 0;
@@ -50,7 +51,6 @@ class CacheCore {
     // gets in the epoch may already hold copy-in/copy-out registrations
     // against it (found by chaos_fuzz seed 89).
     std::size_t prev_bytes = 0;
-    std::uint64_t prev_sig = 0;
     bool prev_pending = false;
     /// A sampled checksum verification caught a corrupt entry: it was
     /// quarantined and the access fell through to the miss path, so the
@@ -62,17 +62,14 @@ class CacheCore {
   CacheCore(const CacheCore&) = delete;
   CacheCore& operator=(const CacheCore&) = delete;
 
-  /// Process a get_c of `bytes` payload at `key`. `dtype_sig` is recorded
-  /// for layout-compatibility diagnostics. May evict entries.
-  Result access(Key key, std::size_t bytes, std::uint64_t dtype_sig = 0,
-                PhaseBreakdown* phases = nullptr);
+  /// Process a get_c of `bytes` payload at `key`. May evict entries.
+  Result access(Key key, std::size_t bytes, PhaseBreakdown* phases = nullptr);
 
   // --- entry accessors (valid until eviction/invalidation) ---
   std::byte* entry_data(std::uint32_t id);
   const std::byte* entry_data(std::uint32_t id) const;
   std::size_t entry_bytes(std::uint32_t id) const;
   Key entry_key(std::uint32_t id) const;
-  std::uint64_t entry_signature(std::uint32_t id) const;
   bool entry_pending(std::uint32_t id) const;
 
   /// PENDING -> CACHED (the entry's data arrived and was copied in).
@@ -102,12 +99,11 @@ class CacheCore {
   std::size_t drop_pending(int target);
 
   /// Undo a partial-hit extension whose tail fetch failed: restore the
-  /// pre-extension size/signature/pending state recorded in Result. The
+  /// pre-extension size/pending state recorded in Result. The
   /// entry must NOT be dropped in that situation — earlier gets in the
   /// epoch may hold pending copy-ins/outs against it, and its cached
   /// prefix is still valid (relocation preserves it).
-  void revert_extension(std::uint32_t id, std::size_t prev_bytes,
-                        std::uint64_t prev_sig, bool prev_pending);
+  void revert_extension(std::uint32_t id, std::size_t prev_bytes, bool prev_pending);
 
   /// Quarantine a CACHED entry whose bytes are corrupt or stale: dropped
   /// through the eviction path so the key misses (and re-fetches) next
@@ -217,7 +213,7 @@ class CacheCore {
   // key's hash is not stored here: the cuckoo index keeps it beside the
   // slot word, where the insertion search reads it without touching this
   // table (cold paths recompute it with make_hkey).
-  struct Entry {
+  struct alignas(util::kCacheLineBytes) Entry {
     Key key;
     std::size_t size = 0;  ///< payload bytes (region may be larger: alignment)
     Storage::Region* region = nullptr;
@@ -227,11 +223,13 @@ class CacheCore {
     /// Next id on this entry's address chain (kNoEntry = end); see the
     /// address index in cache.cc.
     std::uint32_t addr_next = kNoEntry;
-    std::uint64_t sig = 0;
     std::uint64_t csum = 0;  ///< XXH64 of the payload, set at mark_cached
     double stamp = 0.0;      ///< virtual time the payload was fetched (0 = never)
   };
-  static_assert(sizeof(Entry) <= 72, "Entry outgrew its 72-byte footprint");
+  // One cache line per entry, so a hit touches one line of this table.
+  // Key's 4 bytes of padding after `target` can still take a 32-bit
+  // payload offset without growing it.
+  static_assert(sizeof(Entry) <= 64, "Entry outgrew its 64-byte cache line");
 
   // Index callbacks for the index's cold paths (erase and validate).
   struct EntryOps {

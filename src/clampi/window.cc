@@ -73,29 +73,6 @@ void CachedWindow::serve_cached(void* origin, std::uint32_t entry, std::size_t b
 
 void CachedWindow::issue_network_get(void* origin, std::size_t bytes, int target,
                                      std::size_t disp) {
-  issue_resilient(target, disp, bytes,
-                  [&] { p_->get(origin, bytes, target, disp, win_); });
-}
-
-void CachedWindow::issue_network_get_typed(void* origin, const dt::Datatype& dtype,
-                                           std::size_t count, int target, std::size_t disp,
-                                           std::size_t first_elem) {
-  // The blocks of elements [first_elem, count), packed into origin.
-  const std::size_t start = first_elem * dtype.extent();
-  std::vector<rmasim::Process::Block> blocks;
-  for (const auto& b : dtype.flatten(count)) {
-    if (b.offset + b.size <= start) continue;
-    const std::size_t off = std::max(b.offset, start);
-    blocks.push_back({off, b.size - (off - b.offset)});
-  }
-  const std::size_t bytes = dtype.size_of(count) - first_elem * dtype.size();
-  issue_resilient(target, disp, bytes, [&] {
-    p_->get_blocks(origin, target, disp, blocks.data(), blocks.size(), win_);
-  });
-}
-
-void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t bytes,
-                                   const std::function<void()>& issue_fn) {
   // Quarantined targets fast-fail before touching the network: no retries,
   // no backoff burned. PROBING lets ops through half-open; enough
   // consecutive successes reclose the target to HEALTHY. Placed here (not
@@ -116,7 +93,7 @@ void CachedWindow::issue_resilient(int target, std::size_t disp, std::size_t byt
   int attempt = 0;
   for (;;) {
     try {
-      issue_fn();
+      p_->get(origin, bytes, target, disp, win_);
       record_target_outcome(target, /*success=*/true);
       return;
     } catch (const fault::OpFailedError& err) {
@@ -255,7 +232,7 @@ void CachedWindow::crash_epoch_check(int target) {
 }
 
 bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target,
-                                     std::size_t disp, std::uint64_t sig) {
+                                     std::size_t disp) {
   last_degraded_ = false;
   // Outside this path a CACHED entry of a down target still serves as an
   // ordinary hit in the read-only modes (access() never touches the
@@ -282,7 +259,6 @@ bool CachedWindow::try_degraded_read(void* origin, std::size_t bytes, int target
     return false;
   }
   if (core_->entry_bytes(id) < bytes) return false;
-  if (core_->entry_signature(id) != sig) return false;  // layout must match
   if (!core_->entry_checksum_ok(id)) {
     // Bit rot does not spare a down target's retained entries, and the hit
     // path's sampled verification never sees this entry (it serves here,
@@ -401,8 +377,7 @@ void CachedWindow::rollback_failed(const CacheCore::Result& res,
     // epoch may already hold copy-in/copy-out registrations against it,
     // so dropping it would leave them dangling (chaos_fuzz seed 89).
     // Shrink it back instead — its previously cached prefix is intact.
-    core_->revert_extension(res.entry, res.prev_bytes, res.prev_sig,
-                            res.prev_pending);
+    core_->revert_extension(res.entry, res.prev_bytes, res.prev_pending);
   }
 }
 
@@ -461,19 +436,6 @@ void CachedWindow::notify_get(int target, std::size_t disp, std::size_t bytes,
 
 void CachedWindow::get(void* origin, std::size_t bytes, int target, std::size_t disp) {
   CLAMPI_REQUIRE(bytes > 0, "zero-byte get");
-  get_impl(origin, bytes, target, disp, nullptr, 0);
-}
-
-void CachedWindow::get(void* origin, const dt::Datatype& dtype, std::size_t count,
-                       int target, std::size_t disp) {
-  const std::size_t bytes = dtype.size_of(count);
-  CLAMPI_REQUIRE(bytes > 0, "zero-byte typed get");
-  // A contiguous layout packs to the plain byte range: an untyped get.
-  get_impl(origin, bytes, target, disp, dtype.is_contiguous() ? nullptr : &dtype, count);
-}
-
-void CachedWindow::get_impl(void* origin, std::size_t bytes, int target, std::size_t disp,
-                            const dt::Datatype* dtype, std::size_t count) {
   // A hit never reaches the engine's own target check.
   CLAMPI_REQUIRE(target >= 0 && target < p_->nranks(), "target rank out of range");
   crash_epoch_check(target);
@@ -481,112 +443,33 @@ void CachedWindow::get_impl(void* origin, std::size_t bytes, int target, std::si
   begin_op_deadline();
   last_phases_ = PhaseBreakdown{};
   if (breaker_says_passthrough()) {
-    if (dtype != nullptr) {
-      issue_network_get_typed(origin, *dtype, count, target, disp, /*first_elem=*/0);
-    } else {
-      issue_network_get(origin, bytes, target, disp);
-    }
+    issue_network_get(origin, bytes, target, disp);
     notify_get(target, disp, bytes, /*degraded=*/false, /*healed=*/false);
     return;
   }
-  const std::uint64_t sig = dtype != nullptr ? dtype->signature() : 0;
-  if (try_degraded_read(origin, bytes, target, disp, sig)) {
+  if (try_degraded_read(origin, bytes, target, disp)) {
     notify_get(target, disp, bytes, /*degraded=*/true, /*healed=*/false);
     return;
   }
-  const CacheCore::Result res =
-      core_->access(Key{target, disp}, bytes, sig,
-                    cfg_.collect_phase_timings ? &last_phases_ : nullptr);
+  const CacheCore::Result res = core_->access(
+      Key{target, disp}, bytes, cfg_.collect_phase_timings ? &last_phases_ : nullptr);
   if (res.healed) [[unlikely]] note_heal(target, disp, bytes);
   last_access_ = res.type;
   const std::size_t pending_mark = pending_.size();
   try {
-    if (dtype != nullptr) {
-      handle_typed_result(res, origin, *dtype, count, target, disp, sig, bytes);
-    } else {
-      handle_result(res, origin, bytes, target, disp);
-    }
+    handle_result(res, origin, bytes, target, disp);
   } catch (const fault::OpFailedError&) {
     rollback_failed(res, pending_mark);
     throw;
   }
   if (!res.healed) breaker_probe_success();
-  // Shadow verification compares a contiguous range, so typed hits skip it.
-  if (dtype == nullptr && cfg_.shadow_verify_every_n != 0 && res.type == AccessType::kHit)
-      [[unlikely]] {
+  if (cfg_.shadow_verify_every_n != 0 && res.type == AccessType::kHit) [[unlikely]] {
     if (++shadow_tick_ >= cfg_.shadow_verify_every_n) {
       shadow_tick_ = 0;
       shadow_verify(origin, bytes, target, disp, res.entry);
     }
   }
   notify_get(target, disp, bytes, /*degraded=*/false, res.healed);
-}
-
-void CachedWindow::handle_typed_result(const CacheCore::Result& res, void* origin,
-                                       const dt::Datatype& dtype, std::size_t count,
-                                       int target, std::size_t disp, std::uint64_t sig,
-                                       std::size_t bytes) {
-  // A cached prefix of the packed payload is reusable only if it was
-  // produced by the same element layout and covers whole elements.
-  const std::size_t esz = dtype.size();
-  const bool layout_ok =
-      res.entry == kNoEntry || core_->entry_signature(res.entry) == sig;
-  const bool prefix_ok = layout_ok && res.cached_bytes % esz == 0;
-
-  switch (res.type) {
-    case AccessType::kHit:
-      if (layout_ok) {
-        serve_cached(origin, res.entry, bytes);
-        return;
-      }
-      break;  // incompatible layout: fall through to a plain network fetch
-    case AccessType::kHitPending:
-      if (layout_ok) {
-        pending_.push_back({PendingOp::Kind::kCopyOut, res.entry, target,
-                            static_cast<std::byte*>(origin), 0, bytes, 0.0});
-        return;
-      }
-      break;
-    case AccessType::kPartialHit: {
-      if (prefix_ok) {
-        const std::size_t head = res.cached_bytes;
-        if (res.serve_now) {
-          serve_cached(origin, res.entry, head);
-        } else {
-          pending_.push_back({PendingOp::Kind::kCopyOut, res.entry, target,
-                              static_cast<std::byte*>(origin), 0, head, 0.0});
-        }
-        // Fetch the remaining elements' blocks, packed after the head.
-        auto* tail_dst = static_cast<std::byte*>(origin) + head;
-        issue_network_get_typed(tail_dst, dtype, count, target, disp, head / esz);
-        if (res.extended) {
-          pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target, tail_dst, head,
-                              bytes - head, p_->now_us()});
-        }
-        return;
-      }
-      break;
-    }
-    case AccessType::kDirect:
-    case AccessType::kConflicting:
-    case AccessType::kCapacity:
-      issue_network_get_typed(origin, dtype, count, target, disp, /*first_elem=*/0);
-      pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
-                          static_cast<std::byte*>(origin), 0, bytes, p_->now_us()});
-      return;
-    case AccessType::kFailing:
-      break;
-  }
-  // Fallback: fetch the full payload over the network (incompatible
-  // layout or failing access).
-  issue_network_get_typed(origin, dtype, count, target, disp, /*first_elem=*/0);
-  if (res.type == AccessType::kPartialHit && res.extended) {
-    // The core grew the entry for the *new* layout and left it PENDING;
-    // repopulate it wholesale from the freshly fetched packed payload,
-    // or it would stay PENDING (and unevictable) forever.
-    pending_.push_back({PendingOp::Kind::kCopyIn, res.entry, target,
-                        static_cast<std::byte*>(origin), 0, bytes, p_->now_us()});
-  }
 }
 
 void CachedWindow::get_nocache(void* origin, std::size_t bytes, int target,
@@ -729,35 +612,33 @@ void CachedWindow::maybe_adapt() {
   adapt_base_ = core_->stats();
 }
 
+void CachedWindow::complete(int target) {
+  try {
+    if (target < 0) {
+      p_->flush_all(win_);
+    } else {
+      p_->flush(target, win_);
+    }
+  } catch (const fault::OpFailedError& err) {
+    on_flush_failure(err, /*all_taken=*/target < 0);
+    throw;
+  }
+}
+
 void CachedWindow::flush(int target) {
   if (cfg_.mode == Mode::kTransparent) {
     // Transparent invalidation needs every in-flight get materialized.
-    try {
-      p_->flush_all(win_);
-    } catch (const fault::OpFailedError& err) {
-      on_flush_failure(err, /*all_taken=*/true);
-      throw;
-    }
+    complete(-1);
     close_epoch(/*all_complete=*/true);
     return;
   }
-  try {
-    p_->flush(target, win_);
-  } catch (const fault::OpFailedError& err) {
-    on_flush_failure(err, /*all_taken=*/false);
-    throw;
-  }
+  complete(target);
   process_pending(target);
   close_epoch(/*all_complete=*/false);
 }
 
 void CachedWindow::flush_all() {
-  try {
-    p_->flush_all(win_);
-  } catch (const fault::OpFailedError& err) {
-    on_flush_failure(err, /*all_taken=*/true);
-    throw;
-  }
+  complete(-1);
   process_pending(-1);
   close_epoch(/*all_complete=*/true);
 }
@@ -765,10 +646,16 @@ void CachedWindow::flush_all() {
 void CachedWindow::lock(rmasim::LockType type, int target) { p_->lock(type, target, win_); }
 
 void CachedWindow::unlock(int target) {
-  if (cfg_.mode == Mode::kTransparent) p_->flush_all(win_);
+  const int scope = cfg_.mode == Mode::kTransparent ? -1 : target;
+  try {
+    complete(scope);
+  } catch (const fault::OpFailedError&) {
+    p_->unlock(target, win_);  // a failed completion still ends the access epoch
+    throw;
+  }
   p_->unlock(target, win_);
-  process_pending(cfg_.mode == Mode::kTransparent ? -1 : target);
-  close_epoch(/*all_complete=*/cfg_.mode == Mode::kTransparent);
+  process_pending(scope);
+  close_epoch(/*all_complete=*/scope < 0);
 }
 
 void CachedWindow::lock_all() { p_->lock_all(win_); }
@@ -893,7 +780,7 @@ void CachedWindow::integrity_epoch_tasks() {
 
 void CachedWindow::invalidate() {
   if (!pending_.empty() || core_->pending_entries() != 0) {
-    p_->flush_all(win_);
+    complete(-1);
     process_pending(-1);
   }
   core_->invalidate();

@@ -33,7 +33,6 @@
 #include "clampi/info.h"
 #include "clampi/shedder.h"
 #include "clampi/stats.h"
-#include "datatype/datatype.h"
 #include "rt/engine.h"
 
 namespace clampi {
@@ -67,12 +66,9 @@ class CachedWindow {
   CachedWindow& operator=(CachedWindow&&) = default;
 
   // --- cached one-sided reads (get_c) ---
+  /// Read [disp, disp + bytes) of `target` through the cache; the gates
+  /// it passes are listed in docs/INTERNALS.md "The window get sequence".
   void get(void* origin, std::size_t bytes, int target, std::size_t disp);
-  /// Typed get: fetches `count` elements laid out as `dtype` at the
-  /// target; `origin` receives the *packed* payload (dtype.size_of(count)
-  /// bytes).
-  void get(void* origin, const dt::Datatype& dtype, std::size_t count, int target,
-           std::size_t disp);
 
   /// Per-operation cache bypass (Sec. III-A discusses it as a possible
   /// MPI extension: "a special get call, allowing the user to use/bypass
@@ -157,7 +153,7 @@ class CachedWindow {
   void observe_health(HealthObserver obs) { health_observer_ = std::move(obs); }
   /// Feed one op outcome into the health machine and mirror any state
   /// transition into Stats and the trace. The cached get path records its
-  /// outcomes here too (issue_resilient), but the KV layer's uncached
+  /// outcomes here too (issue_network_get), but the KV layer's uncached
   /// reads and slot writes go straight to the engine — without this,
   /// their successes against a PROBING target would never count as
   /// probes and a recovered rank could stay half-open forever.
@@ -220,32 +216,18 @@ class CachedWindow {
   };
 
   void serve_cached(void* origin, std::uint32_t entry, std::size_t bytes);
-  /// The one gate sequence of every get (docs/INTERNALS.md "The window get
-  /// sequence"); `dtype` is null for a contiguous byte range. Only the
-  /// result handling differs between typed and untyped gets.
-  void get_impl(void* origin, std::size_t bytes, int target, std::size_t disp,
-                const dt::Datatype* dtype, std::size_t count);
   void handle_result(const CacheCore::Result& res, void* origin, std::size_t bytes,
                      int target, std::size_t disp);
-  void handle_typed_result(const CacheCore::Result& res, void* origin,
-                           const dt::Datatype& dtype, std::size_t count, int target,
-                           std::size_t disp, std::uint64_t sig, std::size_t bytes);
+  /// Fetch [disp, disp + bytes) of `target` into `origin` under the retry
+  /// policy: transient fault::OpFailedErrors back off in virtual time and
+  /// re-issue up to max_retries times (within the epoch budget); anything
+  /// else propagates.
   void issue_network_get(void* origin, std::size_t bytes, int target, std::size_t disp);
-  /// Fetch elements [first_elem, count) of a typed get, packed into
-  /// `origin`, as one gather under the retry policy.
-  void issue_network_get_typed(void* origin, const dt::Datatype& dtype, std::size_t count,
-                               int target, std::size_t disp, std::size_t first_elem);
-  /// Run `issue_fn` under the retry policy: transient fault::OpFailedErrors
-  /// back off in virtual time and re-issue up to max_retries times (within
-  /// the epoch budget); anything else propagates.
-  void issue_resilient(int target, std::size_t disp, std::size_t bytes,
-                       const std::function<void()>& issue_fn);
   /// Serve a get from a CACHED entry because the target is down
   /// (quarantined, dead or degraded) as a bounded-staleness degraded read
   /// (cfg.degraded_reads; any mode). False: proceed normally. See
   /// docs/FAULTS.md §6 for the mode/policy matrix.
-  bool try_degraded_read(void* origin, std::size_t bytes, int target, std::size_t disp,
-                         std::uint64_t sig);
+  bool try_degraded_read(void* origin, std::size_t bytes, int target, std::size_t disp);
   /// The target is currently unreachable: quarantined by the health
   /// monitor, or dead/degraded per the installed fault injector.
   /// Stragglers (slow_rank epochs) are deliberately NOT down: a slow
@@ -286,6 +268,10 @@ class CachedWindow {
   /// deliver; with `all_taken` the engine cleared every target's pending
   /// completions, so materialize the survivors (their data arrived).
   void on_flush_failure(const fault::OpFailedError& err, bool all_taken);
+  /// The one completion step of flush, flush_all, unlock and invalidate:
+  /// complete the outstanding ops against `target` (< 0: every target). A
+  /// failure goes through on_flush_failure before it propagates.
+  void complete(int target);
   /// Run pending copy-ins/outs; target < 0 means all targets.
   void process_pending(int target);
   /// Transparent-mode epoch invalidation. With degraded reads enabled,

@@ -26,7 +26,7 @@ namespace clampi::fault {
 enum class OpKind : std::uint8_t {
   kGet,        ///< Process::get
   kPut,        ///< Process::put
-  kGetBlocks,  ///< Process::get_blocks (datatype gather)
+  kGetBlocks,  ///< no longer emitted; kept while perfbench names it
   kFlush,      ///< flush / flush_all waiting on a dead target
 };
 

@@ -616,26 +616,6 @@ void Process::put(const void* origin, std::size_t bytes, int target, std::size_t
   engine_->complete(rank_, w, target, fv, bytes, model().transfer_us(rank_, target, bytes));
 }
 
-void Process::get_blocks(void* origin, int target, std::size_t disp, const Block* blocks,
-                         std::size_t nblocks, Window w) {
-  engine_->ctx(rank_).clock.enter_runtime();
-  auto& wo = engine_->window(w);
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    engine_->validate_target(wo, target, disp + blocks[i].offset, blocks[i].size);
-    total += blocks[i].size;
-  }
-  const auto fv = engine_->admit(rank_, fault::OpKind::kGetBlocks, target, disp, total);
-  auto* out = static_cast<std::byte*>(origin);
-  const std::byte* in = wo.base[static_cast<std::size_t>(target)];
-  std::size_t off = 0;
-  for (std::size_t i = 0; i < nblocks; ++i) {
-    std::memcpy(out + off, in + disp + blocks[i].offset, blocks[i].size);
-    off += blocks[i].size;
-  }
-  engine_->complete(rank_, w, target, fv, total, model().transfer_us(target, rank_, total));
-}
-
 double Process::pending_completion_us(int target, Window w) const {
   const auto& wo = engine_->window(w);
   CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.base.size(),

@@ -22,7 +22,7 @@
 // Supported surface (MPI names translated to C++), all over the world
 // communicator; only what a layer above calls (tests/knob_audit.py):
 //   win_allocate / win_create / win_free              (collective)
-//   get / put (+ datatype'd get_blocks)               MPI_Get / MPI_Put
+//   get / put (contiguous byte ranges)                MPI_Get / MPI_Put
 //   flush / flush_all                                 MPI_Win_flush(_all)
 //   lock / unlock / lock_all / unlock_all             passive target epochs
 //   fence                                             active target epoch
@@ -104,16 +104,6 @@ class Process {
   // --- One-sided operations (nonblocking; complete at flush/unlock/fence) ---
   void get(void* origin, std::size_t bytes, int target, std::size_t disp, Window w);
   void put(const void* origin, std::size_t bytes, int target, std::size_t disp, Window w);
-
-  /// Gather `nblocks` (offset,size) pieces of the target window starting
-  /// at `disp`, packed contiguously into `origin`. Models one transfer of
-  /// the total size (RDMA gather). Used by the datatype layer.
-  struct Block {
-    std::size_t offset;
-    std::size_t size;
-  };
-  void get_blocks(void* origin, int target, std::size_t disp, const Block* blocks,
-                  std::size_t nblocks, Window w);
 
   // --- Completion / epochs ---
   /// Modelled completion time of the outstanding operations against
@@ -204,15 +194,14 @@ class Engine {
     /// bit-identical virtual-time results to null.
     std::shared_ptr<fault::Injector> injector;
     /// Optional per-operation observer: invoked once for every one-sided
-    /// data operation (get / put / get_blocks) with
-    /// the operation descriptor and whether it failed, and for flushes
-    /// that fail against a dead, partitioned or recovering target. Runs
-    /// on the issuing rank's thread. Installing one keeps the single
-    /// baton for the whole run, read-only windows included, so observers
-    /// see a serialized operation stream and need no locking; they must
-    /// not call back into Process. The chaos semantics oracle (src/chaos)
-    /// uses this to assert, e.g., that cache hits issue no network
-    /// operations.
+    /// data operation (get / put) with the operation descriptor and
+    /// whether it failed, and for flushes that fail against a dead,
+    /// partitioned or recovering target. Runs on the issuing rank's
+    /// thread. Installing one keeps the single baton for the whole run,
+    /// read-only windows included, so observers see a serialized
+    /// operation stream and need no locking; they must not call back
+    /// into Process. The chaos semantics oracle (src/chaos) uses this to
+    /// assert, e.g., that cache hits issue no network operations.
     std::function<void(const fault::OpDesc&, bool failed)> op_observer;
   };
 

@@ -41,7 +41,6 @@ constexpr int kTargets = 3;
 struct PendingInfo {
   bool extended = false;
   std::size_t prev_bytes = 0;
-  std::uint64_t prev_sig = 0;
   bool prev_pending = false;
 };
 
@@ -117,12 +116,11 @@ class TraceRunner {
 
   void get() {
     const Key key{static_cast<std::int32_t>(rng_.bounded(kTargets)), pick_disp()};
-    const auto sig = static_cast<std::uint64_t>(rng_.bounded(4));
-    const CacheCore::Result r = core_.access(key, pick_bytes(), sig);
+    const CacheCore::Result r = core_.access(key, pick_bytes());
     if (r.inserted) {
       pending_[r.entry] = PendingInfo{};
     } else if (r.extended) {
-      pending_[r.entry] = PendingInfo{true, r.prev_bytes, r.prev_sig, r.prev_pending};
+      pending_[r.entry] = PendingInfo{true, r.prev_bytes, r.prev_pending};
     }
   }
 
@@ -139,7 +137,7 @@ class TraceRunner {
       core_.drop_failed(id);
       pending_.erase(it);
     } else if (how == 1 && info.extended) {
-      core_.revert_extension(id, info.prev_bytes, info.prev_sig, info.prev_pending);
+      core_.revert_extension(id, info.prev_bytes, info.prev_pending);
       if (info.prev_pending) {
         it->second = PendingInfo{};  // still awaiting its original data
       } else {

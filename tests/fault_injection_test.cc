@@ -465,11 +465,6 @@ TEST(FaultEngine, OneSidedOpContract) {
        [](Process& p, Window w, std::uint8_t*, const std::uint8_t* src) {
          p.put(src, 64, 1, 8, w);
        }},
-      {"get_blocks", fault::OpKind::kGetBlocks, 8, 32, true, false,
-       [](Process& p, Window w, std::uint8_t* out, const std::uint8_t*) {
-         const Process::Block blocks[] = {{0, 16}, {32, 16}};
-         p.get_blocks(out, 1, 8, blocks, 2, w);
-       }},
   };
 
   struct FaultCase {

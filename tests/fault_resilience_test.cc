@@ -13,6 +13,7 @@
 #include "fault/plan.h"
 #include "netmodel/model.h"
 #include "rt/engine.h"
+#include "util/error.h"
 
 namespace {
 
@@ -340,6 +341,89 @@ TEST(FaultResilience, TransparentModeSurvivesDeadFlush) {
     p.barrier();
     win.free_window();
   });
+}
+
+// Rank 0 holds a shared lock on rank 1, issues one get, and completes the
+// epoch with `close` after rank 1 died; unless `close` is an unlock, it
+// then unlocks. Last it takes an exclusive lock on rank 1, which
+// deadlocks the run if the shared lock is still held.
+struct DeadCompletion {
+  std::size_t pending_entries = 0;
+  std::uint64_t injected_faults = 0;
+  bool threw = false;
+  bool relocked = false;
+};
+
+DeadCompletion complete_after_death(Mode mode, void (*close)(CachedWindow&),
+                                    bool close_unlocks) {
+  fault::Plan plan;
+  plan.kill_rank(1, 50.0);
+  Engine e(engine_cfg(2, std::make_shared<fault::Injector>(plan)));
+  auto out = std::make_shared<DeadCompletion>();
+  try {
+    e.run([out, mode, close, close_unlocks](Process& p) {
+      void* base = nullptr;
+      auto win = CachedWindow::allocate(p, 4096, &base, cache_cfg(mode));
+      p.barrier();
+      if (p.rank() == 0) {
+        std::vector<std::uint8_t> buf(64);
+        win.lock(rmasim::LockType::kShared, 1);
+        win.get(buf.data(), 64, 1, 0);  // issued while rank 1 is alive
+        p.compute_us(100.0);             // rank 1 dies with the get pending
+        try {
+          close(win);
+        } catch (const fault::OpFailedError&) {
+          out->threw = true;
+        }
+        if (!close_unlocks) win.unlock(1);
+        out->pending_entries = win.core().pending_entries();
+        out->injected_faults = win.stats().injected_faults;
+        win.lock(rmasim::LockType::kExclusive, 1);
+        out->relocked = true;
+        win.unlock(1);
+      }
+      p.barrier();
+      win.free_window();
+    });
+  } catch (const util::ContractError&) {
+    // The exclusive lock deadlocked: `close` left the shared lock held.
+  }
+  return *out;
+}
+
+struct CompletionCase {
+  const char* name;
+  Mode mode;
+  void (*close)(CachedWindow&);
+  bool unlocks;
+};
+
+const CompletionCase kCompletionCases[] = {
+    {"flush_all", Mode::kUserDefined, [](CachedWindow& w) { w.flush_all(); }, false},
+    {"invalidate", Mode::kUserDefined, [](CachedWindow& w) { w.invalidate(); }, false},
+    {"unlock_transparent", Mode::kTransparent, [](CachedWindow& w) { w.unlock(1); }, true},
+    {"unlock_user_defined", Mode::kUserDefined, [](CachedWindow& w) { w.unlock(1); }, true},
+};
+
+// Every call that completes an epoch handles a dead target the way
+// flush_all does: the fault is counted, the dead target's pending entry is
+// dropped and the error propagates.
+TEST(FaultResilience, EveryEpochCompletionHandlesADeadTarget) {
+  for (const CompletionCase& c : kCompletionCases) {
+    SCOPED_TRACE(c.name);
+    const DeadCompletion r = complete_after_death(c.mode, c.close, c.unlocks);
+    EXPECT_TRUE(r.threw);
+    EXPECT_EQ(r.pending_entries, 0u);
+    EXPECT_EQ(r.injected_faults, 1u);
+  }
+}
+
+// An unlock whose completion fails still releases the lock.
+TEST(FaultResilience, FailedUnlockReleasesTheLock) {
+  for (const CompletionCase& c : kCompletionCases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_TRUE(complete_after_death(c.mode, c.close, c.unlocks).relocked);
+  }
 }
 
 }  // namespace

@@ -166,28 +166,6 @@ TEST(Window, OutOfBoundsAccessThrows) {
                util::ContractError);
 }
 
-TEST(Window, GetBlocksPacksStridedData) {
-  Engine e(flat_cfg(2));
-  e.run([](Process& p) {
-    std::vector<std::uint8_t> mine(64);
-    for (int i = 0; i < 64; ++i) mine[i] = static_cast<std::uint8_t>(i + 10 * p.rank());
-    Window w = p.win_create(mine.data(), mine.size());
-    p.barrier();
-    Process::Block blocks[] = {{0, 4}, {16, 4}, {32, 4}};
-    std::uint8_t got[12];
-    p.get_blocks(got, 1 - p.rank(), 4, blocks, 3, w);
-    p.flush_all(w);
-    const int peer = 1 - p.rank();
-    for (int b = 0; b < 3; ++b) {
-      for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(got[b * 4 + i], static_cast<std::uint8_t>(4 + b * 16 + i + 10 * peer));
-      }
-    }
-    p.barrier();
-    p.win_free(w);
-  });
-}
-
 TEST(Timing, FlushWaitsForModeledTransfer) {
   // alpha=2us, beta=0.001us/B: a 1000-byte get completes 3us after issue.
   Engine e(flat_cfg(2, 2.0, 0.001));

@@ -1,13 +1,10 @@
-// Additional runtime-surface tests: datatype'd window reads via
-// get_blocks composition, zero-size windows, heterogeneous window sizes,
-// many windows, and measured-scale configuration.
+// Additional runtime-surface tests: zero-size windows, heterogeneous
+// window sizes, many windows, and measured-scale configuration.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <numeric>
 #include <vector>
 
-#include "datatype/datatype.h"
 #include "netmodel/model.h"
 #include "rt/engine.h"
 #include "util/error.h"
@@ -87,34 +84,6 @@ TEST(WindowExtra, ManyLiveWindows) {
     }
     p.barrier();
     for (auto& w : wins) p.win_free(w);
-  });
-}
-
-TEST(WindowExtra, DatatypeGetBlocksRoundTrip) {
-  // Compose the datatype layer with get_blocks the way CachedWindow's
-  // typed path does, and verify against pack() of the raw memory.
-  Engine e(ecfg(2));
-  e.run([](Process& p) {
-    std::vector<std::uint8_t> mine(512);
-    std::iota(mine.begin(), mine.end(), static_cast<std::uint8_t>(p.rank()));
-    const Window w = p.win_create(mine.data(), mine.size());
-    p.barrier();
-    const auto t = dt::Datatype::indexed({2, 1, 3}, {0, 5, 9}, dt::Datatype::contiguous(4));
-    const auto blocks = t.flatten(3);
-    std::vector<rmasim::Process::Block> rb;
-    for (const auto& b : blocks) rb.push_back({b.offset, b.size});
-    std::vector<std::uint8_t> got(t.size_of(3));
-    p.get_blocks(got.data(), 1 - p.rank(), 32, rb.data(), rb.size(), w);
-    p.flush_all(w);
-
-    std::vector<std::uint8_t> want(t.size_of(3));
-    // pack from the peer's memory image (deterministic pattern).
-    std::vector<std::uint8_t> peer_mem(512);
-    std::iota(peer_mem.begin(), peer_mem.end(), static_cast<std::uint8_t>(1 - p.rank()));
-    t.pack(peer_mem.data() + 32, 3, want.data());
-    EXPECT_EQ(got, want);
-    p.barrier();
-    p.win_free(w);
   });
 }
 
