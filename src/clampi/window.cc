@@ -643,33 +643,11 @@ void CachedWindow::flush_all() {
   close_epoch(/*all_complete=*/true);
 }
 
-void CachedWindow::lock(rmasim::LockType type, int target) { p_->lock(type, target, win_); }
-
-void CachedWindow::unlock(int target) {
-  const int scope = cfg_.mode == Mode::kTransparent ? -1 : target;
-  try {
-    complete(scope);
-  } catch (const fault::OpFailedError&) {
-    p_->unlock(target, win_);  // a failed completion still ends the access epoch
-    throw;
-  }
-  p_->unlock(target, win_);
-  process_pending(scope);
-  close_epoch(/*all_complete=*/scope < 0);
-}
-
 void CachedWindow::lock_all() { p_->lock_all(win_); }
 
 void CachedWindow::unlock_all() {
-  p_->unlock_all(win_);
-  process_pending(-1);
-  close_epoch(/*all_complete=*/true);
-}
-
-void CachedWindow::fence() {
-  p_->fence(win_);
-  process_pending(-1);
-  close_epoch(/*all_complete=*/true);
+  flush_all();
+  p_->unlock_all(win_);  // nothing left to complete: ends the rmasim epoch
 }
 
 // --- integrity guard (docs/INTEGRITY.md) ---

@@ -13,11 +13,10 @@
 // Operational modes: transparent (invalidate at every epoch closure),
 // always-cache (never invalidate) and user-defined (explicit
 // clampi_invalidate), Sec. III-A. Epoch-closure events are flush,
-// flush_all, unlock, unlock_all and fence; in transparent mode a
-// per-target flush must close the whole epoch, so it completes all
-// targets (documented deviation: MPI's flush is per-target, but a
-// transparently-invalidated cache cannot keep entries whose data is still
-// in flight).
+// flush_all and unlock_all; in transparent mode a per-target flush must
+// close the whole epoch, so it completes all targets (documented
+// deviation: MPI's flush is per-target, but a transparently-invalidated
+// cache cannot keep entries whose data is still in flight).
 #pragma once
 
 #include <cstddef>
@@ -82,11 +81,9 @@ class CachedWindow {
   // --- synchronization / epochs ---
   void flush(int target);
   void flush_all();
-  void lock(rmasim::LockType type, int target);
-  void unlock(int target);
   void lock_all();
+  /// flush_all, then the end of the rmasim epoch.
   void unlock_all();
-  void fence();
 
   /// CLAMPI_Invalidate (user-defined mode, Sec. III-A). Completes any
   /// outstanding epoch data first.
@@ -268,9 +265,9 @@ class CachedWindow {
   /// deliver; with `all_taken` the engine cleared every target's pending
   /// completions, so materialize the survivors (their data arrived).
   void on_flush_failure(const fault::OpFailedError& err, bool all_taken);
-  /// The one completion step of flush, flush_all, unlock and invalidate:
-  /// complete the outstanding ops against `target` (< 0: every target). A
-  /// failure goes through on_flush_failure before it propagates.
+  /// The one completion step of flush, flush_all, unlock_all and
+  /// invalidate: complete the outstanding ops against `target` (< 0: every
+  /// target). A failure goes through on_flush_failure before it propagates.
   void complete(int target);
   /// Run pending copy-ins/outs; target < 0 means all targets.
   void process_pending(int target);

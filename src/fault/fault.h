@@ -27,7 +27,7 @@ enum class OpKind : std::uint8_t {
   kGet,        ///< Process::get
   kPut,        ///< Process::put
   kGetBlocks,  ///< no longer emitted; kept while perfbench names it
-  kFlush,      ///< flush / flush_all waiting on a dead target
+  kFlush,      ///< flush / flush_all / unlock_all waiting on a dead target
 };
 
 const char* to_string(OpKind k);

@@ -191,8 +191,7 @@ void Engine::schedule_next(std::unique_lock<std::mutex>&) {
   for (auto& rc : ranks_) any_blocked |= rc->state == RunState::kBlocked;
   if (any_blocked) {
     // Nothing runs and a live rank is blocked: the simulated program
-    // deadlocked (e.g. a rank exited while others wait in a barrier, or
-    // mismatched locks).
+    // deadlocked (e.g. a rank exited while others wait in a barrier).
     if (!first_error_) {
       first_error_ = std::make_exception_ptr(
           util::ContractError("rmasim: deadlock — all live ranks are blocked"));
@@ -202,13 +201,6 @@ void Engine::schedule_next(std::unique_lock<std::mutex>&) {
       if (rc->state != RunState::kDone) rc->cv.notify_all();
     }
   }
-}
-
-void Engine::switch_out(std::unique_lock<std::mutex>& lk, RankCtx& me, RunState state) {
-  me.state = state;
-  schedule_next(lk);
-  me.cv.wait(lk, [&] { return me.state == RunState::kRunning || aborted_; });
-  check_abort(me);
 }
 
 void Engine::check_abort(RankCtx& me) {
@@ -251,8 +243,12 @@ void Engine::collective(RankCtx& me, int kind, const void* src, void* dst,
   c.max_arrival_us = std::max(c.max_arrival_us, me.clock.now_us());
   if (++c.arrived < cfg_.nranks) {
     c.waiters.push_back(me.rank);
-    switch_out(lk, me, RunState::kBlocked);
-    // Released: the releaser already advanced our clock.
+    // Block and hand the baton on until the last arriver releases us; it
+    // has already advanced our clock by then.
+    me.state = RunState::kBlocked;
+    schedule_next(lk);
+    me.cv.wait(lk, [&] { return me.state == RunState::kRunning || aborted_; });
+    check_abort(me);
     return;
   }
   // Last arriver: perform the data movement and release everyone. The
@@ -367,7 +363,6 @@ Window Engine::win_register(int rank, void* base, std::size_t bytes, bool owned,
         wo->base.resize(n);
         wo->size.resize(n);
         wo->owned.resize(n);
-        wo->locks.resize(n);
         for (std::size_t i = 0; i < n; ++i) {
           const WinStaging& st = wincreate_[i];
           CLAMPI_REQUIRE(st.read_only == wo->read_only,
@@ -679,97 +674,22 @@ void Process::flush_all(Window w) {
 }
 
 // ---------------------------------------------------------------------------
-// Passive / active target synchronization
+// Passive target epochs
 // ---------------------------------------------------------------------------
-
-void Process::lock(LockType type, int target, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(type == LockType::kShared || !wo.read_only,
-                 "exclusive lock on a read-only window");
-  CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.locks.size(),
-                 "target rank out of range");
-  auto& ls = wo.locks[static_cast<std::size_t>(target)];
-  const auto grantable = [&] {
-    return type == LockType::kShared
-               ? ls.exclusive_holder < 0
-               : (ls.exclusive_holder < 0 && ls.shared_holders == 0);
-  };
-  while (!grantable()) {
-    ls.waiters.push_back(rank_);
-    engine_->switch_out(lk, me, Engine::RunState::kBlocked);
-  }
-  if (type == LockType::kShared) {
-    ++ls.shared_holders;
-  } else {
-    ls.exclusive_holder = rank_;
-  }
-  lk.unlock();
-  me.clock.advance_us(engine_->model().issue_us(rank_, target, 0));
-  me.clock.exit_runtime();
-}
-
-void Process::unlock(int target, Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  auto& wo = engine_->window(w);
-  CLAMPI_REQUIRE(target >= 0 && static_cast<std::size_t>(target) < wo.locks.size(),
-                 "target rank out of range");
-  // Unlock completes all outstanding operations to the target.
-  const double done = me.pending.take_target(static_cast<std::size_t>(w.id), target);
-  me.clock.advance_to_us(done);
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  auto& ls = wo.locks[static_cast<std::size_t>(target)];
-  if (ls.exclusive_holder == rank_) {
-    ls.exclusive_holder = -1;
-  } else {
-    CLAMPI_REQUIRE(ls.shared_holders > 0, "unlock without a matching lock");
-    --ls.shared_holders;
-  }
-  // Wake waiters; they re-check grantability when scheduled.
-  for (int r : ls.waiters) {
-    auto& rc = engine_->ctx(r);
-    rc.clock.advance_to_us(me.clock.now_us());
-    rc.state = Engine::RunState::kReady;
-  }
-  ls.waiters.clear();
-  lk.unlock();
-  me.clock.exit_runtime();
-}
 
 void Process::lock_all(Window w) {
   auto& me = engine_->ctx(rank_);
   me.clock.enter_runtime();
   engine_->window(w);  // validates
-  // Shared access to every target; contention with exclusive per-target
-  // locks is not modelled (none of the paper's workloads mixes them).
+  // Shared access to every target. Lock contention is not modelled: no
+  // workload takes an exclusive lock, so the epoch holds no lock state.
   me.clock.advance_us(engine_->model().issue_us(rank_, rank_, 0));
   me.clock.exit_runtime();
 }
 
-void Process::unlock_all(Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const double done = me.pending.take_all(static_cast<std::size_t>(w.id));
-  me.clock.advance_to_us(done);
-  me.clock.exit_runtime();
-}
-
-void Process::fence(Window w) {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  const double done = me.pending.take_all(static_cast<std::size_t>(w.id));
-  me.clock.advance_to_us(done);
-  engine_->window(w);  // validates
-  engine_->collective(
-      me, /*kind=*/8, nullptr, nullptr, [](Engine::CollectiveCtx&) {},
-      [this] { return engine_->model().barrier_us(engine_->nranks()); });
-  me.clock.exit_runtime();
-}
+// Ending the epoch completes what flush_all completes, and fails the same
+// way against an unreachable target.
+void Process::unlock_all(Window w) { flush_all(w); }
 
 // ---------------------------------------------------------------------------
 // Misc Process methods
@@ -797,16 +717,6 @@ void Process::charge_local_copy(std::size_t bytes) {
   auto& me = engine_->ctx(rank_);
   if (me.clock.policy() != TimePolicy::kModeled) return;
   me.clock.advance_us(engine_->model().local_copy_us(bytes));
-}
-
-void Process::yield() {
-  auto& me = engine_->ctx(rank_);
-  me.clock.enter_runtime();
-  std::unique_lock<std::mutex> lk(engine_->mu_);
-  engine_->check_abort(me);
-  engine_->switch_out(lk, me, Engine::RunState::kReady);
-  lk.unlock();
-  me.clock.exit_runtime();
 }
 
 const net::Model& Process::model() const { return engine_->model(); }

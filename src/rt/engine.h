@@ -3,12 +3,12 @@
 // This is the substrate substituting for foMPI/Piz Daint in the
 // reproduction (see DESIGN.md). Each MPI rank is an OS thread; a
 // cooperative scheduler hands out batons and switches ranks only at
-// synchronization points (barriers, locks, collectives, window
-// creation). One-sided operations execute eagerly on the shared in-process
-// memory — legal because the MPI-3 epoch model forbids conflicting
-// accesses within an epoch — while their *completion time* is taken from
-// the network cost model, so `flush` exhibits the real overlap behaviour
-// of a nonblocking get (paper Sec. I-A, Fig. 8).
+// collectives (barriers, reductions, window creation and free). One-sided
+// operations execute eagerly on the shared in-process memory — legal
+// because the MPI-3 epoch model forbids conflicting accesses within an
+// epoch — while their *completion time* is taken from the network cost
+// model, so `flush` exhibits the real overlap behaviour of a nonblocking
+// get (paper Sec. I-A, Fig. 8).
 //
 // Scheduling (docs/INTERNALS.md §1): a single baton, so exactly one rank
 // runs at a time, except while the run cannot observe how ranks
@@ -24,8 +24,7 @@
 //   win_allocate / win_create / win_free              (collective)
 //   get / put (contiguous byte ranges)                MPI_Get / MPI_Put
 //   flush / flush_all                                 MPI_Win_flush(_all)
-//   lock / unlock / lock_all / unlock_all             passive target epochs
-//   fence                                             active target epoch
+//   lock_all / unlock_all                             passive target epoch
 //   barrier / allreduce_f64                           collectives
 #pragma once
 
@@ -58,8 +57,6 @@ struct Window {
   bool valid() const { return id >= 0; }
 };
 
-enum class LockType { kShared, kExclusive };
-
 /// Reduction operators for allreduce.
 enum class ReduceOp { kSum, kMax, kMin };
 
@@ -90,9 +87,9 @@ class Process {
   /// Expose caller-owned memory.
   Window win_create(void* base, std::size_t bytes);
   /// Expose caller-owned memory that nothing writes through the window.
-  /// Every rank must pass const memory. put and an exclusive lock on the
-  /// window throw ContractError. While every live window is read-only,
-  /// ranks may run concurrently (see the header comment).
+  /// Every rank must pass const memory. put on the window throws
+  /// ContractError. While every live window is read-only, ranks may run
+  /// concurrently (see the header comment).
   Window win_create(const void* base, std::size_t bytes);
   void win_free(Window w);
 
@@ -101,7 +98,7 @@ class Process {
   /// by tests and by local fast paths; not part of the MPI surface).
   std::byte* win_raw(Window w, int target) const;
 
-  // --- One-sided operations (nonblocking; complete at flush/unlock/fence) ---
+  // --- One-sided operations (nonblocking; complete at flush/unlock_all) ---
   void get(void* origin, std::size_t bytes, int target, std::size_t disp, Window w);
   void put(const void* origin, std::size_t bytes, int target, std::size_t disp, Window w);
 
@@ -122,20 +119,13 @@ class Process {
   double discard_pending(int target, Window w);
   void flush(int target, Window w);
   void flush_all(Window w);
-  void lock(LockType type, int target, Window w);
-  void unlock(int target, Window w);
   void lock_all(Window w);
+  /// Ends the epoch by completing exactly as flush_all does.
   void unlock_all(Window w);
-  /// Active-target fence: collective; completes all pending operations.
-  void fence(Window w);
 
   // --- Collectives (over every rank) ---
   void barrier();
   void allreduce_f64(const double* src, double* dst, std::size_t n, ReduceOp op);
-
-  /// Yield the baton (lets lower-virtual-time ranks run). Rarely needed by
-  /// applications; exposed for tests.
-  void yield();
 
   // --- Crash-restart support (docs/FAULTS.md §9, docs/DURABILITY.md) ---
   /// Declare that this rank runs an explicit recovery protocol after each
@@ -264,12 +254,6 @@ class Engine {
     explicit RankCtx(TimePolicy p) : clock(p) {}
   };
 
-  struct LockState {
-    int shared_holders = 0;
-    int exclusive_holder = -1;  // rank or -1
-    std::vector<int> waiters;   // ranks blocked on this lock
-  };
-
   // Every per-rank vector is indexed by target rank.
   struct WindowObj {
     bool alive = false;
@@ -277,7 +261,6 @@ class Engine {
     std::vector<std::byte*> base;
     std::vector<std::size_t> size;
     std::vector<bool> owned;  // allocated by win_allocate -> freed by us
-    std::vector<LockState> locks;  // per target
   };
 
   // One rank's contribution to a window-creation collective, written by
@@ -293,9 +276,6 @@ class Engine {
 
   // --- scheduler ---
   void thread_main(int rank, const std::function<void(Process&)>& rank_main);
-  // Callers hold mu_. Blocks `me` with `state` and hands its baton on;
-  // returns when `me` is running again.
-  void switch_out(std::unique_lock<std::mutex>& lk, RankCtx& me, RunState state);
   // Hand every free baton to a ready rank, lowest virtual time first, and
   // abort the run if nothing runs while ranks are blocked (caller holds
   // mu_).

@@ -27,8 +27,11 @@ Engine::Config ecfg(int nranks) {
   return cfg;
 }
 
-TEST(Listing1, PaperExampleVerbatim) {
-  // MPI_Win_lock(MPI_LOCK_SHARED, peer, 0, win);
+TEST(Listing1, PaperExample) {
+  // Listing 1 with MPI_Win_lock(MPI_LOCK_SHARED, peer) / MPI_Win_unlock
+  // spelled lock_all / unlock_all: rmasim has no per-target locks
+  // (DESIGN.md module 3).
+  // MPI_Win_lock_all(0, win);
   // while (!terminate) {
   //   MPI_Get(lbuf1, ..., peer, off1, ..., win);
   //   MPI_Get(lbuf2, ..., peer, off2, ..., win);
@@ -36,7 +39,7 @@ TEST(Listing1, PaperExampleVerbatim) {
   //   terminate = computation(lbuf1, lbuf2);
   // }
   // CLAMPI_Invalidate(win);
-  // MPI_Win_unlock(peer, win);
+  // MPI_Win_unlock_all(win);
   Engine e(ecfg(2));
   e.run([](Process& p) {
     std::vector<std::uint32_t> mem(64);
@@ -49,7 +52,7 @@ TEST(Listing1, PaperExampleVerbatim) {
     p.barrier();
 
     const int peer = 1 - p.rank();
-    win.lock(rmasim::LockType::kShared, peer);
+    win.lock_all();
     std::uint32_t lbuf1 = 0, lbuf2 = 0;
     int iters = 0;
     bool terminate = false;
@@ -62,7 +65,7 @@ TEST(Listing1, PaperExampleVerbatim) {
       terminate = ++iters >= 8;
     }
     clampi_invalidate(win);
-    win.unlock(peer);
+    win.unlock_all();
 
     // 8 iterations x 2 gets: 2 misses, 14 hits, one invalidation.
     EXPECT_EQ(win.stats().total_gets, 16u);

@@ -17,8 +17,11 @@ audit too, so the list cannot go stale.
 
 The API pass applies the same rule to the public methods of the classes
 in API_CLASSES: it fails on a method that no file outside its owner and
-tests/ calls (`.name(`, `->name(` or `X::name(`). Calls are matched by name, so a
-same-named method of another class counts as a caller. Methods kept on
+tests/ calls (`.name(`, `->name(` or `X::name(`). An out-of-line
+definition (`void X::name(...) {`: a return type, then the qualified name,
+at the start of a statement) is no call. Calls are matched by name, so a
+same-named method of another class counts as a caller: `lk.unlock()` on a
+std::unique_lock is a caller of every public `unlock`. Methods kept on
 purpose live in API_ALLOWLIST under the same stale-entry rule.
 
 Usage: knob_audit.py [REPO_ROOT]   (default: the checkout holding this file)
@@ -97,9 +100,6 @@ API_CLASSES = [
 ]
 
 API_ALLOWLIST = {
-    "rmasim::Process.yield":
-        "the only switch point inside the critical section of "
-        "Locks.ExclusiveLockSerializesCriticalSections",
     "rmasim::Process.crash_wipes_applied":
         "crash_restart_test observes through it that the crash wipe is lazy",
     "clampi::CachedWindow.record_faults_to":
@@ -253,15 +253,42 @@ def assignments(files, field):
     return found
 
 
+# What may stand between the start of a statement and the `X::` of an
+# out-of-line definition: a return type (template head included), then the
+# qualified name, separated from it by a space, `*` or `&`.
+DEFINITION_HEAD = re.compile(
+    r"(?:template\s*<[^;{}]*>\s*)?(?:[\w:<>,]+[\s*&]+)+[\w:<>]+")
+# Words that make `word X::f(` a call, not a definition returning `word`.
+CALL_KEYWORDS = {"return", "throw", "else", "do", "case", "default", "new",
+                 "delete", "co_return", "co_yield", "co_await"}
+
+
+def is_definition(text, qual_at):
+    """True if the `::` at text[qual_at] qualifies an out-of-line
+    definition: only a return type and the qualified name stand between it
+    and the start of its statement."""
+    start = max(text.rfind(c, 0, qual_at) for c in ";{}") + 1
+    head = re.sub(r"^\s*#.*$", "", text[start:qual_at], flags=re.M).strip()
+    return (DEFINITION_HEAD.fullmatch(head) is not None
+            and re.search(r"(?<!:):(?!:)", head) is None
+            and not CALL_KEYWORDS & set(re.findall(r"\w+", head)))
+
+
 def calls(files, method):
-    """True if any file calls `.method(`, `->method(` or `X::method(`."""
+    """True if any file calls `.method(`, `->method(` or `X::method(`;
+    `void X::method(` defines it and is no call."""
     pat = re.compile(r"(?:\.|->|::)\s*" + method + r"\s*\(")
-    return any(pat.search(source(path)[0]) for path in files)
+    for path in files:
+        text = source(path)[0]
+        for m in pat.finditer(text):
+            if not (text.startswith("::", m.start()) and is_definition(text, m.start())):
+                return True
+    return False
 
 
-def api_audit(root):
+def api_audit(root, classes=API_CLASSES, allowlist=API_ALLOWLIST):
     problems, counts, seen = [], [], set()
-    for qual, header, name, own in API_CLASSES:
+    for qual, header, name, own in classes:
         methods = public_methods((root / header).read_text(), name)
         counts.append(f"{qual}: {len(methods)}")
         files = caller_files(root, own)
@@ -269,12 +296,12 @@ def api_audit(root):
             key = f"{qual}.{method}"
             seen.add(key)
             called = calls(files, method)
-            if key in API_ALLOWLIST:
+            if key in allowlist:
                 if called:
                     problems.append(f"{key}: stale allowlist entry, it has a caller")
             elif not called:
                 problems.append(f"{key}: no caller outside {own}* and tests/")
-    for key in sorted(set(API_ALLOWLIST) - seen):
+    for key in sorted(set(allowlist) - seen):
         problems.append(f"{key}: stale allowlist entry, no such method")
     return problems, counts
 
@@ -311,6 +338,11 @@ def audit(root):
 
 
 SELFTEST_HEADER = """
+class Demo {
+ public:
+  void probe();
+  int reset();
+};
 class Widget {
  public:
   using Observer = std::function<void(const int&)>;
@@ -337,25 +369,41 @@ void use() {
 }
 """
 
+# Demo's methods defined outside their owner: probe's definition is its
+# only use, reset's definition is followed by a real call.
+SELFTEST_DEFINITIONS = """
+#include "demo/demo.h"
+void Demo::probe() {}
+int Demo::reset() { return 0; }
+int restart() { return Demo::reset(); }
+"""
+
 
 def selftest():
     """Run the parsers on SELFTEST_HEADER and SELFTEST_CALLER in a scratch
     tree: `using`/`typedef`/`friend`/`static_assert` lines are no methods,
-    a static call `X::f(` is a caller, and a field that every caller
-    writes with its default is reported."""
+    a static call `X::f(` is a caller, an out-of-line definition
+    `void X::f() {}` is not, and a field that every caller writes with its
+    default is reported."""
     with tempfile.TemporaryDirectory() as d:
         root = pathlib.Path(d)
         for sub in CALLER_DIRS + ["src/demo"]:
             (root / sub).mkdir(parents=True, exist_ok=True)
         (root / "src/demo/demo.h").write_text(SELFTEST_HEADER)
         (root / "bench/use.cc").write_text(SELFTEST_CALLER)
+        (root / "examples/demo.cc").write_text(SELFTEST_DEFINITIONS)
         files = caller_files(root, "src/demo/")
+        api_problems, _ = api_audit(root, [
+            ("demo::Demo", "src/demo/demo.h", "Demo", "src/demo/"),
+            ("demo::Widget", "src/demo/demo.h", "Widget", "src/demo/"),
+        ], allowlist={})
         got = {
             "methods": public_methods(SELFTEST_HEADER, "Widget"),
             "make called": calls(files, "make"),
             "size called": calls(files, "size"),
             "depth": field_problem(files, "src/demo/", "depth", "3"),
             "ratio": field_problem(files, "src/demo/", "ratio", "0.5"),
+            "api": api_problems,
         }
     want = {
         "methods": ["make", "size"],
@@ -363,6 +411,8 @@ def selftest():
         "size called": False,
         "depth": "every caller assigns its default (3)",
         "ratio": None,
+        "api": ["demo::Demo.probe: no caller outside src/demo/* and tests/",
+                "demo::Widget.size: no caller outside src/demo/* and tests/"],
     }
     failed = [f"{k}: got {got[k]!r}, want {want[k]!r}" for k in want if got[k] != want[k]]
     for f in failed:

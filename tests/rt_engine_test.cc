@@ -18,7 +18,6 @@ namespace {
 
 using namespace clampi;
 using rmasim::Engine;
-using rmasim::LockType;
 using rmasim::Process;
 using rmasim::ReduceOp;
 using rmasim::TimePolicy;
@@ -246,51 +245,6 @@ TEST(Collectives, AllreduceSumMaxMin) {
   });
 }
 
-TEST(Locks, ExclusiveLockSerializesCriticalSections) {
-  Engine e(flat_cfg(4, 1.0, 0.0));
-  auto counter = std::make_shared<std::vector<int>>(1, 0);
-  e.run([counter](Process& p) {
-    void* base = nullptr;
-    Window w = p.win_allocate(8, &base);
-    for (int iter = 0; iter < 10; ++iter) {
-      p.lock(LockType::kExclusive, 0, w);
-      const int v = (*counter)[0];
-      p.yield();  // try to provoke interleaving inside the section
-      (*counter)[0] = v + 1;
-      p.unlock(0, w);
-    }
-    p.barrier();
-    EXPECT_EQ((*counter)[0], 40);
-    p.win_free(w);
-  });
-}
-
-TEST(Locks, SharedLocksCoexist) {
-  Engine e(flat_cfg(3, 1.0, 0.0));
-  e.run([](Process& p) {
-    void* base = nullptr;
-    Window w = p.win_allocate(8, &base);
-    p.lock(LockType::kShared, 0, w);
-    p.barrier();  // all three hold the shared lock simultaneously
-    p.unlock(0, w);
-    p.win_free(w);
-  });
-}
-
-TEST(Epochs, FenceCompletesAndSynchronizes) {
-  Engine e(flat_cfg(2, 5.0, 0.0));
-  e.run([](Process& p) {
-    std::vector<std::uint32_t> mine(4, 7u * (p.rank() + 1));
-    Window w = p.win_create(mine.data(), mine.size() * sizeof(std::uint32_t));
-    p.fence(w);
-    std::uint32_t got = 0;
-    p.get(&got, sizeof(got), 1 - p.rank(), 0, w);
-    p.fence(w);
-    EXPECT_EQ(got, 7u * (2 - p.rank()));
-    p.win_free(w);
-  });
-}
-
 TEST(Windows, MultipleWindowsAreIndependent) {
   Engine e(flat_cfg(2));
   e.run([](Process& p) {
@@ -411,11 +365,10 @@ TEST(Concurrency, WritesToReadOnlyWindowThrow) {
     std::int64_t out = 0;
     if (p.rank() == 0) {
       EXPECT_THROW(p.put(&one, sizeof(one), 1, 0, w), util::ContractError);
-      EXPECT_THROW(p.lock(LockType::kExclusive, 1, w), util::ContractError);
       // Reads still work, and nothing was written.
-      p.lock(LockType::kShared, 1, w);
+      p.lock_all(w);
       p.get(&out, sizeof(out), 1, sizeof(std::int64_t), w);
-      p.unlock(1, w);
+      p.unlock_all(w);
       EXPECT_EQ(out, 6);
     }
     p.barrier();
